@@ -98,6 +98,7 @@ from .constructions import (
 from .experiments import (
     CrossingEvent,
     FoolingParameters,
+    HierarchyReport,
     SpliceReport,
     SweepReport,
     budget_sweep,

@@ -36,7 +36,7 @@ from .simulator import (
 )
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Input problem reported on stderr with exit code 2."""
 
 
@@ -149,10 +149,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        machine = make_machine(args.builder, args.param)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    machine = make_machine(args.builder, args.param)
     text = serialize_machine(machine)
     if args.output:
         Path(args.output).write_text(text)
@@ -172,69 +169,47 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_language(lang: str) -> str:
-    try:
-        parse_language_id(lang)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return lang
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    lang = _check_language(args.language)
-    try:
-        machine = make_machine(args.builder, args.param)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    rows = args.rows if args.rows is not None else natural_rows(lang)
-    report = oracle_equivalence(machine, lang, rows, args.cols_max)
+    # A bad language id is reported before a bad builder.
+    parse_language_id(args.language)
+    machine = make_machine(args.builder, args.param)
+    rows = args.rows if args.rows is not None else natural_rows(args.language)
+    report = oracle_equivalence(machine, args.language, rows, args.cols_max)
     print(report.format_table())
     print(report.format_records())
     return 0 if report.ok else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    lang = _check_language(args.language)
-    try:
-        machine = make_machine(args.builder, args.param)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    rows = args.rows if args.rows is not None else natural_rows(lang)
+    # A bad language id is reported before a bad builder.
+    parse_language_id(args.language)
+    machine = make_machine(args.builder, args.param)
+    rows = args.rows if args.rows is not None else natural_rows(args.language)
     ups = args.budget_up if args.budget_up else [machine.budget.up]
     left = machine.budget.left if args.budget_left is None else args.budget_left
     budgets = [Budget(u, left) for u in ups]
-    try:
-        report = budget_sweep(machine, lang, rows, args.cols_max, budgets)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = budget_sweep(machine, args.language, rows, args.cols_max, budgets)
     print(report.format_table())
     print(report.format_records())
     return 0 if report.ok else 1
 
 
 def cmd_splice(args: argparse.Namespace) -> int:
-    try:
-        machine = make_machine(args.builder, args.param)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    machine = make_machine(args.builder, args.param)
     z = args.z if args.z is not None else fooling_z(len(machine.states), 0)
     if z < 2:
         raise CliError("--z must be at least 2")
-    try:
-        report = splice_counterexample(machine, z)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = splice_counterexample(machine, z)
     print(report.format())
     return 0 if report.demonstrates else 1
 
 
 def cmd_hierarchy(args: argparse.Namespace) -> int:
-    try:
-        report = hierarchy_report(args.i_max, args.cols_max)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    print(report)
-    return 0 if "FAILED" not in report else 1
+    report = hierarchy_report(args.i_max, args.cols_max)
+    print(report.format_table())
+    print()
+    print(report.format_records())
+    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,9 +299,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -334,7 +334,38 @@ class HierarchyRow:
     mismatches: int
 
 
-def hierarchy_report(i_max: int, cols_max: int) -> str:
+@dataclass(frozen=True)
+class HierarchyReport:
+    """Hierarchy evidence: one row per (i, machine) pair of the chains."""
+
+    rows: tuple[HierarchyRow, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(r.starvation != "FAILED" for r in self.rows)
+
+    def format_table(self) -> str:
+        header = ("i", "class", "language", "members", "starvation", "mismatches")
+        table = [header] + [
+            (str(r.index), r.class_tag, r.language, str(r.members), r.starvation, str(r.mismatches))
+            for r in self.rows
+        ]
+        widths = [max(len(row[c]) for row in table) for c in range(len(header))]
+        return "\n".join(
+            "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
+            for row in table
+        )
+
+    def format_records(self) -> str:
+        return "\n".join(
+            f"record=hierarchy i={r.index} class={r.class_tag.replace(' ', '-')} "
+            f"language={r.language} members={r.members} "
+            f"starvation={r.starvation} mismatches={r.mismatches}"
+            for r in self.rows
+        )
+
+
+def hierarchy_report(i_max: int, cols_max: int) -> HierarchyReport:
     """Hierarchy evidence table for the deterministic chains.
 
     For each i up to ``i_max``: the exact-pair chain machine against M_i
@@ -377,21 +408,4 @@ def hierarchy_report(i_max: int, cols_max: int) -> str:
                     len(report.mismatches),
                 )
             )
-    header = ("i", "class", "language", "members", "starvation", "mismatches")
-    table = [header] + [
-        (str(r.index), r.class_tag, r.language, str(r.members), r.starvation, str(r.mismatches))
-        for r in rows
-    ]
-    widths = [max(len(row[c]) for row in table) for c in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
-        for row in table
-    ]
-    lines.append("")
-    for r in rows:
-        lines.append(
-            f"record=hierarchy i={r.index} class={r.class_tag.replace(' ', '-')} "
-            f"language={r.language} members={r.members} "
-            f"starvation={r.starvation} mismatches={r.mismatches}"
-        )
-    return "\n".join(lines)
+    return HierarchyReport(tuple(rows))

@@ -178,8 +178,6 @@ def oracle_for(lang_id: str):
 def natural_rows(lang_id: str) -> int:
     """Row count outside of which the language is empty."""
     kind, index = parse_language_id(lang_id)
-    if kind in ("L", "M"):
-        return 2 * index
-    if kind == "N":
+    if kind in ("L", "M", "N"):
         return 2 * index
     return 2

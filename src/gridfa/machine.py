@@ -353,7 +353,8 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
             (ren_b(t), d) for t, d in b.transitions_from(b.initial, symbol)
         ]
         if merged:
-            transitions[(init, symbol)] = merged
+            # Both accepting states become ``acc``, so the halves can share an edge.
+            transitions[(init, symbol)] = list(dict.fromkeys(merged))
     return Automaton(
         name,
         a.alphabet,

@@ -3,13 +3,15 @@
 The run state of a machine is a :class:`Configuration`: control state,
 head position in frame coordinates, and the remaining budgets.  The
 configuration space is finite (an infinite budget is represented as a
-single non-decrementing layer), so everything here terminates:
+single non-decrementing layer), so one breadth-first search of the
+configuration graph terminates and decides everything here.  It is read
+three ways:
 
-* deterministic stepping with loop detection over a visited set,
-* nondeterministic acceptance as breadth-first reachability of the
-  accepting state in the configuration graph, and
+* acceptance: whether the search reaches the accepting state,
 * canonical shortest accepting traces, with ties broken by transition
-  declaration order, so repeated calls return bit-identical traces.
+  declaration order, so repeated calls return bit-identical traces, and
+* deterministic runs, whose run graph is a path, so the search ends on
+  the accepting state, a stuck configuration or a repeated one.
 
 All functions are pure in (machine, picture, budget override) and safe to
 call concurrently.
@@ -150,39 +152,82 @@ def config_space_bound(a: Automaton, p: Picture, budget: Budget | None = None) -
     return len(a.states) * (p.rows + 2) * (p.cols + 2) * up_layers * left_layers
 
 
+#: Inverse of DELTAS: the direction of a move, read off its row/col delta.
+_DIRECTION_OF = {delta: direction for direction, delta in DELTAS.items()}
+
+
+def _search(
+    a: Automaton, p: Picture, budget: Budget | None
+) -> tuple[dict[Configuration, Configuration | None], Configuration | None]:
+    """Breadth-first search from the initial configuration, expanding
+    successors in declaration order and stopping at the first accepting
+    configuration.
+
+    Returns the discovery map (each configuration reached, mapped to the
+    one that first reached it, the start to None, in discovery order) and
+    that accepting configuration, or None.
+    """
+    ensure_valid(a)
+    start = initial_configuration(a, p, budget)
+    parents: dict[Configuration, Configuration | None] = {start: None}
+    if start.state == a.accepting:
+        return parents, start
+    frontier = deque([start])
+    while frontier:
+        c = frontier.popleft()
+        for _, nxt in _successors(a, p, c):
+            if nxt in parents:
+                continue
+            parents[nxt] = c
+            if nxt.state == a.accepting:
+                return parents, nxt
+            frontier.append(nxt)
+    return parents, None
+
+
+def _move(c: Configuration, nxt: Configuration) -> TraceStep:
+    return TraceStep(c, _DIRECTION_OF[nxt.row - c.row, nxt.col - c.col])
+
+
+def _steps_to(
+    parents: dict[Configuration, Configuration | None], end: Configuration
+) -> tuple[TraceStep, ...]:
+    """The steps of the discovery path from the start to ``end``."""
+    steps = []
+    prev = parents[end]
+    while prev is not None:
+        steps.append(_move(prev, end))
+        end, prev = prev, parents[prev]
+    steps.reverse()
+    return tuple(steps)
+
+
 def run_deterministic(
     a: Automaton, p: Picture, budget: Budget | None = None
 ) -> tuple[RunOutcome, Trace]:
     """Run a deterministic machine to its unique outcome.
 
     Accept on entering the accepting state, halt-reject on a stuck
-    configuration, and loop as soon as a configuration repeats; the
-    visited set makes the loop check exact.  The trace records the path up
-    to the outcome (for a loop, up to and including the first re-entry).
+    configuration, and loop as soon as a configuration repeats.  The run
+    graph of a deterministic machine is a path, so the search discovers
+    exactly the run; when it finds no accepting configuration, the last
+    one discovered either has no successor (halt-reject) or re-enters one
+    seen before (loop).  The trace records the path up to the outcome (for
+    a loop, up to and including the first re-entry).
     """
     ensure_valid(a)
     if a.mode != "det":
         raise ModeError(f"machine {a.name!r} is nondeterministic")
-    c = initial_configuration(a, p, budget)
-    visited = {c}
-    steps: list[TraceStep] = []
-    while True:
-        if c.state == a.accepting:
-            outcome = RunOutcome.ACCEPT
-            break
-        successors = _successors(a, p, c)
-        if not successors:
-            outcome = RunOutcome.REJECT_HALT
-            break
-        direction, nxt = successors[0]
-        steps.append(TraceStep(c, direction))
-        if nxt in visited:
-            c = nxt
-            outcome = RunOutcome.LOOP
-            break
-        visited.add(nxt)
-        c = nxt
-    return outcome, Trace(tuple(steps), c, outcome)
+    parents, goal = _search(a, p, budget)
+    if goal is not None:
+        return RunOutcome.ACCEPT, Trace(_steps_to(parents, goal), goal, RunOutcome.ACCEPT)
+    last = next(reversed(parents))
+    steps = _steps_to(parents, last)
+    successors = _successors(a, p, last)
+    if not successors:
+        return RunOutcome.REJECT_HALT, Trace(steps, last, RunOutcome.REJECT_HALT)
+    _, again = successors[0]
+    return RunOutcome.LOOP, Trace(steps + (_move(last, again),), again, RunOutcome.LOOP)
 
 
 def accepts(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:
@@ -192,22 +237,7 @@ def accepts(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:
     and terminating for deterministic and nondeterministic machines alike,
     looping runs included.
     """
-    ensure_valid(a)
-    start = initial_configuration(a, p, budget)
-    if start.state == a.accepting:
-        return True
-    frontier = deque([start])
-    visited = {start}
-    while frontier:
-        c = frontier.popleft()
-        for _, nxt in _successors(a, p, c):
-            if nxt in visited:
-                continue
-            if nxt.state == a.accepting:
-                return True
-            visited.add(nxt)
-            frontier.append(nxt)
-    return False
+    return _search(a, p, budget)[1] is not None
 
 
 def accepting_trace(
@@ -219,36 +249,10 @@ def accepting_trace(
     whose moves come first in transition declaration order wins, so the
     result is stable across calls.
     """
-    ensure_valid(a)
-    start = initial_configuration(a, p, budget)
-    if start.state == a.accepting:
-        return Trace((), start, RunOutcome.ACCEPT)
-    parents: dict[Configuration, tuple[Configuration, Direction] | None] = {start: None}
-    frontier = deque([start])
-    goal: Configuration | None = None
-    while frontier and goal is None:
-        c = frontier.popleft()
-        for direction, nxt in _successors(a, p, c):
-            if nxt in parents:
-                continue
-            parents[nxt] = (c, direction)
-            if nxt.state == a.accepting:
-                goal = nxt
-                break
-            frontier.append(nxt)
+    parents, goal = _search(a, p, budget)
     if goal is None:
         return None
-    steps: list[TraceStep] = []
-    node = goal
-    while True:
-        link = parents[node]
-        if link is None:
-            break
-        prev, direction = link
-        steps.append(TraceStep(prev, direction))
-        node = prev
-    steps.reverse()
-    return Trace(tuple(steps), goal, RunOutcome.ACCEPT)
+    return Trace(_steps_to(parents, goal), goal, RunOutcome.ACCEPT)
 
 
 def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:

@@ -138,7 +138,7 @@ class TestSweeps:
 
 class TestHierarchyReport:
     def test_example_table(self):
-        text = g.hierarchy_report(2, 4)
+        text = g.hierarchy_report(2, 4).format_records()
         assert text.count("starvation=confirmed") == 4
         assert "FAILED" not in text and "vacuous" not in text
         # two three-way rows and two two-way rows in the record section
@@ -147,11 +147,11 @@ class TestHierarchyReport:
         assert sum("class=2W[" in line for line in records) == 2
 
     def test_deterministic_across_runs(self):
-        assert g.hierarchy_report(1, 3) == g.hierarchy_report(1, 3)
+        assert g.hierarchy_report(1, 3).format_table() == g.hierarchy_report(1, 3).format_table()
 
     def test_parameter_error(self):
         with pytest.raises(ValueError):
             g.hierarchy_report(0, 3)
 
     def test_vacuous_when_no_members_in_range(self):
-        assert "vacuous" in g.hierarchy_report(2, 3)
+        assert "vacuous" in g.hierarchy_report(2, 3).format_table()

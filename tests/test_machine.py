@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfa as g
-from gridfa.machine import fmt_budget
+from gridfa.machine import DELTAS, fmt_budget
 
 from conftest import all_pictures
 
@@ -137,6 +137,15 @@ class TestUnion:
         u = g.union_machine(a, reject_all)
         for p in all_pictures(2, 5):
             assert g.accepts(u, p) == g.in_L(1, p)
+
+    def test_union_of_shared_edge_into_accepting_states(self):
+        a = g.Automaton(
+            "one", ("0", "1"), ("s", "t"), "s", "t", "nondet",
+            g.THREE_WAY, g.Budget(0, g.INF), {("s", "1"): (("t", R),)},
+        )
+        u = g.union_machine(a, a)
+        assert g.validate(u) == []
+        assert u.transitions_from(u.initial, "1") == (("accept", R),)
 
     def test_union_classifies_like_inputs(self):
         u = g.union_machine(g.build_A_L1(), g.build_B_L(1))
@@ -272,7 +281,7 @@ class TestSerialization:
 
 
 @st.composite
-def random_machines(draw):
+def random_machines(draw, mode="nondet"):
     n_states = draw(st.integers(2, 4))
     states = tuple(f"s{i}" for i in range(n_states))
     policy = draw(
@@ -292,11 +301,11 @@ def random_machines(draw):
         symbol = draw(st.sampled_from(["0", "1", "#"]))
         target = draw(st.sampled_from(states))
         direction = draw(st.sampled_from(directions))
-        table.setdefault((source, symbol), [])
-        if (target, direction) not in table[(source, symbol)]:
-            table[(source, symbol)].append((target, direction))
+        edges = table.setdefault((source, symbol), [])
+        if (target, direction) not in edges and not (mode == "det" and edges):
+            edges.append((target, direction))
     return g.Automaton(
-        "fuzz", ("0", "1"), states, states[0], states[-1], "nondet",
+        "fuzz", ("0", "1"), states, states[0], states[-1], mode,
         policy, budget, {k: tuple(v) for k, v in table.items()},
     )
 
@@ -334,3 +343,23 @@ class TestRandomMachines:
             assert U in machine.policy.budgeted
             return
         assert g.accepts(rotated, g.rotate90_cw(p)) == g.accepts(machine, p)
+
+    # About 2% of draws loop, so 300 examples reach the LOOP branch several times.
+    @given(random_machines("det"), st.integers(0, 255))
+    @settings(max_examples=300)
+    def test_deterministic_run_agrees_with_search(self, machine, seed):
+        cells = format(seed, "08b")
+        p = g.Picture.from_rows([cells[:4], cells[4:]])
+        outcome, trace = g.run_deterministic(machine, p)
+        configs = trace.configurations()
+        assert configs[0] == g.initial_configuration(machine, p)
+        for before, taken, after in zip(configs, trace.steps, configs[1:]):
+            assert g.step(machine, p, before) == (after,)
+            assert DELTAS[taken.direction] == (after.row - before.row, after.col - before.col)
+        assert (outcome is g.RunOutcome.ACCEPT) == g.accepts(machine, p)
+        if outcome is g.RunOutcome.ACCEPT:
+            assert trace == g.accepting_trace(machine, p)
+        elif outcome is g.RunOutcome.LOOP:
+            assert configs[-1] in configs[:-1]
+        else:
+            assert g.step(machine, p, configs[-1]) == ()

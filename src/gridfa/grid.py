@@ -97,17 +97,29 @@ class Picture:
         return self.to_text()
 
 
+def _lines(text: str) -> list[str]:
+    """Lines of ``text``, each stripped of one trailing CR (CRLF files)."""
+    lines = text.split("\n")
+    if "\r" not in text:
+        return lines
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
 def parse_picture(text: str, alphabet: Iterable[str]) -> Picture:
     """Parse line-oriented picture text against a declared alphabet.
 
     Every line must be nonempty and of equal length; every character must
     belong to ``alphabet``; ``#`` is reserved for the frame.  A trailing
-    newline is tolerated.
+    newline is tolerated, and lines may end in CRLF.
     """
+    return _parse_lines(_lines(text), alphabet)
+
+
+def _parse_lines(lines: list[str], alphabet: Iterable[str]) -> Picture:
+    """One picture from its lines; a last empty line is tolerated."""
     allowed = frozenset(alphabet)
     if BOUNDARY in allowed:
         raise AlphabetError(f"alphabet may not contain the boundary marker {BOUNDARY!r}")
-    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
     if not lines:
@@ -131,7 +143,7 @@ def parse_picture(text: str, alphabet: Iterable[str]) -> Picture:
 def parse_picture_stream(text: str, alphabet: Iterable[str]) -> list[Picture]:
     """Parse a file holding one or more pictures separated by ``--`` lines."""
     chunks: list[list[str]] = [[]]
-    for line in text.split("\n"):
+    for line in _lines(text):
         if line == STREAM_SEPARATOR:
             chunks.append([])
         else:
@@ -141,7 +153,7 @@ def parse_picture_stream(text: str, alphabet: Iterable[str]) -> list[Picture]:
         body = "\n".join(chunk).strip("\n")
         if body == "" and len(chunks) > 1:
             raise PictureFormatError("empty picture between stream separators")
-        pictures.append(parse_picture(body, alphabet))
+        pictures.append(_parse_lines(body.split("\n"), alphabet))
     return pictures
 
 

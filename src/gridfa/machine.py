@@ -14,7 +14,6 @@ state (head position, remaining budget) on top of it.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -196,46 +195,112 @@ def validate(a: Automaton) -> list[str]:
         Budget.check(a.budget.left, "left")
     except MachineError as exc:
         problems.append(str(exc))
+    allowed = a.policy.allowed
     for (state, symbol), targets in a.transitions.items():
-        where = f"transition ({state!r}, {symbol!r})"
+        found = []  # prefixed with the key below, only when there is a problem
         if state not in declared:
-            problems.append(f"{where}: source state not declared")
+            found.append("source state not declared")
         if symbol not in symbols:
-            problems.append(f"{where}: symbol not in alphabet or '#'")
+            found.append("symbol not in alphabet or '#'")
         if state == a.accepting and targets:
-            problems.append(f"{where}: accepting state must have no outgoing transitions")
+            found.append("accepting state must have no outgoing transitions")
         if a.mode == "det" and len(targets) > 1:
-            problems.append(f"{where}: {len(targets)} targets in deterministic mode")
+            found.append(f"{len(targets)} targets in deterministic mode")
         seen = set()
         for target, direction in targets:
             if target not in declared:
-                problems.append(f"{where}: target state {target!r} not declared")
-            if direction not in a.policy.allowed:
-                problems.append(
-                    f"{where}: direction {direction.value} is forbidden by the policy"
-                )
+                found.append(f"target state {target!r} not declared")
+            if direction not in allowed:
+                found.append(f"direction {direction.value} is forbidden by the policy")
             if (target, direction) in seen:
-                problems.append(f"{where}: duplicate edge to ({target!r}, {direction.value})")
+                found.append(f"duplicate edge to ({target!r}, {direction.value})")
             seen.add((target, direction))
+        if found:
+            where = f"transition ({state!r}, {symbol!r})"
+            problems += [f"{where}: {problem}" for problem in found]
     return problems
 
 
-# Machines are immutable, so a machine that validated once stays valid;
-# sweeps call into the simulator per picture and should not re-pay the
-# validation.  Keyed by id with an identity check, weakly referenced so
-# the cache never outlives (or resurrects) a machine.
-_VALIDATED: "weakref.WeakValueDictionary[int, Automaton]" = weakref.WeakValueDictionary()
+#: Direction codes of the compiled tables, in the order U, D, L, R.
+DIRECTION_CODES: dict[Direction, int] = {d: code for code, d in enumerate(DELTAS)}
+
+#: Budget kinds of the compiled tables: which budget a move spends.
+NO_BUDGET, UP_BUDGET, LEFT_BUDGET = 0, 1, 2
+
+#: Per direction, its (direction code, budget kind) in the compiled tables.
+_EDGE_CODES = {
+    d: (code, UP_BUDGET if d is Direction.U else LEFT_BUDGET if d is Direction.L else NO_BUDGET)
+    for d, code in DIRECTION_CODES.items()
+}
 
 
-def ensure_valid(a: Automaton) -> None:
-    if _VALIDATED.get(id(a)) is a:
-        return
+class _Lazy(dict):
+    """A dict that fills a missing key with ``build(key)`` on first use."""
+
+    def __init__(self, build) -> None:
+        self.build = build  # the dict itself starts empty
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Compiled(NamedTuple):
+    """A validated machine as integer tables.
+
+    State ids follow declaration order, except that the accepting state
+    takes the last id.  ``moves[state id]`` maps each symbol the state has
+    transitions on (``#`` for the frame) to ``((target id, direction code,
+    budget kind), ...)`` in declaration order.  It is filled in per state
+    on first use, since a search over a small picture reaches few states.
+    ``layers`` caches the simulator's per-budget tables, keyed by the
+    resolved budget.
+    """
+
+    states: tuple[str, ...]
+    ids: dict[str, int]
+    initial: int
+    moves: _Lazy
+    layers: dict
+
+
+def _compile(a: Automaton) -> _Compiled:
+    """Validate ``a`` and compile it once; later calls return the cached form.
+
+    Machines are immutable, so the compiled form stays valid; sweeps call
+    into the simulator per picture and should not re-pay validation or
+    compilation.  The cache lives on the machine itself and dies with it.
+    """
+    compiled = a.__dict__.get("_compiled")
+    if compiled is not None:
+        return compiled
     problems = validate(a)
     if problems:
         raise MachineInvalidError(
             f"machine {a.name!r} is not well-formed: " + "; ".join(problems)
         )
-    _VALIDATED[id(a)] = a
+    states = tuple(s for s in a.states if s != a.accepting) + (a.accepting,)
+    ids = {state: index for index, state in enumerate(states)}
+    # The builder closes over these, not ``a``, so the cache holds no
+    # reference cycle and dies with its machine by reference counting.
+    transitions, symbols = a.transitions, a.alphabet + ("#",)
+
+    def moves(state: int) -> dict[str, tuple[tuple[int, int, int], ...]]:
+        out = {}
+        for symbol in symbols:
+            targets = transitions.get((states[state], symbol))
+            if targets:
+                out[symbol] = tuple([(ids[t], *_EDGE_CODES[d]) for t, d in targets])
+        return out
+
+    compiled = _Compiled(states, ids, ids[a.initial], _Lazy(moves), {})
+    object.__setattr__(a, "_compiled", compiled)
+    return compiled
+
+
+def ensure_valid(a: Automaton) -> None:
+    """Raise MachineInvalidError unless ``a`` is well-formed."""
+    _compile(a)
 
 
 class ClassTag(NamedTuple):
@@ -304,11 +369,11 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
     (the model has no epsilon moves, so the choice of branch happens on
     the first real move), and both accepting states are merged into one
     fresh accepting state by redirecting every edge that entered them.
-    Budgets join componentwise by maximum; note that a branch whose
-    machine declared the smaller budget runs under the joined budget, so
-    the language equation is guaranteed when the two inputs declare equal
-    budgets or never benefit from extra budget (every machine built here
-    is of that kind).
+    Policies join by union and budgets componentwise by maximum.  Each
+    branch then runs under the joined budget, so the language equation
+    holds only if no branch gains budget it did not declare:
+    CompositionError is raised when a branch has a U (resp. L) transition
+    and its own budget in that direction differs from the joined one.
     """
     ensure_valid(a)
     ensure_valid(b)
@@ -328,6 +393,18 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
         return Automaton(
             name, a.alphabet, ("all",), "all", "all", "nondet", policy, budget, {}
         )
+    for machine in (a, b):
+        used = {d for targets in machine.transitions.values() for _, d in targets}
+        for direction, own, joined in (
+            (Direction.U, machine.budget.up, budget.up),
+            (Direction.L, machine.budget.left, budget.left),
+        ):
+            if direction in used and own != joined:
+                raise CompositionError(
+                    f"{machine.name!r} moves {direction.value} under budget "
+                    f"{fmt_budget(own)}; its branch of the union would run under "
+                    f"{fmt_budget(joined)}"
+                )
     init, acc = "init", "accept"
 
     def ren(prefix: str, machine: Automaton):

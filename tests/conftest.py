@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 import gridfa as g
 
@@ -53,3 +54,36 @@ def all_pictures(rows: int, cols_max: int, alphabet=("0", "1")):
     """Every picture with the given row count and 1..cols_max columns."""
     for cols in range(1, cols_max + 1):
         yield from g.enumerate_pictures(alphabet, rows, cols)
+
+
+@st.composite
+def random_machines(draw, mode="nondet"):
+    """Small valid machines over {0, 1} under every policy, budgets 0-2
+    on budgeted directions; the last state accepts."""
+    U, L = g.Direction.U, g.Direction.L
+    n_states = draw(st.integers(2, 4))
+    states = tuple(f"s{i}" for i in range(n_states))
+    policy = draw(
+        st.sampled_from(
+            [g.THREE_WAY, g.TWO_WAY, g.FOUR_WAY, g.THREE_WAY_NO_UP, g.THREE_WAY_ROTATED]
+        )
+    )
+    budget = g.Budget(
+        g.INF if U in policy.free else draw(st.integers(0, 2)),
+        g.INF if L in policy.free else (draw(st.integers(0, 2)) if L in policy.budgeted else 0),
+    )
+    directions = sorted(policy.allowed, key=lambda d: d.value)
+    n_edges = draw(st.integers(0, 6))
+    table: dict = {}
+    for _ in range(n_edges):
+        source = draw(st.sampled_from(states[:-1]))  # last state is accepting
+        symbol = draw(st.sampled_from(["0", "1", "#"]))
+        target = draw(st.sampled_from(states))
+        direction = draw(st.sampled_from(directions))
+        edges = table.setdefault((source, symbol), [])
+        if (target, direction) not in edges and not (mode == "det" and edges):
+            edges.append((target, direction))
+    return g.Automaton(
+        "fuzz", ("0", "1"), states, states[0], states[-1], mode,
+        policy, budget, {k: tuple(v) for k, v in table.items()},
+    )

@@ -52,6 +52,12 @@ class TestAccept:
     def test_missing_file(self, a_l1_file, capsys):
         assert main(["accept", a_l1_file, "/nonexistent.pic"]) == 2
 
+    def test_crlf_picture_file(self, a_l1_file, tmp_path, capsys):
+        pics = tmp_path / "crlf.pic"
+        pics.write_bytes(b"11\r\n11\r\n--\r\n00\r\n00\r\n")
+        assert main(["accept", a_l1_file, str(pics)]) == 1
+        assert capsys.readouterr().out == "ACCEPT\nREJECT\n"
+
     def test_budget_override_flag(self, a_l1_file, tmp_path, capsys):
         pics = write_pictures(tmp_path, "m.pic", ["11", "11"])
         assert main(["accept", a_l1_file, pics, "--budget-up", "0"]) == 1

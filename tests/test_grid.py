@@ -56,6 +56,18 @@ class TestParsePicture:
         text = format_picture_stream(pics)
         assert g.parse_picture_stream(text, {"0", "1"}) == pics
 
+    def test_crlf_lines(self):
+        pics = [g.Picture.from_rows(["01", "10"]), ALL_ONES_2X2]
+        assert g.parse_picture("01\r\n10\r\n", {"0", "1"}) == pics[0]
+        assert g.parse_picture_stream("01\r\n10\r\n--\r\n11\r\n11\r\n", {"0", "1"}) == pics
+        crlf = format_picture_stream(pics).replace("\n", "\r\n")
+        assert g.parse_picture_stream(crlf, {"0", "1"}) == pics
+
+    def test_only_one_trailing_cr_per_line_stripped(self):
+        for parse in (g.parse_picture, g.parse_picture_stream):
+            with pytest.raises(g.AlphabetError):
+                parse("01\r\r\n10\r\n", {"0", "1"})
+
 
 class TestCellAt:
     def test_frame_corner(self):

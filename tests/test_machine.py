@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import gridfa as g
 from gridfa.machine import DELTAS, fmt_budget
 
-from conftest import all_pictures
+from conftest import all_pictures, random_machines
 
 D, U, L, R = g.Direction.D, g.Direction.U, g.Direction.L, g.Direction.R
 
@@ -125,6 +125,20 @@ class TestClassify:
 
 
 class TestUnion:
+    def test_branch_may_not_run_under_budget_it_did_not_declare(self):
+        # Up budget 0 makes the U edge dead, so L(a) is empty; under the
+        # joined up budget 1 of A_L1 the branch would accept e.g. 1/1.
+        a = g.Automaton(
+            "dead_up", ("0", "1"), ("s", "t", "acc"), "s", "acc", "nondet",
+            g.THREE_WAY, g.Budget(0, g.INF),
+            {("s", "1"): (("t", D),), ("t", "1"): (("acc", U),)},
+        )
+        assert not any(g.accepts(a, p) for p in all_pictures(2, 3))
+        with pytest.raises(g.CompositionError):
+            g.union_machine(a, g.build_A_L1())
+        with pytest.raises(g.CompositionError):
+            g.union_machine(g.build_A_L1(), a)
+
     def test_union_with_self_preserves_language(self):
         a = g.build_A_L1()
         u = g.union_machine(a, a)
@@ -280,37 +294,21 @@ class TestSerialization:
         assert "line 2" in str(err.value)
 
 
-@st.composite
-def random_machines(draw, mode="nondet"):
-    n_states = draw(st.integers(2, 4))
-    states = tuple(f"s{i}" for i in range(n_states))
-    policy = draw(
-        st.sampled_from(
-            [g.THREE_WAY, g.TWO_WAY, g.FOUR_WAY, g.THREE_WAY_NO_UP, g.THREE_WAY_ROTATED]
-        )
-    )
-    budget = g.Budget(
-        g.INF if U in policy.free else draw(st.integers(0, 2)),
-        g.INF if L in policy.free else (draw(st.integers(0, 2)) if L in policy.budgeted else 0),
-    )
-    directions = sorted(policy.allowed, key=lambda d: d.value)
-    n_edges = draw(st.integers(0, 6))
-    table: dict = {}
-    for _ in range(n_edges):
-        source = draw(st.sampled_from(states[:-1]))  # last state is accepting
-        symbol = draw(st.sampled_from(["0", "1", "#"]))
-        target = draw(st.sampled_from(states))
-        direction = draw(st.sampled_from(directions))
-        edges = table.setdefault((source, symbol), [])
-        if (target, direction) not in edges and not (mode == "det" and edges):
-            edges.append((target, direction))
-    return g.Automaton(
-        "fuzz", ("0", "1"), states, states[0], states[-1], mode,
-        policy, budget, {k: tuple(v) for k, v in table.items()},
-    )
-
-
 class TestRandomMachines:
+    @given(
+        st.sampled_from(["det", "nondet"]).flatmap(random_machines),
+        st.sampled_from(["det", "nondet"]).flatmap(random_machines),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_union_law_or_refusal(self, a, b):
+        try:
+            u = g.union_machine(a, b)
+        except g.CompositionError:
+            return
+        for rows in (1, 2):
+            for p in all_pictures(rows, 3):
+                assert g.accepts(u, p) == (g.accepts(a, p) or g.accepts(b, p))
+
     @given(random_machines())
     @settings(max_examples=60)
     def test_serialize_parse_round_trip(self, machine):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import gridfa as g
 from gridfa.machine import DELTAS
 
+import reference
 from conftest import all_pictures
 
 D, U, L, R = g.Direction.D, g.Direction.U, g.Direction.L, g.Direction.R
@@ -157,8 +158,6 @@ class TestAcceptingTrace:
             assert 0 <= cfg.col <= fig1_word.cols + 1
 
     def test_trace_replays_through_enabled_moves(self):
-        from gridfa.simulator import _successors
-
         jobs = [
             (g.build_A_L1(), g.make_w(2, 4, 5)),
             (g.build_M_M1(), g.Picture.from_rows(["101", "101"])),
@@ -171,7 +170,7 @@ class TestAcceptingTrace:
             assert trace is not None
             configs = trace.configurations()
             for before, step, after in zip(configs, trace.steps, configs[1:]):
-                assert (step.direction, after) in _successors(machine, word, before)
+                assert (step.direction, after) in reference.successors(machine, word, before)
             assert configs[-1].state == machine.accepting
 
 

@@ -115,8 +115,9 @@ def parse_picture(text: str, alphabet: Iterable[str]) -> Picture:
     return _parse_lines(_lines(text), alphabet)
 
 
-def _parse_lines(lines: list[str], alphabet: Iterable[str]) -> Picture:
-    """One picture from its lines; a last empty line is tolerated."""
+def _parse_lines(lines: list[str], alphabet: Iterable[str], first: int = 1) -> Picture:
+    """One picture from its lines, numbered from ``first`` in messages; a
+    last empty line is tolerated."""
     allowed = frozenset(alphabet)
     if BOUNDARY in allowed:
         raise AlphabetError(f"alphabet may not contain the boundary marker {BOUNDARY!r}")
@@ -125,7 +126,7 @@ def _parse_lines(lines: list[str], alphabet: Iterable[str]) -> Picture:
     if not lines:
         raise PictureFormatError("empty input: pictures need at least one row")
     width = len(lines[0])
-    for n, line in enumerate(lines, start=1):
+    for n, line in enumerate(lines, start=first):
         if len(line) == 0:
             raise PictureFormatError(f"line {n} is empty")
         if len(line) != width:
@@ -141,19 +142,26 @@ def _parse_lines(lines: list[str], alphabet: Iterable[str]) -> Picture:
 
 
 def parse_picture_stream(text: str, alphabet: Iterable[str]) -> list[Picture]:
-    """Parse a file holding one or more pictures separated by ``--`` lines."""
-    chunks: list[list[str]] = [[]]
-    for line in _lines(text):
+    """Parse a file holding one or more pictures separated by ``--`` lines.
+
+    Empty lines around a picture are dropped; messages give line numbers
+    in the whole file."""
+    chunks: list[tuple[int, list[str]]] = [(1, [])]
+    for n, line in enumerate(_lines(text), start=1):
         if line == STREAM_SEPARATOR:
-            chunks.append([])
+            chunks.append((n + 1, []))
         else:
-            chunks[-1].append(line)
+            chunks[-1][1].append(line)
     pictures = []
-    for chunk in chunks:
-        body = "\n".join(chunk).strip("\n")
-        if body == "" and len(chunks) > 1:
+    for first, chunk in chunks:
+        start, end = 0, len(chunk)
+        while start < end and not chunk[start]:
+            start += 1
+        while end > start and not chunk[end - 1]:
+            end -= 1
+        if start == end and len(chunks) > 1:
             raise PictureFormatError("empty picture between stream separators")
-        pictures.append(_parse_lines(body.split("\n"), alphabet))
+        pictures.append(_parse_lines(chunk[start:end], alphabet, first + start))
     return pictures
 
 

@@ -173,7 +173,8 @@ def validate(a: Automaton) -> list[str]:
     Checks: state bookkeeping (initial/accepting/endpoints declared),
     symbol bookkeeping, no transition out of the accepting state,
     determinism when declared, and the direction policy (every transition
-    direction must be free or budgeted).
+    direction must be free or budgeted, and a free direction's budget is
+    ``INF``, so that ``classify`` reads the budget the simulator enforces).
     """
     problems: list[str] = []
     declared = set(a.states)
@@ -195,6 +196,9 @@ def validate(a: Automaton) -> list[str]:
         Budget.check(a.budget.left, "left")
     except MachineError as exc:
         problems.append(str(exc))
+    for direction, value in ((Direction.U, a.budget.up), (Direction.L, a.budget.left)):
+        if direction in a.policy.free and value != INF:
+            problems.append(f"free direction {direction.value} has budget {fmt_budget(value)}")
     allowed = a.policy.allowed
     for (state, symbol), targets in a.transitions.items():
         found = []  # prefixed with the key below, only when there is a problem
@@ -221,86 +225,21 @@ def validate(a: Automaton) -> list[str]:
     return problems
 
 
-#: Direction codes of the compiled tables, in the order U, D, L, R.
-DIRECTION_CODES: dict[Direction, int] = {d: code for code, d in enumerate(DELTAS)}
+def ensure_valid(a: Automaton) -> None:
+    """Raise MachineInvalidError unless ``a`` is well-formed.
 
-#: Budget kinds of the compiled tables: which budget a move spends.
-NO_BUDGET, UP_BUDGET, LEFT_BUDGET = 0, 1, 2
-
-#: Per direction, its (direction code, budget kind) in the compiled tables.
-_EDGE_CODES = {
-    d: (code, UP_BUDGET if d is Direction.U else LEFT_BUDGET if d is Direction.L else NO_BUDGET)
-    for d, code in DIRECTION_CODES.items()
-}
-
-
-class _Lazy(dict):
-    """A dict that fills a missing key with ``build(key)`` on first use."""
-
-    def __init__(self, build) -> None:
-        self.build = build  # the dict itself starts empty
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
-class _Compiled(NamedTuple):
-    """A validated machine as integer tables.
-
-    State ids follow declaration order, except that the accepting state
-    takes the last id.  ``moves[state id]`` maps each symbol the state has
-    transitions on (``#`` for the frame) to ``((target id, direction code,
-    budget kind), ...)`` in declaration order.  It is filled in per state
-    on first use, since a search over a small picture reaches few states.
-    ``layers`` caches the simulator's per-budget tables, keyed by the
-    resolved budget.
+    Machines are immutable, so a passing check is recorded on the machine
+    itself (it dies with it) and later calls are one lookup: sweeps call
+    into the simulator per picture and should not re-pay validation.
     """
-
-    states: tuple[str, ...]
-    ids: dict[str, int]
-    initial: int
-    moves: _Lazy
-    layers: dict
-
-
-def _compile(a: Automaton) -> _Compiled:
-    """Validate ``a`` and compile it once; later calls return the cached form.
-
-    Machines are immutable, so the compiled form stays valid; sweeps call
-    into the simulator per picture and should not re-pay validation or
-    compilation.  The cache lives on the machine itself and dies with it.
-    """
-    compiled = a.__dict__.get("_compiled")
-    if compiled is not None:
-        return compiled
+    if "_valid" in a.__dict__:
+        return
     problems = validate(a)
     if problems:
         raise MachineInvalidError(
             f"machine {a.name!r} is not well-formed: " + "; ".join(problems)
         )
-    states = tuple(s for s in a.states if s != a.accepting) + (a.accepting,)
-    ids = {state: index for index, state in enumerate(states)}
-    # The builder closes over these, not ``a``, so the cache holds no
-    # reference cycle and dies with its machine by reference counting.
-    transitions, symbols = a.transitions, a.alphabet + ("#",)
-
-    def moves(state: int) -> dict[str, tuple[tuple[int, int, int], ...]]:
-        out = {}
-        for symbol in symbols:
-            targets = transitions.get((states[state], symbol))
-            if targets:
-                out[symbol] = tuple([(ids[t], *_EDGE_CODES[d]) for t, d in targets])
-        return out
-
-    compiled = _Compiled(states, ids, ids[a.initial], _Lazy(moves), {})
-    object.__setattr__(a, "_compiled", compiled)
-    return compiled
-
-
-def ensure_valid(a: Automaton) -> None:
-    """Raise MachineInvalidError unless ``a`` is well-formed."""
-    _compile(a)
+    object.__setattr__(a, "_valid", True)
 
 
 class ClassTag(NamedTuple):

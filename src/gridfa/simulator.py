@@ -13,12 +13,12 @@ three ways:
 * deterministic runs, whose run graph is a path, so the search ends on
   the accepting state, a stuck configuration or a repeated one.
 
-The search runs over the machine's compiled integer tables (see
-``machine._compile``), not over :class:`Configuration` values.  The
+The search runs over integer tables of the machine under the resolved
+budget (``_Tables``), not over :class:`Configuration` values.  The
 picture is laid out once per search as one flat frame, and each
 configuration is one int packing the frame index of the head with the
-state and the budget layers of the resolved budget.  Only the
-configurations a caller gets back are decoded.
+state and the budget layers.  Only the configurations a caller gets back
+are decoded.
 
 All functions are pure in (machine, picture, budget override) and safe to
 call concurrently: the tables they cache on a machine are filled
@@ -33,20 +33,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .grid import BOUNDARY, AlphabetError, Picture, cell_at, enumerate_pictures
-from .machine import (
-    DIRECTION_CODES,
-    INF,
-    LEFT_BUDGET,
-    UP_BUDGET,
-    Automaton,
-    Budget,
-    Direction,
-    _Compiled,
-    _Lazy,
-    _compile,
-    ensure_valid,
-    fmt_budget,
-)
+from .machine import INF, Automaton, Budget, Direction, ensure_valid, fmt_budget
 
 
 class ModeError(ValueError):
@@ -133,13 +120,18 @@ def config_space_bound(a: Automaton, p: Picture, budget: Budget | None = None) -
     return len(a.states) * (p.rows + 2) * (p.cols + 2) * up_layers * left_layers
 
 
+#: Direction codes of the move rows: a direction's index here (a
+#: Direction is a str, and ``str.index`` is cheaper than hashing an enum).
+_CODES = "UDLR"
+_UP, _LEFT = _CODES.index("U"), _CODES.index("L")
+
 #: Ring cells of the frame are laid out under ``#`` plus the sides they lie
 #: on, each mapped to the codes of the moves that would leave the frame
-#: from it.  The move tables leave those moves out, so the search never
+#: from it.  The move rows leave those moves out, so the search never
 #: checks frame bounds.
 _RING: dict[str, frozenset[int]] = {
     BOUNDARY + vertical + horizontal: frozenset(
-        DIRECTION_CODES[Direction(side)] for side in vertical + horizontal
+        _CODES.index(side) for side in vertical + horizontal
     )
     for vertical in ("U", "", "D")
     for horizontal in ("L", "", "R")
@@ -158,15 +150,6 @@ def _cell_key(p: Picture, row: int, col: int) -> str:
     return BOUNDARY + vertical + horizontal
 
 
-def _ring_moves(cell: str, boundary: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The ``#`` moves that stay in the frame from ring cell ``cell``; none
-    if ``cell`` is not a ring key (a symbol the state has no moves on)."""
-    leaving = _RING.get(cell)
-    if leaving is None:
-        return ()
-    return tuple([move for move in boundary if move[1] not in leaving])
-
-
 def _layout(p: Picture) -> list[str]:
     """The frame of ``p`` as one flat row-major list of its (rows+2) *
     (cols+2) cell keys (as ``_cell_key`` gives them)."""
@@ -178,88 +161,100 @@ def _layout(p: Picture) -> list[str]:
     return frame
 
 
-class _Layers:
-    """A compiled machine under one resolved budget.
+class _Tables(dict):
+    """A valid machine under one resolved budget, as integer tables.
 
-    A configuration is the int ``pos << shift | low``: ``pos`` is the
-    row-major frame index of the head and ``low = (state * up_layers + up)
-    * left_layers + left``.  Layer counts come from the resolved budget: a
-    finite budget ``b`` (0 included) has ``b + 1`` layers counting what is
-    left of it, an infinite one a single layer that never decrements.  The
-    accepting state has the last id, so a configuration accepts iff ``low
-    >= accepting``.  ``rows[low]`` maps a cell key to the enabled moves as
-    ``(low delta, direction code)`` pairs in declaration order, and
-    ``fields[low]`` gives the state name and the up and left budget left.
-    All fill in as searches first reach them.
+    State ids follow declaration order, except that the accepting state
+    takes the last id.  A configuration is the int ``pos << shift | low``:
+    ``pos`` is the row-major frame index of the head and ``low = (state *
+    up_layers + up) * left_layers + left``.  Layer counts come from the
+    resolved budget: a finite budget ``b`` (0 included) has ``b + 1``
+    layers counting what is left of it, an infinite one a single layer
+    that never decrements.  A configuration accepts iff ``low >=
+    accepting``.
+
+    The dict maps a low part to its row: every cell key (each symbol and
+    each ring key) to the enabled moves as ``(low delta, direction code)``
+    pairs in declaration order.  A row is built on first use, since a
+    search over a small picture reaches few.  It depends on the budget left
+    only through which of U and L are still affordable, so the low parts
+    of one state share at most four rows.
     """
 
-    def __init__(self, compiled: _Compiled, up: int | float, left: int | float) -> None:
-        states = compiled.states
-        self.up_inf = up_inf = up == INF
-        self.left_inf = left_inf = left == INF
-        self.left_layers = left_layers = 1 if left_inf else left + 1
-        self.per_state = per_state = (1 if up_inf else up + 1) * left_layers
-        self.shift = (len(states) * per_state - 1).bit_length()
+    def __init__(self, a: Automaton, up: int | float, left: int | float) -> None:
+        super().__init__()
+        self.states = states = tuple(s for s in a.states if s != a.accepting) + (a.accepting,)
+        self.ids = {state: index for index, state in enumerate(states)}
+        self.initial = self.ids[a.initial]
+        # The tables keep the transitions, not ``a``: cached on the machine,
+        # they form no reference cycle and die with it by reference counting.
+        self.transitions = a.transitions
+        self.symbols = a.alphabet + (BOUNDARY,)
+        self.up_inf = up == INF
+        self.left_inf = left == INF
+        self.left_layers = 1 if self.left_inf else left + 1
+        self.per_state = (1 if self.up_inf else up + 1) * self.left_layers
+        self.shift = (len(states) * self.per_state - 1).bit_length()
         self.mask = (1 << self.shift) - 1
-        self.accepting = (len(states) - 1) * per_state
-        moves = compiled.moves
+        self.accepting = (len(states) - 1) * self.per_state
 
-        # The builders close over locals, not ``self``: the tables then hold
-        # no reference cycle and die with their machine by reference counting.
-        def row(low: int) -> _Lazy:
-            """Moves enabled per cell key in the configurations with this
-            low part.  A U (resp. L) move needs up (resp. left) budget and
-            steps down one layer of a finite one.  A ring key gets the
-            ``#`` moves minus those leaving the frame, worked out on first
-            use; any other key without moves gets none."""
-            state, rest = divmod(low, per_state)
-            up, left = divmod(rest, left_layers)
-            up_ok, left_ok = up_inf or up > 0, left_inf or left > 0
-            enabled_on = _Lazy(lambda cell: _ring_moves(cell, boundary))
-            boundary = ()
-            for symbol, edges in moves[state].items():
-                enabled = []
-                for target, direction, kind in edges:
-                    delta = (target - state) * per_state
-                    if kind == UP_BUDGET:
-                        if not up_ok:
-                            continue
-                        if not up_inf:
-                            delta -= left_layers
-                    elif kind == LEFT_BUDGET:
-                        if not left_ok:
-                            continue
-                        if not left_inf:
-                            delta -= 1
-                    enabled.append((delta, direction))
-                if symbol == BOUNDARY:
-                    boundary = enabled
-                else:
-                    enabled_on[symbol] = tuple(enabled)
-            return enabled_on
+    def __missing__(self, low: int) -> dict[str, tuple[tuple[int, int], ...]]:
+        """Build the row of ``low``: a U (resp. L) move needs up (resp.
+        left) budget and steps down one layer of a finite one; a ring key
+        gets the ``#`` moves minus those that leave the frame."""
+        per_state, left_layers = self.per_state, self.left_layers
+        state, rest = divmod(low, per_state)
+        up, left = divmod(rest, left_layers)
+        shared = low - rest + min(up, 1) * left_layers + min(left, 1)
+        if shared != low:
+            row = self[low] = self[shared]
+            return row
+        up_ok, left_ok = self.up_inf or up > 0, self.left_inf or left > 0
+        name, ids, row = self.states[state], self.ids, {}
+        for symbol in self.symbols:
+            moves = []
+            for target, direction in self.transitions.get((name, symbol), ()):
+                code = _CODES.index(direction)
+                delta = (ids[target] - state) * per_state
+                if code == _UP:
+                    if not up_ok:
+                        continue
+                    if not self.up_inf:
+                        delta -= left_layers
+                elif code == _LEFT:
+                    if not left_ok:
+                        continue
+                    if not self.left_inf:
+                        delta -= 1
+                moves.append((delta, code))
+            row[symbol] = tuple(moves)
+        boundary = row.pop(BOUNDARY)
+        codes = {code for _, code in boundary}
+        for key, leaving in _RING.items():
+            row[key] = boundary if leaving.isdisjoint(codes) else tuple(
+                [move for move in boundary if move[1] not in leaving]
+            )
+        self[low] = row
+        return row
 
-        self.rows = _Lazy(row)
-
-        def fields(low: int) -> tuple[str, int | float, int | float]:
-            state, rest = divmod(low, per_state)
-            up, left = divmod(rest, left_layers)
-            return states[state], INF if up_inf else up, INF if left_inf else left
-
-        self.fields = _Lazy(fields)
-
-    def low(self, state: int, up: int | float, left: int | float) -> int:
-        return (
-            state * self.per_state
-            + (0 if self.up_inf else up) * self.left_layers
-            + (0 if self.left_inf else left)
-        )
+    def fields(self, low: int) -> tuple[str, int | float, int | float]:
+        """The state name and the up and left budget left of ``low``."""
+        state, rest = divmod(low, self.per_state)
+        up, left = divmod(rest, self.left_layers)
+        return self.states[state], INF if self.up_inf else up, INF if self.left_inf else left
 
 
-def _layers(compiled: _Compiled, up: int | float, left: int | float) -> _Layers:
-    layers = compiled.layers.get((up, left))
-    if layers is None:
-        layers = compiled.layers[up, left] = _Layers(compiled, up, left)
-    return layers
+def _tables(a: Automaton, up: int | float, left: int | float) -> _Tables:
+    """The tables of the valid machine ``a`` under the resolved budget,
+    built once and cached on the machine, so that they die with it."""
+    by_budget = a.__dict__.get("_tables")
+    if by_budget is None:
+        by_budget = {}
+        object.__setattr__(a, "_tables", by_budget)
+    tables = by_budget.get((up, left))
+    if tables is None:
+        tables = by_budget[up, left] = _Tables(a, up, left)
+    return tables
 
 
 #: Builds a NamedTuple from a tuple of its fields as ``_make`` does, minus
@@ -271,21 +266,24 @@ class _Run:
     """One machine on one picture under one budget.
 
     ``frame`` maps frame indexes to cell keys: the whole layout for a
-    search, or just the cells a single step reads.
+    search, or just the cell a single step reads.
     """
 
-    __slots__ = ("layers", "frame", "width", "step")
+    __slots__ = ("tables", "frame", "width", "step")
 
-    def __init__(self, layers: _Layers, frame, width: int) -> None:
-        self.layers = layers
+    def __init__(self, tables: _Tables, frame, width: int) -> None:
+        self.tables = tables
         self.frame = frame
         self.width = width
-        shift = layers.shift
+        shift = tables.shift
         # A move adds its low delta and the frame-index delta of its direction.
         self.step = (-width << shift, width << shift, -1 << shift, 1 << shift)
 
     def encode(self, state: int, row: int, col: int, up, left) -> int:
-        return (row * self.width + col) << self.layers.shift | self.layers.low(state, up, left)
+        t = self.tables
+        low = state * t.per_state + (0 if t.up_inf else up) * t.left_layers
+        low += 0 if t.left_inf else left
+        return (row * self.width + col) << t.shift | low
 
     def explore(
         self, start: int, limit: int | None = None
@@ -300,8 +298,8 @@ class _Run:
         is FIFO order, so the accepting configuration dequeued first is the
         one discovered first.
         """
-        layers, frame, step = self.layers, self.frame, self.step
-        rows, mask, shift, accepting = layers.rows, layers.mask, layers.shift, layers.accepting
+        rows, frame, step = self.tables, self.frame, self.step
+        mask, shift, accepting = rows.mask, rows.shift, rows.accepting
         parents: dict[int, int | None] = {start: None}
         queue = [start]
         for c in islice(queue, limit):  # the queue grows while it is read
@@ -320,11 +318,16 @@ class _Run:
         return list(self.explore(c, 1)[0])[1:]
 
     def decode(self, codes: list[int]) -> list[Configuration]:
-        layers, width = self.layers, self.width
-        shift, mask, fields = layers.shift, layers.mask, layers.fields
+        tables, width = self.tables, self.width
+        shift, mask = tables.shift, tables.mask
+        fields: dict[int, tuple[str, int | float, int | float]] = {}
         out = []
         for c in codes:
-            state, up, left = fields[c & mask]
+            low = c & mask
+            known = fields.get(low)
+            if known is None:
+                known = fields[low] = tables.fields(low)
+            state, up, left = known
             row, col = divmod(c >> shift, width)
             out.append(_new(Configuration, (state, row, col, up, left)))
         return out
@@ -333,7 +336,7 @@ class _Run:
         """The trace along a path of codes; each step's direction is read
         off the frame-index delta to the next code."""
         configs = self.decode(path)
-        shift, width = self.layers.shift, self.width
+        shift, width = self.tables.shift, self.width
         direction_of = {-width: Direction.U, width: Direction.D, -1: Direction.L, 1: Direction.R}
         steps = tuple(
             _new(TraceStep, (config, direction_of[(after >> shift) - (before >> shift)]))
@@ -345,17 +348,17 @@ class _Run:
 def _search(
     a: Automaton, p: Picture, budget: Budget | None
 ) -> tuple[_Run, dict[int, int | None], int | None]:
-    """The one search behind every decision: validate and compile the
-    machine, lay out the picture, check its symbols and the budget, and
-    explore from the initial configuration (see ``_Run.explore``)."""
-    compiled = _compile(a)
+    """The one search behind every decision: validate the machine, lay out
+    the picture, check its symbols and the budget, and explore from the
+    initial configuration (see ``_Run.explore``)."""
+    ensure_valid(a)
     frame = _layout(p)
     missing = set(frame).difference(a.alphabet, _RING)
     if missing:
         raise _alphabet_error(missing)
     up, left = _resolve_budget(a, budget)
-    run = _Run(_layers(compiled, up, left), frame, p.cols + 2)
-    parents, goal = run.explore(run.encode(compiled.initial, 1, 1, up, left))
+    run = _Run(_tables(a, up, left), frame, p.cols + 2)
+    parents, goal = run.explore(run.encode(run.tables.initial, 1, 1, up, left))
     return run, parents, goal
 
 
@@ -374,15 +377,17 @@ def step(a: Automaton, p: Picture, c: Configuration) -> tuple[Configuration, ...
     empty means stuck (halt-reject).  The machine must be well-formed
     (MachineInvalidError otherwise), and ``c`` inside the frame."""
     key = _cell_key(p, c.row, c.col)
-    compiled = _compile(a)
-    state = compiled.ids.get(c.state)
-    if state is None:
+    ensure_valid(a)
+    if c.state not in a.states:
         return ()
     up = Budget.check(c.up_left, "up")
     left = Budget.check(c.left_left, "left")
-    width = p.cols + 2
-    run = _Run(_layers(compiled, up, left), {c.row * width + c.col: key}, width)
-    return tuple(run.decode(run.successors(run.encode(state, c.row, c.col, up, left))))
+    tables, width = _tables(a, up, left), p.cols + 2
+    run = _Run(tables, {c.row * width + c.col: key}, width)
+    start = run.encode(tables.ids[c.state], c.row, c.col, up, left)
+    if key not in tables[start & tables.mask]:
+        return ()  # a symbol outside the alphabet has no moves
+    return tuple(run.decode(run.successors(start)))
 
 
 def run_deterministic(

@@ -58,6 +58,12 @@ class TestAccept:
         assert main(["accept", a_l1_file, str(pics)]) == 1
         assert capsys.readouterr().out == "ACCEPT\nREJECT\n"
 
+    def test_stream_error_names_the_file_line(self, a_l1_file, tmp_path, capsys):
+        pics = tmp_path / "bad.pic"
+        pics.write_text("01\n--\n0x\n")
+        assert main(["accept", a_l1_file, str(pics)]) == 2
+        assert capsys.readouterr().err == f"error: {pics}: line 3: symbol 'x' not in alphabet\n"
+
     def test_budget_override_flag(self, a_l1_file, tmp_path, capsys):
         pics = write_pictures(tmp_path, "m.pic", ["11", "11"])
         assert main(["accept", a_l1_file, pics, "--budget-up", "0"]) == 1

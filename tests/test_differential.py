@@ -133,3 +133,7 @@ def test_errors_match_reference():
         g.accepts(a, g.Picture.from_rows(["1"]), g.Budget(2, g.INF))
     with pytest.raises(g.FrameError):
         g.step(a, stray, g.Configuration("scan1", 0, 5, 1, g.INF))
+    # No moves: an interior symbol outside the alphabet, an undeclared state.
+    for state, col in (("scan1", 3), ("ghost", 1)):
+        c = g.Configuration(state, 1, col, 1, g.INF)
+        assert g.step(a, stray, c) == reference.step(a, stray, c) == ()

@@ -63,6 +63,29 @@ class TestParsePicture:
         crlf = format_picture_stream(pics).replace("\n", "\r\n")
         assert g.parse_picture_stream(crlf, {"0", "1"}) == pics
 
+    def test_stream_errors_give_file_line_numbers(self):
+        with pytest.raises(g.AlphabetError, match="^line 3: symbol 'x'"):
+            g.parse_picture_stream("01\n--\n0x\n", "01")
+        with pytest.raises(g.PictureFormatError, match="^line 6 has length 1"):
+            g.parse_picture_stream("01\n--\n\n\n01\n0\n", "01")
+        with pytest.raises(g.PictureFormatError, match="^line 4 is empty"):
+            g.parse_picture_stream("11\n--\n01\n\n01\n", "01")
+
+    @given(st.lists(st.sampled_from(["01", "1", "", "0x", "--", "10\r"]), max_size=8))
+    def test_stream_error_names_the_faulty_file_line(self, lines):
+        text = "\n".join(lines)
+        try:
+            g.parse_picture_stream(text, "01")
+        except (g.AlphabetError, g.PictureFormatError) as exc:
+            message = str(exc)
+            if message.startswith("line "):
+                n = int(message.split()[1].rstrip(":"))
+                line = text.split("\n")[n - 1].removesuffix("\r")
+                if "symbol 'x'" in message:
+                    assert "x" in line
+                else:
+                    assert f"length {len(line)}" in message or line == "" and "empty" in message
+
     def test_only_one_trailing_cr_per_line_stripped(self):
         for parse in (g.parse_picture, g.parse_picture_stream):
             with pytest.raises(g.AlphabetError):

@@ -54,6 +54,27 @@ class TestValidate:
         a = mk({("q0", "1"): [("ghost", D)]}, states=("q0", "qa"))
         assert any("ghost" in p for p in g.validate(a))
 
+    def test_finite_budget_on_free_direction_flagged(self):
+        # classify reads a free U as unbounded; the simulator would spend
+        # the declared budget of 0 and reject 1/1.
+        text = (
+            "machine m\nalphabet 0 1\nstates s t acc\ninitial s\naccept acc\n"
+            "mode nondet\nfree U D L R\nbudget up 0\n"
+            "trans s 1 -> t D\ntrans t # -> acc U\n"
+        )
+        a = g.parse_machine(text)
+        assert g.validate(a) == ["free direction U has budget 0"]
+        with pytest.raises(g.MachineInvalidError):
+            g.classify(a)
+        with pytest.raises(g.MachineInvalidError):
+            g.accepts(a, g.Picture.from_rows(["1"]))
+        both = mk({("q0", "1"): [("qa", D)]}, policy=g.FOUR_WAY, budget=g.Budget(2, 0))
+        assert g.validate(both) == [
+            "free direction U has budget 2", "free direction L has budget 0"
+        ]
+        fixed = g.parse_machine(text.replace("budget up 0\n", ""))
+        assert g.validate(fixed) == [] and g.accepts(fixed, g.Picture.from_rows(["1"]))
+
     def test_ensure_valid_raises(self):
         a = mk({("q0", "1"): [("ghost", D)]}, states=("q0", "qa"))
         with pytest.raises(g.MachineInvalidError):

@@ -10,12 +10,13 @@ fixed and traces are canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .grid import Picture, enumerate_pictures
 from .languages import in_L, make_w, oracle_for, splice_words
 from .machine import Automaton, Budget, Direction, classify, ensure_valid, fmt_budget
-from .simulator import Trace, accepting_trace, accepts
+from .simulator import Trace, _layout, _Search, accepting_trace, accepts
 from .constructions import build_M_Mi, build_S_rec
 
 
@@ -119,39 +120,60 @@ def _sweep(
     budgets: Sequence[Budget | None],
     lang_id: str,
 ) -> SweepReport:
-    per_budget = []
-    mismatches: list[Mismatch] = []
+    """Decide every picture under every budget of the valid machine ``a``,
+    searching only where monotonicity leaves the verdict open.
+
+    Every budget is resolved, in list order, before any search, and each is
+    set up once for all pictures.  Budgets are then decided last first (the
+    last is usually the largest).  Acceptance is monotone in the budget,
+    componentwise with INF above every finite value, so a picture rejected
+    at a decided budget at or above this one is rejected here, and one
+    accepted at a decided budget at or below it is accepted here; only the
+    others are searched.  The last budget is decided first, so every
+    picture is laid out and checked against the alphabet at least once.
+    """
     pictures = [
         p
         for cols in range(1, cols_max + 1)
         for p in enumerate_pictures(a.alphabet, rows, cols)
     ]
     expected = [oracle(p) for p in pictures]
-    member_total = sum(expected)
-    # Mismatches are judged at the last (largest) budget in the sweep.
-    for index, budget in enumerate(budgets):
-        accepted = 0
-        accepted_members = 0
-        last = index == len(budgets) - 1
-        for p, member in zip(pictures, expected):
-            verdict = accepts(a, p, budget)
-            if verdict:
-                accepted += 1
-                if member:
-                    accepted_members += 1
-            if last and verdict != member:
-                mismatches.append(Mismatch(p, verdict, member))
-        per_budget.append(
-            BudgetCount(a.budget if budget is None else budget, accepted, accepted_members)
+    searches = [_Search(a, budget) for budget in budgets]
+    verdicts: list[list[bool] | None] = [None] * len(budgets)
+    for index in reversed(range(len(budgets))):
+        search = searches[index]
+        up, left = search.budget
+        # The verdict each picture's decided budgets imply, or None.  Lazy,
+        # so that the verdict lists are the only per-picture lists held.
+        known: Iterable[bool | None] = repeat(None)
+        for other, decided in zip(searches, verdicts):
+            if decided is None:
+                continue
+            other_up, other_left = other.budget
+            if up <= other_up and left <= other_left:  # rejected above
+                known = (verdict and k for k, verdict in zip(known, decided))
+            if other_up <= up and other_left <= left:  # accepted below
+                known = (verdict or k for k, verdict in zip(known, decided))
+        verdicts[index] = [
+            search.explore(_layout(a, p), p.cols + 2)[2] is not None if k is None else k
+            for p, k in zip(pictures, known)
+        ]
+    per_budget = tuple(
+        BudgetCount(
+            a.budget if budget is None else budget,
+            sum(column),
+            sum(verdict and member for verdict, member in zip(column, expected)),
         )
+        for budget, column in zip(budgets, verdicts)
+    )
+    # Mismatches are judged at the last (largest) budget in the sweep.
+    mismatches = tuple(
+        Mismatch(p, verdict, member)
+        for p, verdict, member in zip(pictures, verdicts[-1], expected)
+        if verdict != member
+    )
     return SweepReport(
-        a.name,
-        lang_id,
-        rows,
-        cols_max,
-        tuple(per_budget),
-        member_total,
-        tuple(mismatches),
+        a.name, lang_id, rows, cols_max, per_budget, sum(expected), mismatches
     )
 
 
@@ -172,10 +194,14 @@ def budget_sweep(
 ) -> SweepReport:
     """Acceptance counts per budget override, against the same oracle.
 
-    Budgets must not exceed the declared ones (overrides only lower).
-    Acceptance counts are non-decreasing in the budget: any accepting run
-    at a smaller budget is still an accepting run at a larger one.
-    Mismatches are recorded against the last budget in the list.
+    Budgets must not exceed the declared ones (overrides only lower); the
+    first one in list order that does raises BudgetOverrideError before
+    any picture is decided.  Acceptance is monotone in the budget: any
+    accepting run at a smaller budget is still an accepting run at a
+    larger one.  The sweep uses that to search each picture only under
+    budgets whose verdict no other budget implies; the counts are those
+    of one ``accepts`` call per picture and budget.  Mismatches are
+    recorded against the last budget in the list.
     """
     ensure_valid(a)
     if not budgets:

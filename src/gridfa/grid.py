@@ -153,14 +153,22 @@ def parse_picture_stream(text: str, alphabet: Iterable[str]) -> list[Picture]:
         else:
             chunks[-1][1].append(line)
     pictures = []
-    for first, chunk in chunks:
+    for index, (first, chunk) in enumerate(chunks):
         start, end = 0, len(chunk)
         while start < end and not chunk[start]:
             start += 1
         while end > start and not chunk[end - 1]:
             end -= 1
         if start == end and len(chunks) > 1:
-            raise PictureFormatError("empty picture between stream separators")
+            # The separators before and after the chunk are on these lines.
+            before, after = first - 1, first + len(chunk)
+            if index == 0:
+                where = f"before the first stream separator, on line {after}"
+            elif index == len(chunks) - 1:
+                where = f"after the last stream separator, on line {before}"
+            else:
+                where = f"between the stream separators on lines {before} and {after}"
+            raise PictureFormatError(f"empty picture {where}")
         pictures.append(_parse_lines(chunk[start:end], alphabet, first + start))
     return pictures
 

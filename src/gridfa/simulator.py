@@ -18,7 +18,9 @@ budget (``_Tables``), not over :class:`Configuration` values.  The
 picture is laid out once per search as one flat frame, and each
 configuration is one int packing the frame index of the head with the
 state and the budget layers.  Only the configurations a caller gets back
-are decoded.
+are decoded.  What depends only on the machine and the budget is set up
+apart from the picture (``_Search``), so a sweep sets it up once per
+budget for all its pictures.
 
 All functions are pure in (machine, picture, budget override) and safe to
 call concurrently: the tables they cache on a machine are filled
@@ -150,14 +152,18 @@ def _cell_key(p: Picture, row: int, col: int) -> str:
     return BOUNDARY + vertical + horizontal
 
 
-def _layout(p: Picture) -> list[str]:
+def _layout(a: Automaton, p: Picture) -> list[str]:
     """The frame of ``p`` as one flat row-major list of its (rows+2) *
-    (cols+2) cell keys (as ``_cell_key`` gives them)."""
+    (cols+2) cell keys (as ``_cell_key`` gives them).  Raises
+    AlphabetError if ``p`` uses a symbol outside the alphabet of ``a``."""
     frame = [BOUNDARY + "UL", *[BOUNDARY + "U"] * p.cols, BOUNDARY + "UR"]
     left, right = BOUNDARY + "L", BOUNDARY + "R"
     for row in p.cells:
         frame += [left, *row, right]
     frame += [BOUNDARY + "DL", *[BOUNDARY + "D"] * p.cols, BOUNDARY + "DR"]
+    missing = set(frame).difference(a.alphabet, _RING)
+    if missing:
+        raise _alphabet_error(missing)
     return frame
 
 
@@ -237,6 +243,11 @@ class _Tables(dict):
         self[low] = row
         return row
 
+    def low(self, state: int, up: int | float, left: int | float) -> int:
+        """The low part of state id ``state`` with that budget left."""
+        low = state * self.per_state + (0 if self.up_inf else up) * self.left_layers
+        return low + (0 if self.left_inf else left)
+
     def fields(self, low: int) -> tuple[str, int | float, int | float]:
         """The state name and the up and left budget left of ``low``."""
         state, rest = divmod(low, self.per_state)
@@ -278,12 +289,6 @@ class _Run:
         shift = tables.shift
         # A move adds its low delta and the frame-index delta of its direction.
         self.step = (-width << shift, width << shift, -1 << shift, 1 << shift)
-
-    def encode(self, state: int, row: int, col: int, up, left) -> int:
-        t = self.tables
-        low = state * t.per_state + (0 if t.up_inf else up) * t.left_layers
-        low += 0 if t.left_inf else left
-        return (row * self.width + col) << t.shift | low
 
     def explore(
         self, start: int, limit: int | None = None
@@ -345,21 +350,38 @@ class _Run:
         return Trace(steps, configs[-1], outcome)
 
 
+class _Search:
+    """The half of a search that depends only on the valid machine ``a``
+    and the budget: the budget resolved, its tables and the low part of
+    the initial configuration.  Set it up once to decide many pictures
+    under one budget; ``explore`` is the per-picture half."""
+
+    __slots__ = ("budget", "tables", "low")
+
+    def __init__(self, a: Automaton, budget: Budget | None) -> None:
+        self.budget = up, left = _resolve_budget(a, budget)
+        self.tables = tables = _tables(a, up, left)
+        self.low = tables.low(tables.initial, up, left)
+
+    def explore(
+        self, frame: list[str], width: int
+    ) -> tuple[_Run, dict[int, int | None], int | None]:
+        """Explore a laid-out picture ``width`` frame columns wide from
+        the initial configuration, on cell (1,1) (see ``_Run.explore``)."""
+        run = _Run(self.tables, frame, width)
+        parents, goal = run.explore((width + 1) << self.tables.shift | self.low)
+        return run, parents, goal
+
+
 def _search(
     a: Automaton, p: Picture, budget: Budget | None
 ) -> tuple[_Run, dict[int, int | None], int | None]:
     """The one search behind every decision: validate the machine, lay out
-    the picture, check its symbols and the budget, and explore from the
-    initial configuration (see ``_Run.explore``)."""
+    the picture and check its symbols, resolve the budget, and explore
+    from the initial configuration."""
     ensure_valid(a)
-    frame = _layout(p)
-    missing = set(frame).difference(a.alphabet, _RING)
-    if missing:
-        raise _alphabet_error(missing)
-    up, left = _resolve_budget(a, budget)
-    run = _Run(_tables(a, up, left), frame, p.cols + 2)
-    parents, goal = run.explore(run.encode(run.tables.initial, 1, 1, up, left))
-    return run, parents, goal
+    frame = _layout(a, p)  # a bad picture is reported before a bad budget
+    return _Search(a, budget).explore(frame, p.cols + 2)
 
 
 def _path_to(parents: dict[int, int | None], end: int | None) -> list[int]:
@@ -383,11 +405,11 @@ def step(a: Automaton, p: Picture, c: Configuration) -> tuple[Configuration, ...
     up = Budget.check(c.up_left, "up")
     left = Budget.check(c.left_left, "left")
     tables, width = _tables(a, up, left), p.cols + 2
-    run = _Run(tables, {c.row * width + c.col: key}, width)
-    start = run.encode(tables.ids[c.state], c.row, c.col, up, left)
-    if key not in tables[start & tables.mask]:
+    pos, low = c.row * width + c.col, tables.low(tables.ids[c.state], up, left)
+    if key not in tables[low]:
         return ()  # a symbol outside the alphabet has no moves
-    return tuple(run.decode(run.successors(start)))
+    run = _Run(tables, {pos: key}, width)
+    return tuple(run.decode(run.successors(pos << tables.shift | low)))
 
 
 def run_deterministic(

@@ -64,6 +64,16 @@ class TestAccept:
         assert main(["accept", a_l1_file, str(pics)]) == 2
         assert capsys.readouterr().err == f"error: {pics}: line 3: symbol 'x' not in alphabet\n"
 
+    def test_empty_last_stream_picture_names_its_separator(self, a_l1_file, tmp_path, capsys):
+        pics = tmp_path / "trailing.pic"
+        pics.write_text("11\n11\n--\n")
+        assert main(["accept", a_l1_file, str(pics)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {pics}: empty picture after the last stream separator, on line 3\n"
+        )
+
     def test_budget_override_flag(self, a_l1_file, tmp_path, capsys):
         pics = write_pictures(tmp_path, "m.pic", ["11", "11"])
         assert main(["accept", a_l1_file, pics, "--budget-up", "0"]) == 1

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridfa as g
+from conftest import all_pictures, random_machines
 
 U, D = g.Direction.U, g.Direction.D
 
@@ -134,6 +137,70 @@ class TestSweeps:
     def test_empty_budget_list_is_error(self):
         with pytest.raises(ValueError):
             g.budget_sweep(g.build_A_L1(), "L1", 2, 2, [])
+
+    def test_budget_errors_in_list_order(self):
+        budgets = [g.Budget(2, g.INF), g.Budget(3, g.INF)]
+        with pytest.raises(g.BudgetOverrideError, match=r"^override \(2,inf\) exceeds"):
+            g.budget_sweep(g.build_A_L1(), "L1", 2, 2, budgets)
+
+    def test_incomparable_budgets_match_per_budget_decisions(self):
+        # "11" needs the left budget, "10" the up budget (down onto the
+        # frame and back up), so (1,0) and (0,1) accept different pictures.
+        machine = g.Automaton(
+            "either", ("0", "1"), ("s", "t", "u", "acc"), "s", "acc", "nondet",
+            g.TWO_WAY, g.Budget(1, 1),
+            {
+                ("s", "1"): (("t", g.Direction.R),),
+                ("t", "1"): (("acc", g.Direction.L),),
+                ("t", "0"): (("u", g.Direction.D),),
+                ("u", "#"): (("acc", g.Direction.U),),
+            },
+        )
+        budgets = [g.Budget(*b) for b in ((0, 1), (1, 1), (1, 0), (0, 0), (1, 0), (0, 1))]
+        report = assert_sweep_matches_decisions(machine, 1, 3, budgets)
+        # (1,1) accepts the six pictures that start 10 or 11, (1,0) and
+        # (0,1) three each.
+        assert [e.accepted for e in report.per_budget] == [3, 6, 3, 0, 3, 3]
+
+
+def assert_sweep_matches_decisions(machine, rows, cols_max, budgets):
+    """``budget_sweep`` against one ``accepts`` call per picture and budget."""
+    oracle = g.oracle_for("L1")
+    pictures = list(all_pictures(rows, cols_max))
+    members = [oracle(p) for p in pictures]
+    report = g.budget_sweep(machine, "L1", rows, cols_max, budgets)
+    verdicts = []
+    for budget, entry in zip(budgets, report.per_budget):
+        verdicts = [g.accepts(machine, p, budget) for p in pictures]
+        accepted_members = sum(v and m for v, m in zip(verdicts, members))
+        assert entry == (budget, sum(verdicts), accepted_members)
+    assert len(report.per_budget) == len(budgets)
+    assert report.member_total == sum(members)
+    assert report.mismatches == tuple(
+        (p, v, m) for p, v, m in zip(pictures, verdicts, members) if v != m
+    )
+    return report
+
+
+@st.composite
+def budget_lists(draw, declared: g.Budget):
+    """1-6 budgets at or below ``declared`` in any order, repeats allowed:
+    finite values below INF, and INF itself where it is declared."""
+
+    def values(limit):
+        return st.sampled_from([0, 1, 2, g.INF]) if limit == g.INF else st.integers(0, limit)
+
+    budget = st.builds(g.Budget, values(declared.up), values(declared.left))
+    return draw(st.lists(budget, min_size=1, max_size=6))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_budget_sweep_matches_per_budget_decisions(data):
+    machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    budgets = data.draw(budget_lists(machine.budget))
+    rows = data.draw(st.integers(1, 2))
+    assert_sweep_matches_decisions(machine, rows, 4 - rows, budgets)
 
 
 class TestHierarchyReport:

@@ -71,6 +71,20 @@ class TestParsePicture:
         with pytest.raises(g.PictureFormatError, match="^line 4 is empty"):
             g.parse_picture_stream("11\n--\n01\n\n01\n", "01")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\n--\n01\n", "empty picture before the first stream separator, on line 2"),
+            ("01\n--\n", "empty picture after the last stream separator, on line 2"),
+            ("01\r\n--\r\n\r\n", "empty picture after the last stream separator, on line 2"),
+            ("01\n--\n\n\n--\n10\n", "empty picture between the stream separators on lines 2 and 5"),
+        ],
+    )
+    def test_empty_stream_picture_names_its_separator(self, text, message):
+        with pytest.raises(g.PictureFormatError) as err:
+            g.parse_picture_stream(text, "01")
+        assert str(err.value) == message
+
     @given(st.lists(st.sampled_from(["01", "1", "", "0x", "--", "10\r"]), max_size=8))
     def test_stream_error_names_the_faulty_file_line(self, lines):
         text = "\n".join(lines)

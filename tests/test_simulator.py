@@ -186,6 +186,14 @@ class TestAcceptsAndComplement:
         ]
         assert accepted[0] <= accepted[1] <= accepted[2]
 
+    def test_bad_picture_reported_before_bad_budget(self):
+        a, stray, above = g.build_A_L1(), g.Picture.from_rows(["012"]), g.Budget(2, g.INF)
+        for decide in (g.accepts, g.accepting_trace):
+            with pytest.raises(g.AlphabetError):
+                decide(a, stray, above)
+        with pytest.raises(g.AlphabetError):
+            g.run_deterministic(g.build_M_M1(), stray, above)
+
     def test_complement_is_exact_negation(self, looper):
         for machine in (g.build_M_M1(), looper):
             for p in all_pictures(2, 3):

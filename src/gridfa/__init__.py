@@ -77,7 +77,6 @@ from .languages import (
     make_u,
     make_v,
     make_w,
-    make_x,
     oracle_for,
     splice_words,
     stacked_count,

@@ -17,7 +17,6 @@ from .experiments import (
     budget_sweep,
     fooling_z,
     hierarchy_report,
-    oracle_equivalence,
     splice_counterexample,
 )
 from .grid import (
@@ -162,6 +161,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.rows < 1 or args.cols < 1:
         raise CliError("rows and cols must be >= 1")
     alphabet = tuple(args.alphabet)
+    if not alphabet:
+        raise CliError("alphabet must not be empty")
     if len(set(alphabet)) != len(alphabet) or "#" in alphabet:
         raise CliError("alphabet must be distinct symbols without '#'")
     pictures = list(enumerate_pictures(alphabet, args.rows, args.cols))
@@ -169,18 +170,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    # A bad language id is reported before a bad builder.
-    parse_language_id(args.language)
-    machine = make_machine(args.builder, args.param)
-    rows = args.rows if args.rows is not None else natural_rows(args.language)
-    report = oracle_equivalence(machine, args.language, rows, args.cols_max)
-    print(report.format_table())
-    print(report.format_records())
-    return 0 if report.ok else 1
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """``sweep``, and ``check``: the sweep at the declared budget."""
+    if args.cols_max < 1:
+        raise CliError("--cols-max must be >= 1")
     # A bad language id is reported before a bad builder.
     parse_language_id(args.language)
     machine = make_machine(args.builder, args.param)
@@ -205,6 +198,8 @@ def cmd_splice(args: argparse.Namespace) -> int:
 
 
 def cmd_hierarchy(args: argparse.Namespace) -> int:
+    if args.cols_max < 1:
+        raise CliError("--cols-max must be >= 1")
     report = hierarchy_report(args.i_max, args.cols_max)
     print(report.format_table())
     print()
@@ -259,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=int, default=None)
     p.add_argument("--rows", type=int, default=None, help="default: the language's row count")
     p.add_argument("--cols-max", type=int, default=4)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_sweep, budget_up=None, budget_left=None)
 
     p = sub.add_parser("sweep", help="budget sweep for a builder against an oracle")
     p.add_argument("builder")

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .grid import Picture, enumerate_pictures
 from .languages import in_L, make_w, oracle_for, splice_words
 from .machine import Automaton, Budget, Direction, classify, ensure_valid, fmt_budget
-from .simulator import Trace, _layout, _Search, accepting_trace, accepts
+from .simulator import Trace, _layout, _resolve_budget, _tables, accepting_trace, accepts
 from .constructions import build_M_Mi, build_S_rec
 
 
@@ -112,77 +112,11 @@ class SweepReport:
         return "\n".join(rows)
 
 
-def _sweep(
-    a: Automaton,
-    oracle: Callable[[Picture], bool],
-    rows: int,
-    cols_max: int,
-    budgets: Sequence[Budget | None],
-    lang_id: str,
-) -> SweepReport:
-    """Decide every picture under every budget of the valid machine ``a``,
-    searching only where monotonicity leaves the verdict open.
-
-    Every budget is resolved, in list order, before any search, and each is
-    set up once for all pictures.  Budgets are then decided last first (the
-    last is usually the largest).  Acceptance is monotone in the budget,
-    componentwise with INF above every finite value, so a picture rejected
-    at a decided budget at or above this one is rejected here, and one
-    accepted at a decided budget at or below it is accepted here; only the
-    others are searched.  The last budget is decided first, so every
-    picture is laid out and checked against the alphabet at least once.
-    """
-    pictures = [
-        p
-        for cols in range(1, cols_max + 1)
-        for p in enumerate_pictures(a.alphabet, rows, cols)
-    ]
-    expected = [oracle(p) for p in pictures]
-    searches = [_Search(a, budget) for budget in budgets]
-    verdicts: list[list[bool] | None] = [None] * len(budgets)
-    for index in reversed(range(len(budgets))):
-        search = searches[index]
-        up, left = search.budget
-        # The verdict each picture's decided budgets imply, or None.  Lazy,
-        # so that the verdict lists are the only per-picture lists held.
-        known: Iterable[bool | None] = repeat(None)
-        for other, decided in zip(searches, verdicts):
-            if decided is None:
-                continue
-            other_up, other_left = other.budget
-            if up <= other_up and left <= other_left:  # rejected above
-                known = (verdict and k for k, verdict in zip(known, decided))
-            if other_up <= up and other_left <= left:  # accepted below
-                known = (verdict or k for k, verdict in zip(known, decided))
-        verdicts[index] = [
-            search.explore(_layout(a, p), p.cols + 2)[2] is not None if k is None else k
-            for p, k in zip(pictures, known)
-        ]
-    per_budget = tuple(
-        BudgetCount(
-            a.budget if budget is None else budget,
-            sum(column),
-            sum(verdict and member for verdict, member in zip(column, expected)),
-        )
-        for budget, column in zip(budgets, verdicts)
-    )
-    # Mismatches are judged at the last (largest) budget in the sweep.
-    mismatches = tuple(
-        Mismatch(p, verdict, member)
-        for p, verdict, member in zip(pictures, verdicts[-1], expected)
-        if verdict != member
-    )
-    return SweepReport(
-        a.name, lang_id, rows, cols_max, per_budget, sum(expected), mismatches
-    )
-
-
 def oracle_equivalence(a: Automaton, lang_id: str, rows: int, cols_max: int) -> SweepReport:
     """Compare the machine with the language oracle on every picture of the
-    given row count with cols <= cols_max; the mismatch list is the whole
-    result."""
-    ensure_valid(a)
-    return _sweep(a, oracle_for(lang_id), rows, cols_max, [None], lang_id)
+    given row count with cols <= cols_max, at the declared budget; the
+    mismatch list is the whole result."""
+    return budget_sweep(a, lang_id, rows, cols_max, [a.budget])
 
 
 def budget_sweep(
@@ -196,17 +130,66 @@ def budget_sweep(
 
     Budgets must not exceed the declared ones (overrides only lower); the
     first one in list order that does raises BudgetOverrideError before
-    any picture is decided.  Acceptance is monotone in the budget: any
-    accepting run at a smaller budget is still an accepting run at a
-    larger one.  The sweep uses that to search each picture only under
-    budgets whose verdict no other budget implies; the counts are those
-    of one ``accepts`` call per picture and budget.  Mismatches are
-    recorded against the last budget in the list.
+    any picture is decided.  Mismatches are recorded against the last
+    budget in the list.
+
+    Each budget's compiled form is set up once for all pictures.
+    Acceptance is monotone in the budget, componentwise with INF above
+    every finite value: any accepting run at a smaller budget is still an
+    accepting run at a larger one.  So budgets are decided last first (the
+    last is usually the largest): a picture rejected at a decided budget at
+    or above this one is rejected here, one accepted at a decided budget at
+    or below it is accepted here, and only the others are searched.  The
+    counts are those of one ``accepts`` call per picture and budget.  The
+    last budget is decided first, so every picture is laid out and checked
+    against the alphabet at least once.
     """
     ensure_valid(a)
     if not budgets:
         raise ValueError("budget_sweep needs at least one budget")
-    return _sweep(a, oracle_for(lang_id), rows, cols_max, list(budgets), lang_id)
+    oracle = oracle_for(lang_id)
+    pictures = [
+        p
+        for cols in range(1, cols_max + 1)
+        for p in enumerate_pictures(a.alphabet, rows, cols)
+    ]
+    expected = [oracle(p) for p in pictures]
+    compiled = [_tables(a, *_resolve_budget(a, budget)) for budget in budgets]
+    verdicts: list[list[bool] | None] = [None] * len(compiled)
+    for index in reversed(range(len(compiled))):
+        tables = compiled[index]
+        up, left = tables.budget
+        # The verdict each picture's decided budgets imply, or None.  Lazy,
+        # so that the verdict lists are the only per-picture lists held.
+        known: Iterable[bool | None] = repeat(None)
+        for other, decided in zip(compiled, verdicts):
+            if decided is None:
+                continue
+            other_up, other_left = other.budget
+            if up <= other_up and left <= other_left:  # rejected above
+                known = (verdict and k for k, verdict in zip(known, decided))
+            if other_up <= up and other_left <= left:  # accepted below
+                known = (verdict or k for k, verdict in zip(known, decided))
+        verdicts[index] = [
+            tables.explore(_layout(a, p), p.cols + 2)[1] is not None if k is None else k
+            for p, k in zip(pictures, known)
+        ]
+    per_budget = tuple(
+        BudgetCount(
+            tables.budget,
+            sum(column),
+            sum(verdict and member for verdict, member in zip(column, expected)),
+        )
+        for tables, column in zip(compiled, verdicts)
+    )
+    mismatches = tuple(
+        Mismatch(p, verdict, member)
+        for p, verdict, member in zip(pictures, verdicts[-1], expected)
+        if verdict != member
+    )
+    return SweepReport(
+        a.name, lang_id, rows, cols_max, per_budget, sum(expected), mismatches
+    )
 
 
 def crossing_events(trace: Trace) -> list[CrossingEvent]:
@@ -228,15 +211,13 @@ def find_crossing_match(
     machine: Automaton,
     words: Sequence[Picture],
     boundary: int,
-    require_no_upward: bool = True,
 ) -> tuple[Picture, Picture, CrossingEvent] | None:
     """First pair of distinct words whose canonical traces cross ``boundary``
     downward in the same column and state.
 
-    With ``require_no_upward`` (the default), a trace that ever crosses
-    the boundary upward is left out of the matching, which is the stronger
-    condition the multi-pair splice argument needs.  All words must be
-    accepted by the machine.
+    A trace that ever crosses the boundary upward is left out of the
+    matching, which is the stronger condition the multi-pair splice
+    argument needs.  All words must be accepted by the machine.
     """
     signatures: list[list[CrossingEvent]] = []
     for word in words:
@@ -246,7 +227,7 @@ def find_crossing_match(
                 f"machine {machine.name!r} rejects a supplied word:\n{word}"
             )
         events = [e for e in crossing_events(trace) if e.boundary == boundary]
-        if require_no_upward and any(e.direction is Direction.U for e in events):
+        if any(e.direction is Direction.U for e in events):
             signatures.append([])
         else:
             signatures.append([e for e in events if e.direction is Direction.D])

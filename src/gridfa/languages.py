@@ -110,9 +110,6 @@ def make_u(i: int, j: int, z: int) -> Picture:
     )
 
 
-make_x = make_u
-
-
 def make_w(i: int, j: int, z: int) -> Picture:
     """Two-row word whose rows are both ``make_u(i, j, z)``; always in L_1."""
     row = make_u(i, j, z).row_text(1)

@@ -13,14 +13,14 @@ three ways:
 * deterministic runs, whose run graph is a path, so the search ends on
   the accepting state, a stuck configuration or a repeated one.
 
-The search runs over integer tables of the machine under the resolved
-budget (``_Tables``), not over :class:`Configuration` values.  The
-picture is laid out once per search as one flat frame, and each
-configuration is one int packing the frame index of the head with the
-state and the budget layers.  Only the configurations a caller gets back
-are decoded.  What depends only on the machine and the budget is set up
-apart from the picture (``_Search``), so a sweep sets it up once per
-budget for all its pictures.
+The search runs over the compiled form of the machine under the
+resolved budget (``_Tables``), not over :class:`Configuration` values.
+That one object holds the integer tables, the start of every run and the
+search itself, and it is cached on the machine, so a sweep sets it up
+once per budget for all its pictures.  The picture is laid out once per
+search as one flat frame, and each configuration is one int packing the
+frame index of the head with the state and the budget layers.  Only the
+configurations a caller gets back are decoded.
 
 All functions are pure in (machine, picture, budget override) and safe to
 call concurrently: the tables they cache on a machine are filled
@@ -167,8 +167,14 @@ def _layout(a: Automaton, p: Picture) -> list[str]:
     return frame
 
 
+#: Builds a NamedTuple from a tuple of its fields as ``_make`` does, minus
+#: a Python-level call per item: decoding long paths is a hot loop.
+_new = tuple.__new__
+
+
 class _Tables(dict):
-    """A valid machine under one resolved budget, as integer tables.
+    """A valid machine under one resolved budget, as integer tables, and
+    the search over them.
 
     State ids follow declaration order, except that the accepting state
     takes the last id.  A configuration is the int ``pos << shift | low``:
@@ -177,7 +183,7 @@ class _Tables(dict):
     resolved budget: a finite budget ``b`` (0 included) has ``b + 1``
     layers counting what is left of it, an infinite one a single layer
     that never decrements.  A configuration accepts iff ``low >=
-    accepting``.
+    accepting``; ``start`` is the low part of the initial configuration.
 
     The dict maps a low part to its row: every cell key (each symbol and
     each ring key) to the enabled moves as ``(low delta, direction code)``
@@ -185,13 +191,17 @@ class _Tables(dict):
     search over a small picture reaches few.  It depends on the budget left
     only through which of U and L are still affordable, so the low parts
     of one state share at most four rows.
+
+    Nothing here depends on a picture, so one instance serves every
+    picture searched under its budget.  The picture comes in per call as a
+    frame (frame index to cell key: the whole layout, or just the cell a
+    single step reads) and its width in frame columns.
     """
 
     def __init__(self, a: Automaton, up: int | float, left: int | float) -> None:
         super().__init__()
         self.states = states = tuple(s for s in a.states if s != a.accepting) + (a.accepting,)
         self.ids = {state: index for index, state in enumerate(states)}
-        self.initial = self.ids[a.initial]
         # The tables keep the transitions, not ``a``: cached on the machine,
         # they form no reference cycle and die with it by reference counting.
         self.transitions = a.transitions
@@ -203,6 +213,8 @@ class _Tables(dict):
         self.shift = (len(states) * self.per_state - 1).bit_length()
         self.mask = (1 << self.shift) - 1
         self.accepting = (len(states) - 1) * self.per_state
+        self.budget = Budget(up, left)
+        self.start = self.low(self.ids[a.initial], up, left)
 
     def __missing__(self, low: int) -> dict[str, tuple[tuple[int, int], ...]]:
         """Build the row of ``low``: a U (resp. L) move needs up (resp.
@@ -254,6 +266,64 @@ class _Tables(dict):
         up, left = divmod(rest, self.left_layers)
         return self.states[state], INF if self.up_inf else up, INF if self.left_inf else left
 
+    def explore(
+        self, frame, width: int, start: int | None = None, limit: int | None = None
+    ) -> tuple[dict[int, int | None], int | None]:
+        """Breadth-first search from ``start`` (the initial configuration,
+        on cell (1,1), when None), expanding moves in declaration order,
+        over at most ``limit`` configurations (all when None), until an
+        accepting configuration is dequeued.
+
+        Returns the discovery map (each configuration reached, mapped to
+        the one that first reached it, the start to None, in discovery
+        order) and that accepting configuration, or None.  Discovery order
+        is FIFO order, so the accepting configuration dequeued first is the
+        one discovered first.
+        """
+        mask, shift, accepting = self.mask, self.shift, self.accepting
+        if start is None:
+            start = (width + 1) << shift | self.start
+        # A move adds its low delta and the frame-index delta of its direction.
+        step = (-width << shift, width << shift, -1 << shift, 1 << shift)
+        parents: dict[int, int | None] = {start: None}
+        queue = [start]
+        for c in islice(queue, limit):  # the queue grows while it is read
+            low = c & mask
+            if low >= accepting:
+                return parents, c
+            for delta, direction in self[low][frame[c >> shift]]:
+                nxt = c + delta + step[direction]
+                if nxt not in parents:
+                    parents[nxt] = c
+                    queue.append(nxt)
+        return parents, None
+
+    def decode(self, codes: list[int], width: int) -> list[Configuration]:
+        shift, mask = self.shift, self.mask
+        fields: dict[int, tuple[str, int | float, int | float]] = {}
+        out = []
+        for c in codes:
+            low = c & mask
+            known = fields.get(low)
+            if known is None:
+                known = fields[low] = self.fields(low)
+            state, up, left = known
+            row, col = divmod(c >> shift, width)
+            out.append(_new(Configuration, (state, row, col, up, left)))
+        return out
+
+    def trace(self, path: list[int], width: int, outcome: RunOutcome) -> Trace:
+        """The trace along a path of codes; each step's direction is read
+        off the frame-index delta to the next code."""
+        configs = self.decode(path, width)
+        shift = self.shift
+        direction_of = {-width: Direction.U, width: Direction.D, -1: Direction.L, 1: Direction.R}
+        steps = tuple(
+            _new(TraceStep, (config, direction_of[(after >> shift) - (before >> shift)]))
+            for config, before, after in zip(configs, path, islice(path, 1, None))
+        )
+        return Trace(steps, configs[-1], outcome)
+
 
 def _tables(a: Automaton, up: int | float, left: int | float) -> _Tables:
     """The tables of the valid machine ``a`` under the resolved budget,
@@ -268,120 +338,17 @@ def _tables(a: Automaton, up: int | float, left: int | float) -> _Tables:
     return tables
 
 
-#: Builds a NamedTuple from a tuple of its fields as ``_make`` does, minus
-#: a Python-level call per item: decoding long paths is a hot loop.
-_new = tuple.__new__
-
-
-class _Run:
-    """One machine on one picture under one budget.
-
-    ``frame`` maps frame indexes to cell keys: the whole layout for a
-    search, or just the cell a single step reads.
-    """
-
-    __slots__ = ("tables", "frame", "width", "step")
-
-    def __init__(self, tables: _Tables, frame, width: int) -> None:
-        self.tables = tables
-        self.frame = frame
-        self.width = width
-        shift = tables.shift
-        # A move adds its low delta and the frame-index delta of its direction.
-        self.step = (-width << shift, width << shift, -1 << shift, 1 << shift)
-
-    def explore(
-        self, start: int, limit: int | None = None
-    ) -> tuple[dict[int, int | None], int | None]:
-        """Breadth-first search from ``start``, expanding moves in
-        declaration order, over at most ``limit`` configurations (all when
-        None), until an accepting configuration is dequeued.
-
-        Returns the discovery map (each configuration reached, mapped to
-        the one that first reached it, the start to None, in discovery
-        order) and that accepting configuration, or None.  Discovery order
-        is FIFO order, so the accepting configuration dequeued first is the
-        one discovered first.
-        """
-        rows, frame, step = self.tables, self.frame, self.step
-        mask, shift, accepting = rows.mask, rows.shift, rows.accepting
-        parents: dict[int, int | None] = {start: None}
-        queue = [start]
-        for c in islice(queue, limit):  # the queue grows while it is read
-            low = c & mask
-            if low >= accepting:
-                return parents, c
-            for delta, direction in rows[low][frame[c >> shift]]:
-                nxt = c + delta + step[direction]
-                if nxt not in parents:
-                    parents[nxt] = c
-                    queue.append(nxt)
-        return parents, None
-
-    def successors(self, c: int) -> list[int]:
-        """Successor codes of ``c`` in declaration order."""
-        return list(self.explore(c, 1)[0])[1:]
-
-    def decode(self, codes: list[int]) -> list[Configuration]:
-        tables, width = self.tables, self.width
-        shift, mask = tables.shift, tables.mask
-        fields: dict[int, tuple[str, int | float, int | float]] = {}
-        out = []
-        for c in codes:
-            low = c & mask
-            known = fields.get(low)
-            if known is None:
-                known = fields[low] = tables.fields(low)
-            state, up, left = known
-            row, col = divmod(c >> shift, width)
-            out.append(_new(Configuration, (state, row, col, up, left)))
-        return out
-
-    def trace(self, path: list[int], outcome: RunOutcome) -> Trace:
-        """The trace along a path of codes; each step's direction is read
-        off the frame-index delta to the next code."""
-        configs = self.decode(path)
-        shift, width = self.tables.shift, self.width
-        direction_of = {-width: Direction.U, width: Direction.D, -1: Direction.L, 1: Direction.R}
-        steps = tuple(
-            _new(TraceStep, (config, direction_of[(after >> shift) - (before >> shift)]))
-            for config, before, after in zip(configs, path, islice(path, 1, None))
-        )
-        return Trace(steps, configs[-1], outcome)
-
-
-class _Search:
-    """The half of a search that depends only on the valid machine ``a``
-    and the budget: the budget resolved, its tables and the low part of
-    the initial configuration.  Set it up once to decide many pictures
-    under one budget; ``explore`` is the per-picture half."""
-
-    __slots__ = ("budget", "tables", "low")
-
-    def __init__(self, a: Automaton, budget: Budget | None) -> None:
-        self.budget = up, left = _resolve_budget(a, budget)
-        self.tables = tables = _tables(a, up, left)
-        self.low = tables.low(tables.initial, up, left)
-
-    def explore(
-        self, frame: list[str], width: int
-    ) -> tuple[_Run, dict[int, int | None], int | None]:
-        """Explore a laid-out picture ``width`` frame columns wide from
-        the initial configuration, on cell (1,1) (see ``_Run.explore``)."""
-        run = _Run(self.tables, frame, width)
-        parents, goal = run.explore((width + 1) << self.tables.shift | self.low)
-        return run, parents, goal
-
-
 def _search(
     a: Automaton, p: Picture, budget: Budget | None
-) -> tuple[_Run, dict[int, int | None], int | None]:
+) -> tuple[_Tables, list[str], int, dict[int, int | None], int | None]:
     """The one search behind every decision: validate the machine, lay out
     the picture and check its symbols, resolve the budget, and explore
-    from the initial configuration."""
+    from the initial configuration.  Returns the tables, the frame and its
+    width, and what ``_Tables.explore`` returns."""
     ensure_valid(a)
     frame = _layout(a, p)  # a bad picture is reported before a bad budget
-    return _Search(a, budget).explore(frame, p.cols + 2)
+    tables, width = _tables(a, *_resolve_budget(a, budget)), p.cols + 2
+    return (tables, frame, width, *tables.explore(frame, width))
 
 
 def _path_to(parents: dict[int, int | None], end: int | None) -> list[int]:
@@ -408,8 +375,8 @@ def step(a: Automaton, p: Picture, c: Configuration) -> tuple[Configuration, ...
     pos, low = c.row * width + c.col, tables.low(tables.ids[c.state], up, left)
     if key not in tables[low]:
         return ()  # a symbol outside the alphabet has no moves
-    run = _Run(tables, {pos: key}, width)
-    return tuple(run.decode(run.successors(pos << tables.shift | low)))
+    parents, _ = tables.explore({pos: key}, width, pos << tables.shift | low, 1)
+    return tuple(tables.decode(list(parents)[1:], width))
 
 
 def run_deterministic(
@@ -428,16 +395,16 @@ def run_deterministic(
     ensure_valid(a)
     if a.mode != "det":
         raise ModeError(f"machine {a.name!r} is nondeterministic")
-    run, parents, goal = _search(a, p, budget)
+    tables, frame, width, parents, goal = _search(a, p, budget)
     path = _path_to(parents, next(reversed(parents)) if goal is None else goal)
     del parents  # decode the path without the discovery map alive
     if goal is not None:
-        return RunOutcome.ACCEPT, run.trace(path, RunOutcome.ACCEPT)
-    successors = run.successors(path[-1])
+        return RunOutcome.ACCEPT, tables.trace(path, width, RunOutcome.ACCEPT)
+    successors = list(tables.explore(frame, width, path[-1], 1)[0])[1:]
     if not successors:
-        return RunOutcome.REJECT_HALT, run.trace(path, RunOutcome.REJECT_HALT)
+        return RunOutcome.REJECT_HALT, tables.trace(path, width, RunOutcome.REJECT_HALT)
     path.append(successors[0])
-    return RunOutcome.LOOP, run.trace(path, RunOutcome.LOOP)
+    return RunOutcome.LOOP, tables.trace(path, width, RunOutcome.LOOP)
 
 
 def accepts(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:
@@ -447,7 +414,7 @@ def accepts(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:
     and terminating for deterministic and nondeterministic machines alike,
     looping runs included.
     """
-    return _search(a, p, budget)[2] is not None
+    return _search(a, p, budget)[4] is not None
 
 
 def accepting_trace(
@@ -459,12 +426,12 @@ def accepting_trace(
     whose moves come first in transition declaration order wins, so the
     result is stable across calls.
     """
-    run, parents, goal = _search(a, p, budget)
+    tables, _, width, parents, goal = _search(a, p, budget)
     if goal is None:
         return None
     path = _path_to(parents, goal)
     del parents  # decode the path without the discovery map alive
-    return run.trace(path, RunOutcome.ACCEPT)
+    return tables.trace(path, width, RunOutcome.ACCEPT)
 
 
 def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:

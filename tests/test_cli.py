@@ -2,6 +2,7 @@ import pytest
 
 import gridfa as g
 from gridfa.cli import main
+from gridfa.languages import natural_rows
 
 
 @pytest.fixture()
@@ -146,6 +147,12 @@ class TestEnumerate:
     def test_bad_shape(self, capsys):
         assert main(["enumerate", "--rows", "0", "--cols", "2"]) == 2
 
+    def test_empty_alphabet(self, capsys):
+        assert main(["enumerate", "--alphabet", "", "--rows", "1", "--cols", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alphabet must not be empty\n"
+
 
 class TestCheck:
     def test_clean_check_exits_zero(self, capsys):
@@ -162,6 +169,14 @@ class TestCheck:
     def test_parametric_builder(self, capsys):
         assert main(["check", "M_Mi", "M2", "--param", "2", "--cols-max", "3"]) == 0
 
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    @pytest.mark.parametrize("cols_max", ["0", "-1"])
+    def test_cols_max_below_one(self, command, cols_max, capsys):
+        assert main([command, "A_L1", "L1", "--cols-max", cols_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cols-max must be >= 1\n"
+
 
 class TestSweep:
     def test_starvation_sweep(self, capsys):
@@ -175,6 +190,25 @@ class TestSweep:
 
     def test_override_above_declared(self, capsys):
         assert main(["sweep", "A_L1", "L1", "--budget-up", "5"]) == 2
+
+
+#: The builder/language pairs the CLI tests above check, with their params.
+CHECKED_PAIRS = [("A_L1", "L1", None), ("FLAWED_L1_3W0", "L1", None), ("M_Mi", "M2", 2)]
+
+
+@pytest.mark.parametrize("builder, language, param", CHECKED_PAIRS)
+def test_check_is_the_sweep_at_the_declared_budget(builder, language, param, capsys):
+    machine = g.make_machine(builder, param)
+    rows = natural_rows(language)
+    assert g.oracle_equivalence(machine, language, rows, 3) == g.budget_sweep(
+        machine, language, rows, 3, [machine.budget]
+    )
+    flags = ["--cols-max", "3"] + ([] if param is None else ["--param", str(param)])
+    outputs = []
+    for command in ("check", "sweep"):
+        code = main([command, builder, language, *flags])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 class TestSplice:
@@ -201,6 +235,13 @@ class TestHierarchy:
 
     def test_bad_i_max(self, capsys):
         assert main(["hierarchy", "--i-max", "0"]) == 2
+
+    @pytest.mark.parametrize("cols_max", ["0", "-1"])
+    def test_cols_max_below_one(self, cols_max, capsys):
+        assert main(["hierarchy", "--cols-max", cols_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cols-max must be >= 1\n"
 
 
 class TestUsage:

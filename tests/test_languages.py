@@ -132,7 +132,6 @@ class TestConstructors:
     def test_make_u_examples(self):
         assert g.make_u(1, 2, 3).row_text(1) == "110"
         assert g.make_u(2, 5, 6).row_text(1) == "010010"
-        assert g.make_x is g.make_u
 
     def test_make_u_precondition(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
 """Command-line front end.
 
+``accept``, ``run`` and ``trace`` are one per-picture loop, ``cmd_decide``:
+it reads the machine and the picture stream, applies any budget override,
+and prints what the command's decider gives for each picture.
+
 Exit codes follow one contract everywhere: 0 for success / an affirmative
 verdict, 1 for a negative verdict or a found mismatch, 2 for usage or
 input errors.  Verdicts go to stdout, diagnostics to stderr.
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -20,12 +25,13 @@ from .experiments import (
     splice_counterexample,
 )
 from .grid import (
+    Picture,
     enumerate_pictures,
     format_picture_stream,
     parse_picture_stream,
 )
 from .languages import natural_rows, parse_language_id
-from .machine import INF, Automaton, Budget, parse_machine, serialize_machine
+from .machine import Automaton, Budget, parse_budget, parse_machine, serialize_machine
 from .simulator import (
     RunOutcome,
     accepting_trace,
@@ -39,119 +45,79 @@ class CliError(ValueError):
     """Input problem reported on stderr with exit code 2."""
 
 
-def _load_machine(path: str) -> Automaton:
+def _read(path: str, what: str, parse):
+    """``parse`` applied to the text of the ``what`` file at ``path``."""
     try:
-        return parse_machine(Path(path).read_text())
+        return parse(Path(path).read_text())
     except OSError as exc:
-        raise CliError(f"cannot read machine file {path}: {exc}")
+        raise CliError(f"cannot read {what} file {path}: {exc}")
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
 
-def _load_pictures(path: str, machine: Automaton):
+def _budget(text: str) -> int | float:
     try:
-        return parse_picture_stream(Path(path).read_text(), machine.alphabet)
-    except OSError as exc:
-        raise CliError(f"cannot read picture file {path}: {exc}")
+        return parse_budget(text)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}")
+        raise argparse.ArgumentTypeError(str(exc))
 
 
-def _budget_override(args: argparse.Namespace, machine: Automaton) -> Budget | None:
-    up = getattr(args, "budget_up", None)
-    left = getattr(args, "budget_left", None)
-    if up is None and left is None:
-        return None
-    return Budget(
-        machine.budget.up if up is None else up,
-        machine.budget.left if left is None else left,
+# The per-picture deciders behind ``accept``, ``run`` and ``trace``: each
+# returns the text printed for the picture and whether it was accepted.
+
+
+def _accept(machine: Automaton, p: Picture, override: Budget | None) -> tuple[str, bool]:
+    verdict = accepts(machine, p, override)
+    return ("ACCEPT" if verdict else "REJECT"), verdict
+
+
+def _run(machine: Automaton, p: Picture, override: Budget | None) -> tuple[str, bool]:
+    if machine.mode != "det":  # a rejection prints as RunOutcome.REJECT_HALT does
+        return _accept(machine, p, override)
+    outcome, _ = run_deterministic(machine, p, override)
+    return outcome.value, outcome is RunOutcome.ACCEPT
+
+
+def _trace(machine: Automaton, p: Picture, override: Budget | None) -> tuple[str, bool]:
+    if machine.mode == "det":
+        trace = run_deterministic(machine, p, override)[1]
+    else:
+        trace = accepting_trace(machine, p, override)
+        if trace is None:
+            return "NO ACCEPTING RUN", False
+    return format_trace(trace), trace.outcome is RunOutcome.ACCEPT
+
+
+def cmd_decide(args: argparse.Namespace) -> int:
+    """``accept``, ``run`` and ``trace``: what ``args.decide`` prints for
+    each picture of the stream; exit 0 iff every picture was accepted."""
+    machine = _read(args.machine, "machine", parse_machine)
+    pictures = _read(
+        args.pictures, "picture", partial(parse_picture_stream, alphabet=machine.alphabet)
     )
-
-
-def _parse_budget_value(text: str) -> int | float:
-    if text == "inf":
-        return INF
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("budget must be an integer or 'inf'")
-    if value < 0:
-        raise argparse.ArgumentTypeError("budget must be nonnegative")
-    return value
-
-
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--budget-up",
-        type=_parse_budget_value,
-        default=None,
-        help="run-time up budget (may only lower the declared one)",
-    )
-    parser.add_argument(
-        "--budget-left",
-        type=_parse_budget_value,
-        default=None,
-        help="run-time left budget (may only lower the declared one)",
-    )
-
-
-def cmd_accept(args: argparse.Namespace) -> int:
-    machine = _load_machine(args.machine)
-    pictures = _load_pictures(args.pictures, machine)
-    override = _budget_override(args, machine)
+    up, left = args.budget_up, args.budget_left
+    override = None
+    if up is not None or left is not None:
+        override = Budget(
+            machine.budget.up if up is None else up,
+            machine.budget.left if left is None else left,
+        )
     all_accepted = True
     for p in pictures:
-        verdict = accepts(machine, p, override)
-        print("ACCEPT" if verdict else "REJECT")
-        all_accepted &= verdict
+        text, accepted = args.decide(machine, p, override)
+        print(text)
+        all_accepted &= accepted
     return 0 if all_accepted else 1
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    machine = _load_machine(args.machine)
-    pictures = _load_pictures(args.pictures, machine)
-    override = _budget_override(args, machine)
-    all_accepted = True
-    for p in pictures:
-        if machine.mode == "det":
-            outcome, _ = run_deterministic(machine, p, override)
-        else:
-            outcome = (
-                RunOutcome.ACCEPT
-                if accepts(machine, p, override)
-                else RunOutcome.REJECT_HALT
-            )
-        print(outcome.value)
-        all_accepted &= outcome is RunOutcome.ACCEPT
-    return 0 if all_accepted else 1
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    machine = _load_machine(args.machine)
-    pictures = _load_pictures(args.pictures, machine)
-    override = _budget_override(args, machine)
-    code = 0
-    for p in pictures:
-        if machine.mode == "det":
-            outcome, trace = run_deterministic(machine, p, override)
-            print(format_trace(trace))
-            if outcome is not RunOutcome.ACCEPT:
-                code = 1
-        else:
-            trace = accepting_trace(machine, p, override)
-            if trace is None:
-                print("NO ACCEPTING RUN")
-                code = 1
-            else:
-                print(format_trace(trace))
-    return code
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     machine = make_machine(args.builder, args.param)
     text = serialize_machine(machine)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write machine file {args.output}: {exc}")
     else:
         print(text, end="")
     return 0
@@ -217,23 +183,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("accept", help="print ACCEPT/REJECT per picture in a stream")
-    p.add_argument("machine")
-    p.add_argument("pictures")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_accept)
-
-    p = sub.add_parser("run", help="print the run outcome per picture (det: may LOOP)")
-    p.add_argument("machine")
-    p.add_argument("pictures")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("trace", help="print the canonical trace per picture")
-    p.add_argument("machine")
-    p.add_argument("pictures")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_trace)
+    for name, summary, decide in (
+        ("accept", "print ACCEPT/REJECT per picture in a stream", _accept),
+        ("run", "print the run outcome per picture (det: may LOOP)", _run),
+        ("trace", "print the canonical trace per picture", _trace),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("machine")
+        p.add_argument("pictures")
+        for direction in ("up", "left"):
+            p.add_argument(
+                f"--budget-{direction}",
+                type=_budget,
+                help=f"run-time {direction} budget (may only lower the declared one)",
+            )
+        p.set_defaults(func=cmd_decide, decide=decide)
 
     builders = ", ".join(sorted(BUILDERS))
     p = sub.add_parser("build", help=f"emit a built-in machine ({builders})")
@@ -264,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols-max", type=int, default=4)
     p.add_argument(
         "--budget-up",
-        type=_parse_budget_value,
+        type=_budget,
         action="append",
         default=None,
         help="repeatable: one sweep entry per value",
     )
-    p.add_argument("--budget-left", type=_parse_budget_value, default=None)
+    p.add_argument("--budget-left", type=_budget, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("splice", help="crossing-match splice counterexample")

@@ -20,6 +20,8 @@ language is a set of pictures and a non-member is simply a non-member.
 
 from __future__ import annotations
 
+import re
+
 from .grid import Picture, ShapeError
 
 ALPHABET_01: tuple[str, ...] = ("0", "1")
@@ -149,13 +151,11 @@ def splice_words(top_source: Picture, bottom_source: Picture, boundary_row: int)
 
 def parse_language_id(text: str) -> tuple[str, int]:
     """Split an id like ``L1``, ``M2``, ``N1``, ``K2`` or ``S4`` into
-    (kind, index)."""
-    kind, digits = text[:1], text[1:]
-    if kind in ("L", "M", "K", "S") and digits.isdigit() and int(digits) >= 1:
-        return kind, int(digits)
-    if kind == "N" and digits in ("1", "2"):
-        return kind, int(digits)
-    raise ValueError(f"unknown language id {text!r}")
+    (kind, index).  The index is written in ASCII digits without a leading
+    zero, so each language has exactly one id."""
+    if re.fullmatch("[KLMS][1-9][0-9]*|N[12]", text) is None:
+        raise ValueError(f"unknown language id {text!r}")
+    return text[0], int(text[1:])
 
 
 def oracle_for(lang_id: str):

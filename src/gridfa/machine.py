@@ -495,15 +495,17 @@ def serialize_machine(a: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_budget_token(token: str, line_no: int) -> int | float:
+def parse_budget(token: str) -> int | float:
+    """A budget as machine files and the CLI write it: ``inf`` or a
+    nonnegative integer.  Raises ValueError otherwise."""
     if token == "inf":
         return INF
     try:
         value = int(token)
     except ValueError:
-        raise MachineParseError(f"line {line_no}: budget must be an integer or 'inf'")
+        raise ValueError("budget must be an integer or 'inf'") from None
     if value < 0:
-        raise MachineParseError(f"line {line_no}: budget must be nonnegative")
+        raise ValueError("budget must be nonnegative")
     return value
 
 
@@ -583,7 +585,10 @@ def parse_machine(text: str) -> Automaton:
                 raise MachineParseError(
                     f"line {line_no}: expected 'budget up|left <n|inf>'"
                 )
-            value = _parse_budget_token(tokens[2], line_no)
+            try:
+                value = parse_budget(tokens[2])
+            except ValueError as exc:
+                raise MachineParseError(f"line {line_no}: {exc}")
             if tokens[1] == "up":
                 if budget_up is not None:
                     raise MachineParseError(f"line {line_no}: duplicate up budget")

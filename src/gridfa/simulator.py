@@ -96,26 +96,23 @@ def _resolve_budget(a: Automaton, override: Budget | None) -> Budget:
     return Budget(up, left)
 
 
-def _alphabet_error(missing: set[str]) -> AlphabetError:
-    return AlphabetError(
-        f"picture uses symbols {sorted(missing)} outside machine alphabet"
-    )
-
-
 def initial_configuration(
     a: Automaton, p: Picture, budget: Budget | None = None
 ) -> Configuration:
-    """Start of every run: initial state, head on interior cell (1,1)."""
-    missing = p.symbols() - set(a.alphabet)
-    if missing:
-        raise _alphabet_error(missing)
+    """Start of every run: initial state, head on interior cell (1,1).
+    Checks the machine, the picture and the budget in that order, as every
+    search does."""
+    ensure_valid(a)
+    _layout(a, p)
     up, left = _resolve_budget(a, budget)
     return Configuration(a.initial, 1, 1, up, left)
 
 
 def config_space_bound(a: Automaton, p: Picture, budget: Budget | None = None) -> int:
     """Size bound of the configuration space: |Q| * (rows+2) * (cols+2) *
-    (up+1) * (left+1), with an infinite budget counting as one layer."""
+    (up+1) * (left+1), with an infinite budget counting as one layer.  The
+    machine must be well-formed (MachineInvalidError otherwise)."""
+    ensure_valid(a)
     up, left = _resolve_budget(a, budget)
     up_layers = 1 if up == INF else int(up) + 1
     left_layers = 1 if left == INF else int(left) + 1
@@ -163,7 +160,9 @@ def _layout(a: Automaton, p: Picture) -> list[str]:
     frame += [BOUNDARY + "DL", *[BOUNDARY + "D"] * p.cols, BOUNDARY + "DR"]
     missing = set(frame).difference(a.alphabet, _RING)
     if missing:
-        raise _alphabet_error(missing)
+        raise AlphabetError(
+            f"picture uses symbols {sorted(missing)} outside machine alphabet"
+        )
     return frame
 
 
@@ -459,17 +458,9 @@ def language_sample(a: Automaton, rows_max: int, cols_max: int) -> list[Picture]
 
 def format_trace(trace: Trace) -> str:
     """Text form: one line per step, final line tagged ACCEPT/REJECT/LOOP."""
-    lines = []
-    for config, direction in trace.steps:
-        lines.append(
-            f"{config.state} ({config.row},{config.col}) "
-            f"up={fmt_budget(config.up_left)} left={fmt_budget(config.left_left)} "
-            f"--{direction.value}-->"
-        )
-    final = trace.final
-    lines.append(
-        f"{final.state} ({final.row},{final.col}) "
-        f"up={fmt_budget(final.up_left)} left={fmt_budget(final.left_left)} "
-        f"{trace.outcome.value}"
+    tags = [f"--{direction.value}-->" for direction in trace.directions()]
+    return "\n".join(
+        f"{c.state} ({c.row},{c.col}) "
+        f"up={fmt_budget(c.up_left)} left={fmt_budget(c.left_left)} {tag}"
+        for c, tag in zip(trace.configurations(), tags + [trace.outcome.value])
     )
-    return "\n".join(lines)

@@ -133,6 +133,14 @@ class TestBuild:
     def test_unknown_builder(self, capsys):
         assert main(["build", "NOPE"]) == 2
 
+    @pytest.mark.parametrize("where", ["a directory", "a missing parent"])
+    def test_unwritable_output(self, where, tmp_path, capsys):
+        out = tmp_path if where == "a directory" else tmp_path / "missing" / "a.m2d"
+        assert main(["build", "A_L1", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write machine file {out}: ")
+
     def test_missing_param(self, capsys):
         assert main(["build", "D_K"]) == 2
 
@@ -209,6 +217,37 @@ def test_check_is_the_sweep_at_the_declared_budget(builder, language, param, cap
         code = main([command, builder, language, *flags])
         outputs.append((code, capsys.readouterr()))
     assert outputs[0] == outputs[1]
+
+
+#: One stream of mixed shapes: members and non-members of the witness
+#: languages, with 1, 2 and 4 rows.
+MIXED_STREAM = [
+    ["01010001000", "00010101000"], ["11", "11"], ["00", "00"], ["101", "101"],
+    ["111", "111"], ["1"], ["11", "11", "11", "11"], ["0110", "0110", "1001", "1001"],
+    ["1111", "1111"], ["110011", "110011"],
+]
+
+
+@pytest.mark.parametrize(
+    "builder, param",
+    [(name, 2 if parametric else None) for name, (_, parametric) in sorted(g.BUILDERS.items())],
+)
+def test_accept_run_and_trace_agree(builder, param, tmp_path, capsys):
+    machine = g.make_machine(builder, param)
+    machine_file = tmp_path / "m.m2d"
+    machine_file.write_text(g.serialize_machine(machine))
+    pics = write_pictures(tmp_path, "mixed.pic", *MIXED_STREAM)
+    results = {}
+    for command in ("accept", "run", "trace"):
+        code = main([command, str(machine_file), pics])
+        results[command] = code, capsys.readouterr().out.splitlines()
+    (accept_code, accepted), (run_code, outcomes) = results["accept"], results["run"]
+    assert len(accepted) == len(MIXED_STREAM)
+    if machine.mode == "nondet":
+        assert outcomes == accepted
+    else:
+        assert [o == "ACCEPT" for o in outcomes] == [v == "ACCEPT" for v in accepted]
+    assert accept_code == run_code == results["trace"][0]
 
 
 class TestSplice:

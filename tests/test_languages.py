@@ -190,7 +190,7 @@ class TestLanguageIds:
     def test_bad_ids(self):
         from gridfa.languages import parse_language_id
 
-        for bad in ("Q9", "L0", "N3", "S", "l1", ""):
+        for bad in ("Q9", "L0", "N3", "S", "l1", "", "L01", "L１", "S٣"):
             with pytest.raises(ValueError):
                 parse_language_id(bad)
 

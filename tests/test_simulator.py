@@ -38,6 +38,24 @@ class TestInitialConfiguration:
         with pytest.raises(g.BudgetOverrideError):
             g.initial_configuration(a, p, g.Budget(2, g.INF))
 
+    def test_errors_come_in_search_order(self):
+        # machine, then picture, then budget, as accepts reports them
+        a = g.build_A_L1()
+        invalid = g.Automaton(
+            "bad", a.alphabet, a.states, "nope", a.accepting, a.mode,
+            a.policy, a.budget, a.transitions,
+        )
+        fine, stray = g.Picture.from_rows(["11", "11"]), g.Picture.from_rows(["012"])
+        above = g.Budget(2, g.INF)
+        for ask in (g.accepts, g.initial_configuration, g.config_space_bound):
+            with pytest.raises(g.MachineInvalidError):
+                ask(invalid, fine)
+        for ask in (g.accepts, g.initial_configuration):
+            with pytest.raises(g.MachineInvalidError):
+                ask(invalid, stray, above)
+            with pytest.raises(g.AlphabetError):
+                ask(a, stray, above)
+
 
 class TestStep:
     def test_u_with_zero_budget_excluded(self):

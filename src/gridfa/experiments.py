@@ -140,19 +140,39 @@ def budget_sweep(
     last is usually the largest): a picture rejected at a decided budget at
     or above this one is rejected here, one accepted at a decided budget at
     or below it is accepted here, and only the others are searched.  The
-    counts are those of one ``accepts`` call per picture and budget.  The
-    last budget is decided first, so every picture is laid out and checked
-    against the alphabet at least once.
+    counts are those of one ``accepts`` call per picture and budget.
+
+    Each shape is laid out once: one picture of it is laid out and checked
+    against the alphabet, and a searched picture's frame is that layout's
+    top and bottom ring around one cached frame row per distinct row of
+    cells.  No frame is kept per picture.
     """
     ensure_valid(a)
     if not budgets:
         raise ValueError("budget_sweep needs at least one budget")
     oracle = oracle_for(lang_id)
-    pictures = [
-        p
-        for cols in range(1, cols_max + 1)
-        for p in enumerate_pictures(a.alphabet, rows, cols)
-    ]
+    pictures: list[Picture] = []
+    rings = {}  # cols -> the top and bottom rows of the frame, and its sides
+    for cols in range(1, cols_max + 1):
+        shape = list(enumerate_pictures(a.alphabet, rows, cols))
+        if shape:
+            frame, width = _layout(a, shape[0]), cols + 2
+            rings[cols] = frame[:width], frame[-width:], frame[width], frame[2 * width - 1]
+        pictures += shape
+    segments: dict[tuple[str, ...], list[str]] = {}
+
+    def layout(p: Picture) -> list[str]:
+        """``_layout(a, p)``, from the rings and cached frame rows."""
+        top, bottom, left, right = rings[p.cols]
+        frame = top.copy()
+        for row in p.cells:
+            segment = segments.get(row)
+            if segment is None:
+                segment = segments[row] = [left, *row, right]
+            frame += segment
+        frame += bottom
+        return frame
+
     expected = [oracle(p) for p in pictures]
     compiled = [_tables(a, *_resolve_budget(a, budget)) for budget in budgets]
     verdicts: list[list[bool] | None] = [None] * len(compiled)
@@ -171,7 +191,7 @@ def budget_sweep(
             if other_up <= up and other_left <= left:  # accepted below
                 known = (verdict or k for k, verdict in zip(known, decided))
         verdicts[index] = [
-            tables.explore(_layout(a, p), p.cols + 2)[1] is not None if k is None else k
+            tables.explore(layout(p), p.cols + 2)[1] is not None if k is None else k
             for p, k in zip(pictures, known)
         ]
     per_budget = tuple(

@@ -9,6 +9,13 @@ a boundary marker" representable with nonnegative coordinates.
 
 Pictures are immutable values: simulation, enumeration and tests share
 them freely.
+
+``Picture(...)`` and ``Picture.from_rows`` check every cell.  Pictures
+the library derives from cells it has already checked skip that check:
+those made by ``enumerate_pictures`` (which checks its alphabet once),
+``transpose``, ``rotate90_cw``, ``row_concat``, the parsers (which check
+each line against the alphabet) and, in :mod:`gridfa.languages`, the
+``make_*`` words and ``splice_words``.
 """
 
 from __future__ import annotations
@@ -71,6 +78,14 @@ class Picture:
     @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "Picture":
         return cls(tuple(tuple(row) for row in rows))
+
+    @classmethod
+    def _trusted(cls, cells: tuple[tuple[str, ...], ...]) -> "Picture":
+        """A picture of cells known to be valid, made without checking
+        them again: equal and hash-equal to ``Picture(cells)``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "cells", cells)
+        return p
 
     @property
     def rows(self) -> int:
@@ -138,7 +153,7 @@ def _parse_lines(lines: list[str], alphabet: Iterable[str], first: int = 1) -> P
                 raise AlphabetError(f"line {n}: reserved boundary marker {BOUNDARY!r}")
             if ch not in allowed:
                 raise AlphabetError(f"line {n}: symbol {ch!r} not in alphabet")
-    return Picture.from_rows(lines)
+    return Picture._trusted(tuple(tuple(line) for line in lines))
 
 
 def parse_picture_stream(text: str, alphabet: Iterable[str]) -> list[Picture]:
@@ -200,18 +215,18 @@ def row_concat(top: Picture, bottom: Picture) -> Picture:
             f"cannot stack {top.rows}x{top.cols} over {bottom.rows}x{bottom.cols}: "
             "column counts differ"
         )
-    return Picture(top.cells + bottom.cells)
+    return Picture._trusted(top.cells + bottom.cells)
 
 
 def transpose(p: Picture) -> Picture:
     """Reflect about the main diagonal: output cell (r,c) = input cell (c,r)."""
-    return Picture(tuple(zip(*p.cells)))
+    return Picture._trusted(tuple(zip(*p.cells)))
 
 
 def rotate90_cw(p: Picture) -> Picture:
     """Rotate a quarter turn clockwise: output (r,c) = input (rows+1-c, r)."""
     rows, cols = p.rows, p.cols
-    return Picture(
+    return Picture._trusted(
         tuple(
             tuple(p.cells[rows - c][r] for c in range(1, rows + 1))
             for r in range(cols)
@@ -224,12 +239,23 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
 
     Order is deterministic: cells vary in row-major order, the last cell
     fastest, symbols cycling in the order the alphabet sequence declares
-    them.
+    them.  The alphabet is checked before the first picture: a symbol that
+    is not a single character raises PictureFormatError, and ``#`` or a
+    symbol given twice raises AlphabetError.  The |alphabet|^cols rows of
+    the shape are made once, before the first picture, and the pictures
+    share them.
     """
     if rows < 1 or cols < 1:
         raise PictureFormatError("enumeration needs rows >= 1 and cols >= 1")
     symbols = tuple(alphabet)
-    for combo in itertools.product(symbols, repeat=rows * cols):
-        yield Picture(
-            tuple(combo[r * cols : (r + 1) * cols] for r in range(rows))
-        )
+    for n, sym in enumerate(symbols):
+        if not isinstance(sym, str) or len(sym) != 1:
+            raise PictureFormatError(f"alphabet symbol is not a single character: {sym!r}")
+        if sym == BOUNDARY:
+            raise AlphabetError(f"alphabet may not contain the boundary marker {BOUNDARY!r}")
+        if sym in symbols[:n]:
+            raise AlphabetError(f"alphabet declares symbol {sym!r} twice")
+    trusted = Picture._trusted
+    row_tuples = list(itertools.product(symbols, repeat=cols))
+    for cells in itertools.product(row_tuples, repeat=rows):
+        yield trusted(cells)

@@ -107,15 +107,14 @@ def make_u(i: int, j: int, z: int) -> Picture:
     """Single-row word of length z with 1s exactly at columns i < j."""
     if not 1 <= i < j <= z:
         raise ValueError(f"need 1 <= i < j <= z, got i={i}, j={j}, z={z}")
-    return Picture.from_rows(
-        ["".join("1" if c in (i, j) else "0" for c in range(1, z + 1))]
-    )
+    row = tuple("1" if c in (i, j) else "0" for c in range(1, z + 1))
+    return Picture._trusted((row,))
 
 
 def make_w(i: int, j: int, z: int) -> Picture:
     """Two-row word whose rows are both ``make_u(i, j, z)``; always in L_1."""
-    row = make_u(i, j, z).row_text(1)
-    return Picture.from_rows([row, row])
+    row = make_u(i, j, z).cells[0]
+    return Picture._trusted((row, row))
 
 
 def make_v(j: int, k: int, z: int, i: int) -> Picture:
@@ -124,8 +123,8 @@ def make_v(j: int, k: int, z: int, i: int) -> Picture:
         raise ValueError(f"need i >= 0, got {i}")
     if not 1 <= j < k <= z:
         raise ValueError(f"need 1 <= j < k <= z, got j={j}, k={k}, z={z}")
-    row = "".join("1" if c in (j, k) else "0" for c in range(1, z + 1))
-    return Picture.from_rows([row] * (2 * i + 2))
+    row = tuple("1" if c in (j, k) else "0" for c in range(1, z + 1))
+    return Picture._trusted((row,) * (2 * i + 2))
 
 
 def splice_words(top_source: Picture, bottom_source: Picture, boundary_row: int) -> Picture:
@@ -146,7 +145,7 @@ def splice_words(top_source: Picture, bottom_source: Picture, boundary_row: int)
             f"boundary_row {boundary_row} outside 1..{top_source.rows + 1}"
         )
     cut = boundary_row - 1
-    return Picture(top_source.cells[:cut] + bottom_source.cells[cut:])
+    return Picture._trusted(top_source.cells[:cut] + bottom_source.cells[cut:])
 
 
 def parse_language_id(text: str) -> tuple[str, int]:

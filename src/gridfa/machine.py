@@ -14,6 +14,7 @@ state (head position, remaining budget) on top of it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -495,18 +496,22 @@ def serialize_machine(a: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The one token of each finite budget.
+_NATURAL = re.compile("0|[1-9][0-9]*")
+
+
 def parse_budget(token: str) -> int | float:
     """A budget as machine files and the CLI write it: ``inf`` or a
-    nonnegative integer.  Raises ValueError otherwise."""
+    nonnegative integer in ASCII digits without sign, separator or leading
+    zero, so that each budget has exactly one token.  Raises ValueError
+    otherwise."""
     if token == "inf":
         return INF
-    try:
-        value = int(token)
-    except ValueError:
-        raise ValueError("budget must be an integer or 'inf'") from None
-    if value < 0:
-        raise ValueError("budget must be nonnegative")
-    return value
+    if _NATURAL.fullmatch(token) is None:
+        if token[:1] == "-" and _NATURAL.fullmatch(token[1:]) is not None:
+            raise ValueError("budget must be nonnegative")
+        raise ValueError("budget must be an integer or 'inf'")
+    return int(token)
 
 
 def _parse_dirs(tokens: list[str], line_no: int) -> frozenset[Direction]:

@@ -79,6 +79,15 @@ class TestAccept:
         pics = write_pictures(tmp_path, "m.pic", ["11", "11"])
         assert main(["accept", a_l1_file, pics, "--budget-up", "0"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--budget-up", "--budget-left"])
+    @pytest.mark.parametrize("token", ["\u0660", "+0", "00", " 0", "0_0"])
+    def test_non_canonical_budget_flag_refused(self, a_l1_file, tmp_path, capsys, flag, token):
+        pics = write_pictures(tmp_path, "m.pic", ["11", "11"])
+        assert main(["accept", a_l1_file, pics, flag, token]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget must be an integer or 'inf'" in captured.err
+
 
 class TestTrace:
     def test_one_up_line_for_fig1(self, a_l1_file, tmp_path, capsys):

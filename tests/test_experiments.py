@@ -162,11 +162,37 @@ class TestSweeps:
         # (0,1) three each.
         assert [e.accepted for e in report.per_budget] == [3, 6, 3, 0, 3, 3]
 
+    @pytest.mark.parametrize("rows, cols_max", [(1, 4), (2, 3), (3, 2)])
+    def test_three_symbol_sweep_matches_per_budget_decisions(self, rows, cols_max):
+        # Over three symbols a shape has up to 3**cols distinct rows, so the
+        # frame rows a sweep lays out once and reuses are many per shape.
+        U, D, L, R = g.Direction.U, g.Direction.D, g.Direction.L, g.Direction.R
+        machine = g.Automaton(
+            "tri", ("0", "1", "2"), ("s", "t", "u", "acc"), "s", "acc", "nondet",
+            g.TWO_WAY, g.Budget(2, 1),
+            {
+                ("s", "0"): (("s", R),),
+                ("s", "1"): (("s", R), ("t", D)),
+                ("s", "2"): (("t", D),),
+                ("s", "#"): (("t", D),),
+                ("t", "1"): (("s", R), ("u", L)),
+                ("t", "2"): (("u", U),),
+                ("t", "#"): (("u", U),),
+                ("u", "0"): (("t", D),),
+                ("u", "1"): (("acc", R),),
+                ("u", "2"): (("t", D), ("s", R)),
+            },
+        )
+        budgets = [g.Budget(*b) for b in ((0, 1), (0, 0), (1, 1), (2, 0), (1, 0), (2, 1))]
+        report = assert_sweep_matches_decisions(machine, rows, cols_max, budgets)
+        assert len({e.accepted for e in report.per_budget}) > 2
+        assert report.mismatches
+
 
 def assert_sweep_matches_decisions(machine, rows, cols_max, budgets):
     """``budget_sweep`` against one ``accepts`` call per picture and budget."""
     oracle = g.oracle_for("L1")
-    pictures = list(all_pictures(rows, cols_max))
+    pictures = list(all_pictures(rows, cols_max, machine.alphabet))
     members = [oracle(p) for p in pictures]
     report = g.budget_sweep(machine, "L1", rows, cols_max, budgets)
     verdicts = []

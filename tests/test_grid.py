@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,11 +10,11 @@ from gridfa.grid import format_picture_stream
 ALL_ONES_2X2 = g.Picture.from_rows(["11", "11"])
 
 
-def small_pictures(max_rows=4, max_cols=4):
+def small_pictures(max_rows=4, max_cols=4, alphabet="01"):
     return st.integers(1, max_rows).flatmap(
         lambda rows: st.integers(1, max_cols).flatmap(
             lambda cols: st.lists(
-                st.text(alphabet="01", min_size=cols, max_size=cols),
+                st.text(alphabet=alphabet, min_size=cols, max_size=cols),
                 min_size=rows,
                 max_size=rows,
             ).map(g.Picture.from_rows)
@@ -197,3 +199,80 @@ class TestEnumerate:
     def test_degenerate_rejected(self):
         with pytest.raises(g.PictureFormatError):
             list(g.enumerate_pictures("01", 0, 2))
+
+    @pytest.mark.parametrize(
+        "alphabet, error",
+        [
+            (("0", "ab"), g.PictureFormatError),
+            (("0", "#"), g.AlphabetError),
+            (("0", 1), g.PictureFormatError),
+            ("00", g.AlphabetError),
+        ],
+    )
+    def test_bad_alphabet_rejected_before_the_first_picture(self, alphabet, error):
+        with pytest.raises(error):
+            next(g.enumerate_pictures(alphabet, 1, 1))
+
+
+class TestCheckedConstruction:
+    @pytest.mark.parametrize(
+        "cells, error",
+        [
+            ((), g.PictureFormatError),
+            (((),), g.PictureFormatError),
+            ((("0",), ("0", "1")), g.PictureFormatError),
+            ((("ab",),), g.PictureFormatError),
+            (((1,),), g.PictureFormatError),
+            ((("0", "#"),), g.AlphabetError),
+        ],
+    )
+    def test_picture_checks_every_cell(self, cells, error):
+        with pytest.raises(error):
+            g.Picture(cells)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [([], g.PictureFormatError), ([""], g.PictureFormatError),
+         (["01", "0"], g.PictureFormatError), (["0#"], g.AlphabetError)],
+    )
+    def test_from_rows_checks_every_cell(self, rows, error):
+        with pytest.raises(error):
+            g.Picture.from_rows(rows)
+
+
+def assert_checked(q: g.Picture) -> None:
+    """``q`` equals, and hashes like, a picture rebuilt from its cells
+    through the full check, and is as immutable as one."""
+    fresh = g.Picture(tuple(tuple(row) for row in q.cells))
+    assert q == fresh and hash(q) == hash(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.cells = fresh.cells
+
+
+@given(small_pictures(alphabet="01a"), st.data())
+def test_derived_pictures_are_checked_pictures(p, data):
+    """Pictures the library builds without re-checking their cells."""
+    turned = g.rotate90_cw(g.rotate90_cw(p))
+    boundary = data.draw(st.integers(1, p.rows + 1))
+    for q in (
+        g.transpose(p),
+        g.rotate90_cw(p),
+        g.row_concat(p, turned),
+        g.splice_words(p, turned, boundary),
+        g.parse_picture(p.to_text(), "01a"),
+        *g.parse_picture_stream(format_picture_stream([p, turned]), "01a"),
+    ):
+        assert_checked(q)
+
+
+@given(st.sampled_from(["0", "01", "a1", "012"]), st.integers(1, 2), st.integers(1, 3))
+def test_enumerated_pictures_are_checked_pictures(alphabet, rows, cols):
+    pictures = list(g.enumerate_pictures(alphabet, rows, cols))
+    assert len(pictures) == len(alphabet) ** (rows * cols)
+    for q in pictures:
+        assert_checked(q)
+
+
+def test_language_words_are_checked_pictures():
+    for q in (g.make_u(1, 3, 4), g.make_w(2, 3, 3), g.make_v(1, 2, 2, 1)):
+        assert_checked(q)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfa as g
-from gridfa.machine import DELTAS, fmt_budget
+from gridfa.machine import DELTAS, fmt_budget, parse_budget
 
 from conftest import all_pictures, random_machines
 
@@ -280,6 +280,42 @@ class TestSerialization:
         )
         assert a.budget.up == g.INF
         assert fmt_budget(a.budget.up) == "inf"
+
+    @pytest.mark.parametrize("token, value", [("0", 0), ("7", 7), ("12", 12), ("inf", g.INF)])
+    def test_canonical_budget_tokens(self, token, value):
+        assert parse_budget(token) == value
+        assert fmt_budget(value) == token
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            (" 2", "budget must be an integer or 'inf'"),
+            ("2 ", "budget must be an integer or 'inf'"),
+            ("+3", "budget must be an integer or 'inf'"),
+            ("0002", "budget must be an integer or 'inf'"),
+            ("00", "budget must be an integer or 'inf'"),
+            ("1_0", "budget must be an integer or 'inf'"),
+            ("\u0663", "budget must be an integer or 'inf'"),
+            ("", "budget must be an integer or 'inf'"),
+            ("Inf", "budget must be an integer or 'inf'"),
+            ("-3", "budget must be nonnegative"),
+            ("-0", "budget must be nonnegative"),
+        ],
+    )
+    def test_non_canonical_budget_tokens_refused(self, token, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_budget(token)
+
+    @pytest.mark.parametrize("token", ["\u0663", "+3", "03"])
+    def test_machine_file_budget_token_refused_with_its_line(self, token):
+        text = (
+            "machine t\nalphabet 0\nstates q0 q1\ninitial q0\naccept q1\n"
+            f"mode det\nfree D L R\nbudgeted U\nbudget up {token}\nbudget left inf\n"
+        )
+        with pytest.raises(
+            g.MachineParseError, match="^line 9: budget must be an integer or 'inf'$"
+        ):
+            g.parse_machine(text)
 
     def test_comments_and_blank_lines_ignored(self):
         a = g.parse_machine(

@@ -119,6 +119,28 @@ def oracle_equivalence(a: Automaton, lang_id: str, rows: int, cols_max: int) -> 
     return budget_sweep(a, lang_id, rows, cols_max, [a.budget])
 
 
+def _shared_runs(rows: int, cols: int, symbols: int) -> list[int]:
+    """Per frame position of a rows x cols shape, how many enumerated
+    pictures share a search whose farthest configuration lies there.
+
+    A search reads cells only at configurations it dequeues, so it reads
+    no cell past its farthest position in row-major frame order.  The
+    pictures that agree on every cell up to one cell form one aligned run
+    of ``symbols ** later`` consecutive enumerated pictures (``later``
+    cells follow it), and the search is the same on all of them.  A left
+    ring position counts as its row's first cell, a right ring one as its
+    row's last, and the bottom ring as the shape's last cell (the top ring,
+    which no farthest position reaches, as the first row).
+    """
+    n = rows * cols
+    extents = []
+    for r in range(rows + 2):
+        for c in range(cols + 2):
+            cell = n - 1 if r > rows else (max(r, 1) - 1) * cols + min(max(c, 1), cols) - 1
+            extents.append(symbols ** (n - 1 - cell))
+    return extents
+
+
 def budget_sweep(
     a: Automaton,
     lang_id: str,
@@ -139,25 +161,40 @@ def budget_sweep(
     accepting run at a larger one.  So budgets are decided last first (the
     last is usually the largest): a picture rejected at a decided budget at
     or above this one is rejected here, one accepted at a decided budget at
-    or below it is accepted here, and only the others are searched.  The
-    counts are those of one ``accepts`` call per picture and budget.
+    or below it is accepted here, and only the others are searched.
+
+    A search is shared by the pictures that agree on every cell it
+    reached.  It reads no cell past the farthest frame position it
+    discovered (in row-major order), and ``enumerate_pictures`` varies the
+    last cell fastest, so the pictures that agree with the searched one up
+    to that cell are the aligned run of enumerated pictures around it
+    (``_shared_runs``).  Each picture of the run after the searched one
+    takes its verdict without a search, unless monotonicity gave it one.
+    A deterministic machine that halts after reading a few cells is then
+    searched on few pictures of a shape.  The counts are those of one
+    ``accepts`` call per picture and budget.
 
     Each shape is laid out once: one picture of it is laid out and checked
     against the alphabet, and a searched picture's frame is that layout's
     top and bottom ring around one cached frame row per distinct row of
-    cells.  No frame is kept per picture.
+    cells.  No frame is kept per picture.  ``cols_max`` below 1 raises
+    ValueError before anything else is checked.
     """
+    if cols_max < 1:
+        raise ValueError(f"need cols_max >= 1, got {cols_max}")
     ensure_valid(a)
     if not budgets:
         raise ValueError("budget_sweep needs at least one budget")
     oracle = oracle_for(lang_id)
     pictures: list[Picture] = []
     rings = {}  # cols -> the top and bottom rows of the frame, and its sides
+    shared_runs = {}  # cols -> the shape's first index in pictures, and its _shared_runs
     for cols in range(1, cols_max + 1):
         shape = list(enumerate_pictures(a.alphabet, rows, cols))
         if shape:
             frame, width = _layout(a, shape[0]), cols + 2
             rings[cols] = frame[:width], frame[-width:], frame[width], frame[2 * width - 1]
+            shared_runs[cols] = len(pictures), _shared_runs(rows, cols, len(a.alphabet))
         pictures += shape
     segments: dict[tuple[str, ...], list[str]] = {}
 
@@ -190,10 +227,17 @@ def budget_sweep(
                 known = (verdict and k for k, verdict in zip(known, decided))
             if other_up <= up and other_left <= left:  # accepted below
                 known = (verdict or k for k, verdict in zip(known, decided))
-        verdicts[index] = [
-            tables.explore(layout(p), p.cols + 2)[1] is not None if k is None else k
-            for p, k in zip(pictures, known)
-        ]
+        column: list[bool] = []
+        # The last search's verdict, and the index that ends its run.
+        shared, shared_until = False, 0
+        for n, (p, k) in enumerate(zip(pictures, known)):
+            if k is None and n >= shared_until:
+                parents, goal = tables.explore(layout(p), p.cols + 2)
+                first, run_at = shared_runs[p.cols]
+                run = run_at[max(parents) >> tables.shift]
+                shared, shared_until = goal is not None, n + run - (n - first) % run
+            column.append(shared if k is None else k)
+        verdicts[index] = column
     per_budget = tuple(
         BudgetCount(
             tables.budget,
@@ -404,6 +448,8 @@ def hierarchy_report(i_max: int, cols_max: int) -> HierarchyReport:
     """
     if i_max < 1:
         raise ValueError(f"need i_max >= 1, got {i_max}")
+    if cols_max < 1:
+        raise ValueError(f"need cols_max >= 1, got {cols_max}")
     rows: list[HierarchyRow] = []
     for i in range(1, i_max + 1):
         for machine, lang_id, word_rows in (

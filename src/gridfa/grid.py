@@ -244,6 +244,11 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
     symbol given twice raises AlphabetError.  The |alphabet|^cols rows of
     the shape are made once, before the first picture, and the pictures
     share them.
+
+    Sweeps rely on this order: the pictures that agree on their first k
+    cells are |alphabet|^(rows*cols - k) consecutive ones, so
+    ``budget_sweep`` gives the verdict of a search that read no cell past
+    the first k to all of them.
     """
     if rows < 1 or cols < 1:
         raise PictureFormatError("enumeration needs rows >= 1 and cols >= 1")

@@ -32,6 +32,11 @@ def _require_index(i: int) -> None:
         raise ValueError(f"language index must be >= 1, got {i}")
 
 
+def _stacked(upper: tuple[str, ...], lower: tuple[str, ...]) -> int:
+    """Number of columns carrying 1 in both rows."""
+    return sum(1 for a, b in zip(upper, lower) if a == "1" and b == "1")
+
+
 def stacked_count(p: Picture, top_row: int) -> int:
     """Number of columns carrying 1 in both ``top_row`` and ``top_row + 1``.
 
@@ -42,55 +47,64 @@ def stacked_count(p: Picture, top_row: int) -> int:
         raise ValueError(
             f"top_row {top_row} needs rows {top_row + 1}, picture has {p.rows}"
         )
-    upper = p.cells[top_row - 1]
-    lower = p.cells[top_row]
-    return sum(1 for a, b in zip(upper, lower) if a == "1" and b == "1")
+    return _stacked(p.cells[top_row - 1], p.cells[top_row])
 
 
 def in_L(i: int, p: Picture) -> bool:
     """Member of L_i: 2i rows, every disjoint pair with >= 2 stacked columns."""
     _require_index(i)
-    if p.rows != 2 * i:
+    cells = p.cells
+    if len(cells) != 2 * i:
         return False
-    return all(stacked_count(p, 2 * k + 1) >= 2 for k in range(i))
+    for r in range(0, 2 * i, 2):
+        if _stacked(cells[r], cells[r + 1]) < 2:
+            return False
+    return True
 
 
-def _exact_pair(p: Picture, top_row: int) -> bool:
-    # Both rows of the pair hold exactly two 1s, in the same two columns.
-    return (
-        p.row_text(top_row).count("1") == 2
-        and p.row_text(top_row + 1).count("1") == 2
-        and stacked_count(p, top_row) == 2
-    )
+def _exact_pair(upper: tuple[str, ...], lower: tuple[str, ...]) -> bool:
+    # Both rows hold exactly two 1s, and the lower row holds 1s in the
+    # upper row's two columns.  Rows that merely agree on their 1s may
+    # still differ elsewhere, in symbols other than 0 and 1.
+    if upper.count("1") != 2 or lower.count("1") != 2:
+        return False
+    first = upper.index("1")
+    return lower[first] == "1" == lower[upper.index("1", first + 1)]
 
 
 def in_M(i: int, p: Picture) -> bool:
     """Member of M_i: 2i rows, every disjoint pair an exact two-column pair.
 
-    Exact means the pair's two rows agree and carry exactly two 1s, i.e.
-    exactly two stacked columns and no stray 1s; this is the language the
-    deterministic recognizers in :mod:`gridfa.constructions` decide.
+    Exact means the pair's two rows carry exactly two 1s each, in the same
+    two columns, i.e. exactly two stacked columns and no stray 1s (over
+    {0, 1} the two rows agree); this is the language the deterministic
+    recognizers in :mod:`gridfa.constructions` decide.
     """
     _require_index(i)
-    if p.rows != 2 * i:
+    cells = p.cells
+    if len(cells) != 2 * i:
         return False
-    return all(_exact_pair(p, 2 * k + 1) for k in range(i))
+    for r in range(0, 2 * i, 2):
+        if not _exact_pair(cells[r], cells[r + 1]):
+            return False
+    return True
 
 
 def in_N1(p: Picture) -> bool:
     """Member of N_1: two rows with at least one stacked column."""
-    return p.rows == 2 and stacked_count(p, 1) >= 1
+    return p.rows == 2 and _stacked(*p.cells) >= 1
 
 
 def in_N2(p: Picture) -> bool:
     """Member of N_2: four rows, both disjoint pairs with >= 1 stacked column."""
-    return p.rows == 4 and stacked_count(p, 1) >= 1 and stacked_count(p, 3) >= 1
+    cells = p.cells
+    return len(cells) == 4 and _stacked(*cells[:2]) >= 1 and _stacked(*cells[2:]) >= 1
 
 
 def in_K(i: int, p: Picture) -> bool:
     """Member of K_i: two rows with at least 2i stacked columns."""
     _require_index(i)
-    return p.rows == 2 and stacked_count(p, 1) >= 2 * i
+    return p.rows == 2 and _stacked(*p.cells) >= 2 * i
 
 
 def in_S(i: int, p: Picture) -> bool:

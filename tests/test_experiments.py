@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfa as g
+from gridfa.simulator import _Tables
 from conftest import all_pictures, random_machines
 
-U, D = g.Direction.U, g.Direction.D
+U, D, L, R = g.Direction.U, g.Direction.D, g.Direction.L, g.Direction.R
 
 
 class TestFoolingZ:
@@ -138,6 +139,16 @@ class TestSweeps:
         with pytest.raises(ValueError):
             g.budget_sweep(g.build_A_L1(), "L1", 2, 2, [])
 
+    @pytest.mark.parametrize("cols_max", [0, -1])
+    def test_empty_sweep_is_error(self, cols_max):
+        with pytest.raises(ValueError, match=r"^need cols_max >= 1"):
+            g.budget_sweep(g.build_A_L1(), "L1", 2, cols_max, [g.Budget(1, g.INF)])
+        # refused before the budgets are looked at
+        with pytest.raises(ValueError, match=r"^need cols_max >= 1"):
+            g.budget_sweep(g.build_A_L1(), "L1", 2, cols_max, [])
+        with pytest.raises(ValueError, match=r"^need cols_max >= 1"):
+            g.oracle_equivalence(g.build_A_L1(), "L1", 2, cols_max)
+
     def test_budget_errors_in_list_order(self):
         budgets = [g.Budget(2, g.INF), g.Budget(3, g.INF)]
         with pytest.raises(g.BudgetOverrideError, match=r"^override \(2,inf\) exceeds"):
@@ -229,6 +240,105 @@ def test_budget_sweep_matches_per_budget_decisions(data):
     assert_sweep_matches_decisions(machine, rows, 4 - rows, budgets)
 
 
+def count_searches(monkeypatch, sweep):
+    """The number of ``_Tables.explore`` calls ``sweep()`` makes."""
+    calls = []
+    explore = _Tables.explore
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return explore(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Tables, "explore", counting)
+        sweep()
+    return len(calls)
+
+
+def farthest(machine, p):
+    """The farthest (row, col) of the deterministic run on ``p``: the
+    farthest position its search discovers."""
+    _, trace = g.run_deterministic(machine, p)
+    return max((c.row, c.col) for c in trace.configurations())
+
+
+class TestSharedSearches:
+    def test_early_halting_machine_is_searched_once_per_run(self, monkeypatch):
+        # Halts on reading 0 at (1,1); on 1 it reads (2,1) and accepts by
+        # moving up if that is a 1 too and the up budget allows it.
+        machine = g.Automaton(
+            "early", ("0", "1"), ("s", "t", "acc"), "s", "acc", "det",
+            g.THREE_WAY, g.Budget(1, g.INF),
+            {("s", "1"): (("t", D),), ("t", "1"): (("acc", U),)},
+        )
+        budgets = [g.Budget(0, g.INF), g.Budget(1, g.INF)]
+        searched = count_searches(
+            monkeypatch, lambda: g.budget_sweep(machine, "L1", 2, 4, budgets)
+        )
+        decided = 2 * sum(4**cols for cols in range(1, 5))
+        # At the full budget a 2 x c shape takes one search for the pictures
+        # starting 0, and one per value of row 1 and cell (2,1) for the
+        # rest: 1 + 2**c.  Starved, only the pictures accepted at the full
+        # budget are searched, one per value of row 1: 2**(c-1).
+        assert searched == sum(1 + 2**c + 2 ** (c - 1) for c in range(1, 5)) == 49
+        assert searched * 10 < decided
+        assert_sweep_matches_decisions(machine, 2, 4, budgets)
+
+    def four_way(self, name, transitions):
+        return g.Automaton(
+            name, ("0", "1", "2"), ("s", "t", "u", "acc"), "s", "acc", "det",
+            g.FOUR_WAY, g.Budget(g.INF, g.INF), transitions,
+        )
+
+    def test_farthest_on_the_left_ring(self, monkeypatch):
+        # On a 1 at (1,1): left onto the ring, down it, and back up to
+        # accept.  On a 2 it accepts at once, on a 0 it halts.
+        machine = self.four_way("left_ring", {
+            ("s", "1"): (("t", L),),
+            ("s", "2"): (("acc", L),),
+            ("t", "#"): (("u", D),),
+            ("u", "#"): (("acc", U),),
+        })
+        p = g.Picture.from_rows(["12", "00"])
+        assert farthest(machine, p) == (2, 0) and g.accepts(machine, p)
+        for rows, cols_max in ((2, 3), (3, 2)):
+            assert_sweep_matches_decisions(machine, rows, cols_max, [machine.budget])
+        # The left ring position (2,0) counts as cell (2,1): a 2 x c shape
+        # takes one search for the pictures starting 0, one for those
+        # starting 2, and one per value of row 1 and cell (2,1) for those
+        # starting 1: 2 + 3**c.
+        searched = count_searches(
+            monkeypatch, lambda: g.oracle_equivalence(machine, "L1", 2, 2)
+        )
+        assert searched == sum(2 + 3**c for c in (1, 2)) == 16
+
+    def test_farthest_on_the_right_ring(self):
+        # Walks row 1 while it reads 1s and accepts from its right ring.
+        machine = self.four_way("right_ring", {
+            ("s", "1"): (("s", R),),
+            ("s", "#"): (("acc", L),),
+            ("s", "2"): (("t", D),),
+            ("t", "2"): (("acc", R),),
+        })
+        p = g.Picture.from_rows(["111", "000"])
+        assert farthest(machine, p) == (1, 4) and g.accepts(machine, p)
+        for rows, cols_max in ((2, 3), (3, 2), (1, 4)):
+            assert_sweep_matches_decisions(machine, rows, cols_max, [machine.budget])
+
+    def test_farthest_on_the_bottom_ring(self):
+        # Walks column 1 down while it reads 1s and accepts from the bottom ring.
+        machine = self.four_way("bottom_ring", {
+            ("s", "1"): (("s", D),),
+            ("s", "#"): (("acc", U),),
+            ("s", "2"): (("t", L),),
+            ("t", "#"): (("acc", D),),
+        })
+        p = g.Picture.from_rows(["10", "12"])
+        assert farthest(machine, p) == (3, 1) and g.accepts(machine, p)
+        for rows, cols_max in ((2, 3), (3, 2), (4, 1)):
+            assert_sweep_matches_decisions(machine, rows, cols_max, [machine.budget])
+
+
 class TestHierarchyReport:
     def test_example_table(self):
         text = g.hierarchy_report(2, 4).format_records()
@@ -246,5 +356,15 @@ class TestHierarchyReport:
         with pytest.raises(ValueError):
             g.hierarchy_report(0, 3)
 
+    @pytest.mark.parametrize("cols_max", [0, -1])
+    def test_empty_sweep_is_error(self, cols_max):
+        with pytest.raises(ValueError, match=r"^need cols_max >= 1"):
+            g.hierarchy_report(1, cols_max)
+
     def test_vacuous_when_no_members_in_range(self):
         assert "vacuous" in g.hierarchy_report(2, 3).format_table()
+
+    def test_searches_far_fewer_pictures_than_it_decides(self, monkeypatch):
+        # The chains' recognizers are deterministic and most pictures stop
+        # them after a few cells: about 71,000 decisions, under 1,000 searches.
+        assert count_searches(monkeypatch, lambda: g.hierarchy_report(2, 4)) < 1000

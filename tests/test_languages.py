@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfa as g
@@ -112,6 +112,66 @@ class TestInK:
     def test_k1_equals_l1_exhaustively(self):
         for p in all_pictures(2, 4):
             assert g.in_K(1, p) == g.in_L(1, p)
+
+
+def _joined_stacked(p, top_row):
+    """Stacked columns of a row pair, counted on the joined row strings."""
+    upper, lower = p.row_text(top_row), p.row_text(top_row + 1)
+    return sum(1 for a, b in zip(upper, lower) if a == "1" and b == "1")
+
+
+def _joined_exact_pair(p, top_row):
+    return (
+        p.row_text(top_row).count("1") == 2
+        and p.row_text(top_row + 1).count("1") == 2
+        and _joined_stacked(p, top_row) == 2
+    )
+
+
+@st.composite
+def pictures_012(draw):
+    """Pictures over {0, 1, 2}.  A row below another is often that row
+    with its 0s and 2s drawn again, so rows with their 1s in the same
+    columns that differ elsewhere come up often."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    cells = [draw(st.text("012", min_size=cols, max_size=cols))]
+    for _ in range(rows - 1):
+        if draw(st.booleans()):
+            cells.append("".join(
+                "1" if sym == "1" else draw(st.sampled_from("02")) for sym in cells[-1]
+            ))
+        else:
+            cells.append(draw(st.text("012", min_size=cols, max_size=cols)))
+    return g.Picture.from_rows(cells)
+
+
+@given(pictures_012(), st.integers(1, 2))
+@settings(max_examples=300)
+def test_oracles_match_the_row_string_formulation(p, i):
+    """The oracles read row tuples; over {0, 1, 2} they still agree with
+    the formulation on joined row strings, where two rows can have their
+    1s in the same two columns and differ in a 2."""
+    pairs = range(1, 2 * i, 2)
+    assert g.in_M(i, p) == (
+        p.rows == 2 * i and all(_joined_exact_pair(p, r) for r in pairs)
+    )
+    assert g.in_L(i, p) == (
+        p.rows == 2 * i and all(_joined_stacked(p, r) >= 2 for r in pairs)
+    )
+    assert g.in_K(i, p) == (p.rows == 2 and _joined_stacked(p, 1) >= 2 * i)
+    assert g.in_N1(p) == (p.rows == 2 and _joined_stacked(p, 1) >= 1)
+    assert g.in_N2(p) == (
+        p.rows == 4 and _joined_stacked(p, 1) >= 1 and _joined_stacked(p, 3) >= 1
+    )
+    for top_row in range(1, p.rows):
+        assert g.stacked_count(p, top_row) == _joined_stacked(p, top_row)
+
+
+def test_exact_pair_rows_may_differ_outside_their_ones():
+    # Both rows carry 1s in exactly the same two columns, and differ in a 2.
+    assert g.in_M(1, g.Picture.from_rows(["1210", "1012"]))
+    assert not g.in_M(1, g.Picture.from_rows(["1210", "1011"]))
 
 
 class TestInS:

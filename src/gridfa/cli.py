@@ -124,14 +124,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.rows < 1 or args.cols < 1:
-        raise CliError("rows and cols must be >= 1")
-    alphabet = tuple(args.alphabet)
-    if not alphabet:
+    pictures = list(enumerate_pictures(args.alphabet, args.rows, args.cols))
+    if not pictures:  # only an empty alphabet has no pictures of a valid shape
         raise CliError("alphabet must not be empty")
-    if len(set(alphabet)) != len(alphabet) or "#" in alphabet:
-        raise CliError("alphabet must be distinct symbols without '#'")
-    pictures = list(enumerate_pictures(alphabet, args.rows, args.cols))
     print(format_picture_stream(pictures), end="")
     return 0
 

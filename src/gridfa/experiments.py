@@ -10,13 +10,12 @@ fixed and traces are canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .grid import Picture, enumerate_pictures
+from .grid import Picture
 from .languages import in_L, make_w, oracle_for, splice_words
 from .machine import Automaton, Budget, Direction, classify, ensure_valid, fmt_budget
-from .simulator import Trace, _layout, _resolve_budget, _tables, accepting_trace, accepts
+from .simulator import Trace, _decide_shape, _resolve_budget, accepting_trace, accepts
 from .constructions import build_M_Mi, build_S_rec
 
 
@@ -119,28 +118,6 @@ def oracle_equivalence(a: Automaton, lang_id: str, rows: int, cols_max: int) -> 
     return budget_sweep(a, lang_id, rows, cols_max, [a.budget])
 
 
-def _shared_runs(rows: int, cols: int, symbols: int) -> list[int]:
-    """Per frame position of a rows x cols shape, how many enumerated
-    pictures share a search whose farthest configuration lies there.
-
-    A search reads cells only at configurations it dequeues, so it reads
-    no cell past its farthest position in row-major frame order.  The
-    pictures that agree on every cell up to one cell form one aligned run
-    of ``symbols ** later`` consecutive enumerated pictures (``later``
-    cells follow it), and the search is the same on all of them.  A left
-    ring position counts as its row's first cell, a right ring one as its
-    row's last, and the bottom ring as the shape's last cell (the top ring,
-    which no farthest position reaches, as the first row).
-    """
-    n = rows * cols
-    extents = []
-    for r in range(rows + 2):
-        for c in range(cols + 2):
-            cell = n - 1 if r > rows else (max(r, 1) - 1) * cols + min(max(c, 1), cols) - 1
-            extents.append(symbols ** (n - 1 - cell))
-    return extents
-
-
 def budget_sweep(
     a: Automaton,
     lang_id: str,
@@ -150,35 +127,16 @@ def budget_sweep(
 ) -> SweepReport:
     """Acceptance counts per budget override, against the same oracle.
 
-    Budgets must not exceed the declared ones (overrides only lower); the
-    first one in list order that does raises BudgetOverrideError before
-    any picture is decided.  Mismatches are recorded against the last
-    budget in the list.
+    Budgets must not exceed the declared ones (overrides only lower); they
+    are resolved in list order before any picture is decided, so the first
+    bad one raises BudgetOverrideError.  ``cols_max`` below 1 raises
+    ValueError before anything else is checked.  Mismatches are recorded
+    against the last budget in the list.
 
-    Each budget's compiled form is set up once for all pictures.
-    Acceptance is monotone in the budget, componentwise with INF above
-    every finite value: any accepting run at a smaller budget is still an
-    accepting run at a larger one.  So budgets are decided last first (the
-    last is usually the largest): a picture rejected at a decided budget at
-    or above this one is rejected here, one accepted at a decided budget at
-    or below it is accepted here, and only the others are searched.
-
-    A search is shared by the pictures that agree on every cell it
-    reached.  It reads no cell past the farthest frame position it
-    discovered (in row-major order), and ``enumerate_pictures`` varies the
-    last cell fastest, so the pictures that agree with the searched one up
-    to that cell are the aligned run of enumerated pictures around it
-    (``_shared_runs``).  Each picture of the run after the searched one
-    takes its verdict without a search, unless monotonicity gave it one.
-    A deterministic machine that halts after reading a few cells is then
-    searched on few pictures of a shape.  The counts are those of one
-    ``accepts`` call per picture and budget.
-
-    Each shape is laid out once: one picture of it is laid out and checked
-    against the alphabet, and a searched picture's frame is that layout's
-    top and bottom ring around one cached frame row per distinct row of
-    cells.  No frame is kept per picture.  ``cols_max`` below 1 raises
-    ValueError before anything else is checked.
+    The simulator decides each shape under all the budgets at once
+    (``_decide_shape``); the counts are those of one ``accepts`` call per
+    picture and budget.  The sweep keeps only the counts and mismatches,
+    shape by shape.
     """
     if cols_max < 1:
         raise ValueError(f"need cols_max >= 1, got {cols_max}")
@@ -186,73 +144,24 @@ def budget_sweep(
     if not budgets:
         raise ValueError("budget_sweep needs at least one budget")
     oracle = oracle_for(lang_id)
-    pictures: list[Picture] = []
-    rings = {}  # cols -> the top and bottom rows of the frame, and its sides
-    shared_runs = {}  # cols -> the shape's first index in pictures, and its _shared_runs
+    resolved = [_resolve_budget(a, budget) for budget in budgets]
+    counts = [[0, 0] for _ in resolved]  # accepted, accepted members
+    member_total, mismatches = 0, list[Mismatch]()
     for cols in range(1, cols_max + 1):
-        shape = list(enumerate_pictures(a.alphabet, rows, cols))
-        if shape:
-            frame, width = _layout(a, shape[0]), cols + 2
-            rings[cols] = frame[:width], frame[-width:], frame[width], frame[2 * width - 1]
-            shared_runs[cols] = len(pictures), _shared_runs(rows, cols, len(a.alphabet))
-        pictures += shape
-    segments: dict[tuple[str, ...], list[str]] = {}
-
-    def layout(p: Picture) -> list[str]:
-        """``_layout(a, p)``, from the rings and cached frame rows."""
-        top, bottom, left, right = rings[p.cols]
-        frame = top.copy()
-        for row in p.cells:
-            segment = segments.get(row)
-            if segment is None:
-                segment = segments[row] = [left, *row, right]
-            frame += segment
-        frame += bottom
-        return frame
-
-    expected = [oracle(p) for p in pictures]
-    compiled = [_tables(a, *_resolve_budget(a, budget)) for budget in budgets]
-    verdicts: list[list[bool] | None] = [None] * len(compiled)
-    for index in reversed(range(len(compiled))):
-        tables = compiled[index]
-        up, left = tables.budget
-        # The verdict each picture's decided budgets imply, or None.  Lazy,
-        # so that the verdict lists are the only per-picture lists held.
-        known: Iterable[bool | None] = repeat(None)
-        for other, decided in zip(compiled, verdicts):
-            if decided is None:
-                continue
-            other_up, other_left = other.budget
-            if up <= other_up and left <= other_left:  # rejected above
-                known = (verdict and k for k, verdict in zip(known, decided))
-            if other_up <= up and other_left <= left:  # accepted below
-                known = (verdict or k for k, verdict in zip(known, decided))
-        column: list[bool] = []
-        # The last search's verdict, and the index that ends its run.
-        shared, shared_until = False, 0
-        for n, (p, k) in enumerate(zip(pictures, known)):
-            if k is None and n >= shared_until:
-                parents, goal = tables.explore(layout(p), p.cols + 2)
-                first, run_at = shared_runs[p.cols]
-                run = run_at[max(parents) >> tables.shift]
-                shared, shared_until = goal is not None, n + run - (n - first) % run
-            column.append(shared if k is None else k)
-        verdicts[index] = column
-    per_budget = tuple(
-        BudgetCount(
-            tables.budget,
-            sum(column),
-            sum(verdict and member for verdict, member in zip(column, expected)),
+        pictures, verdicts = _decide_shape(a, rows, cols, resolved)
+        expected = [oracle(p) for p in pictures]
+        member_total += sum(expected)
+        for count, column in zip(counts, verdicts):
+            count[0] += sum(column)
+            count[1] += sum(verdict and member for verdict, member in zip(column, expected))
+        mismatches += (
+            Mismatch(p, verdict, member)
+            for p, verdict, member in zip(pictures, verdicts[-1], expected)
+            if verdict != member
         )
-        for tables, column in zip(compiled, verdicts)
-    )
-    mismatches = tuple(
-        Mismatch(p, verdict, member)
-        for p, verdict, member in zip(pictures, verdicts[-1], expected)
-        if verdict != member
-    )
+    per_budget = tuple(BudgetCount(budget, *count) for budget, count in zip(resolved, counts))
     return SweepReport(
-        a.name, lang_id, rows, cols_max, per_budget, sum(expected), mismatches
+        a.name, lang_id, rows, cols_max, per_budget, member_total, tuple(mismatches)
     )
 
 

@@ -189,6 +189,16 @@ def parse_picture_stream(text: str, alphabet: Iterable[str]) -> list[Picture]:
 
 
 def format_picture_stream(pictures: Sequence[Picture]) -> str:
+    """The pictures as one stream, separated by ``--`` lines.  A picture
+    with a row ``--`` would read back as two, so it raises
+    PictureFormatError naming the picture (1-based) and the row."""
+    for n, p in enumerate(pictures, start=1):
+        for r, row in enumerate(p.cells, start=1):
+            if "".join(row) == STREAM_SEPARATOR:
+                raise PictureFormatError(
+                    f"picture {n} cannot be written to a stream: its row {r} "
+                    f"is the stream separator {STREAM_SEPARATOR!r}"
+                )
     return f"\n{STREAM_SEPARATOR}\n".join(p.to_text() for p in pictures) + "\n"
 
 
@@ -246,9 +256,10 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
     share them.
 
     Sweeps rely on this order: the pictures that agree on their first k
-    cells are |alphabet|^(rows*cols - k) consecutive ones, so
-    ``budget_sweep`` gives the verdict of a search that read no cell past
-    the first k to all of them.
+    cells are |alphabet|^(rows*cols - k) consecutive ones, so the
+    simulator's ``_decide_shape`` (behind ``budget_sweep`` and
+    ``language_sample``) gives the verdict of a search that read no cell
+    past the first k to all of them.
     """
     if rows < 1 or cols < 1:
         raise PictureFormatError("enumeration needs rows >= 1 and cols >= 1")

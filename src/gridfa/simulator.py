@@ -13,6 +13,11 @@ three ways:
 * deterministic runs, whose run graph is a path, so the search ends on
   the accepting state, a stuck configuration or a repeated one.
 
+It is also read for a whole shape at once: ``_decide_shape`` decides
+every picture of one shape under a list of budgets, for the sweeps and
+``language_sample``, and searches only the pictures whose verdict neither
+monotonicity in the budget nor an earlier search of the same cells gives.
+
 The search runs over the compiled form of the machine under the
 resolved budget (``_Tables``), not over :class:`Configuration` values.
 That one object holds the integer tables, the start of every run and the
@@ -31,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import NamedTuple
+from itertools import compress, islice, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .grid import BOUNDARY, AlphabetError, Picture, cell_at, enumerate_pictures
 from .machine import INF, Automaton, Budget, Direction, ensure_valid, fmt_budget
@@ -212,7 +217,6 @@ class _Tables(dict):
         self.shift = (len(states) * self.per_state - 1).bit_length()
         self.mask = (1 << self.shift) - 1
         self.accepting = (len(states) - 1) * self.per_state
-        self.budget = Budget(up, left)
         self.start = self.low(self.ids[a.initial], up, left)
 
     def __missing__(self, low: int) -> dict[str, tuple[tuple[int, int], ...]]:
@@ -443,16 +447,87 @@ def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) ->
     return outcome is not RunOutcome.ACCEPT
 
 
+def _decide_shape(
+    a: Automaton, rows: int, cols: int, budgets: Sequence[Budget]
+) -> tuple[list[Picture], list[list[bool]]]:
+    """The pictures of the ``rows x cols`` shape in enumeration order, and
+    per budget (resolved, in list order) the verdict on each: those of one
+    ``accepts`` call per picture and budget.  The machine must be valid;
+    an empty alphabet gives no pictures.
+
+    Acceptance is monotone in the budget, componentwise with INF above
+    every finite value: any accepting run at a smaller budget is still an
+    accepting run at a larger one.  So budgets are decided last first (the
+    last is usually the largest): a picture rejected at a decided budget at
+    or above this one is rejected here, one accepted at a decided budget at
+    or below it is accepted here, and only the others are searched.
+
+    A search is shared by the pictures that agree on every cell it
+    reached.  It reads cells only at the configurations it dequeues, so
+    none past the farthest frame position it discovered (in row-major
+    order), and ``enumerate_pictures`` varies the last cell fastest, so the
+    pictures that agree with the searched one up to that cell are one
+    aligned run of the enumeration.  The pictures of the run after the
+    searched one take its verdict without a search, unless monotonicity
+    gave them one.
+
+    The shape's first picture is laid out once, which checks the alphabet;
+    before each search the searched picture's rows are assigned into that
+    frame.
+    """
+    pictures = list(enumerate_pictures(a.alphabet, rows, cols))
+    if not pictures:
+        return pictures, [[] for _ in budgets]
+    frame, width = _layout(a, pictures[0]), cols + 2
+    slots = [slice(r * width + 1, r * width + 1 + cols) for r in range(1, rows + 1)]
+    # Per frame position, the length of the run of pictures that agree on
+    # every cell up to it.  A left ring position counts as its row's first
+    # cell, a right ring one as its row's last, the bottom ring as the last
+    # cell (and the top ring, which no farthest position reaches, as row 1).
+    symbols, cells = len(a.alphabet), rows * cols
+    runs = [
+        symbols ** (0 if r > rows else cells - (max(r, 1) - 1) * cols - min(max(c, 1), cols))
+        for r in range(rows + 2)
+        for c in range(width)
+    ]
+    verdicts: list[list[bool] | None] = [None] * len(budgets)
+    for index in reversed(range(len(budgets))):
+        up, left = budgets[index]
+        tables = _tables(a, up, left)
+        # The verdict each picture's decided budgets imply, or None.  Lazy,
+        # so that the verdict lists are the only per-picture lists held.
+        known: Iterable[bool | None] = repeat(None)
+        for (other_up, other_left), decided in zip(budgets, verdicts):
+            if decided is None:
+                continue
+            if up <= other_up and left <= other_left:  # rejected above
+                known = (verdict and k for k, verdict in zip(known, decided))
+            if other_up <= up and other_left <= left:  # accepted below
+                known = (verdict or k for k, verdict in zip(known, decided))
+        column: list[bool] = []
+        # The last search's verdict, and the index that ends its run.
+        shared, shared_until = False, 0
+        for n, (p, k) in enumerate(zip(pictures, known)):
+            if k is None and n >= shared_until:
+                for slot, row in zip(slots, p.cells):
+                    frame[slot] = row
+                parents, goal = tables.explore(frame, width)
+                run = runs[max(parents) >> tables.shift]
+                shared, shared_until = goal is not None, n + run - n % run
+            column.append(shared if k is None else k)
+        verdicts[index] = column
+    return pictures, verdicts
+
+
 def language_sample(a: Automaton, rows_max: int, cols_max: int) -> list[Picture]:
     """All accepted pictures with rows <= rows_max and cols <= cols_max,
     in enumeration order (rows, then cols, then cell order)."""
     ensure_valid(a)
-    sample = []
+    sample: list[Picture] = []
     for rows in range(1, rows_max + 1):
         for cols in range(1, cols_max + 1):
-            for p in enumerate_pictures(a.alphabet, rows, cols):
-                if accepts(a, p):
-                    sample.append(p)
+            pictures, (verdicts,) = _decide_shape(a, rows, cols, [a.budget])
+            sample += compress(pictures, verdicts)
     return sample
 
 

@@ -170,6 +170,30 @@ class TestEnumerate:
         assert captured.out == ""
         assert captured.err == "error: alphabet must not be empty\n"
 
+    def test_picture_with_a_separator_row_is_refused(self, capsys):
+        # Over 0 and -, the fourth picture of 1x2 is the row "--".
+        assert main(["enumerate", "--alphabet", "0-", "--rows", "1", "--cols", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: picture 4 cannot be written to a stream")
+
+    @pytest.mark.parametrize(
+        "alphabet, rows, cols, message",
+        [
+            ("001", "1", "2", "alphabet declares symbol '0' twice"),
+            ("0#", "1", "2", "alphabet may not contain the boundary marker '#'"),
+            ("01", "0", "2", "enumeration needs rows >= 1 and cols >= 1"),
+            ("", "1", "0", "enumeration needs rows >= 1 and cols >= 1"),
+            ("0#0", "0", "2", "enumeration needs rows >= 1 and cols >= 1"),
+        ],
+    )
+    def test_bad_alphabet_or_shape(self, alphabet, rows, cols, message, capsys):
+        argv = ["enumerate", "--alphabet", alphabet, "--rows", rows, "--cols", cols]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestCheck:
     def test_clean_check_exits_zero(self, capsys):

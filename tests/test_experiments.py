@@ -176,7 +176,7 @@ class TestSweeps:
     @pytest.mark.parametrize("rows, cols_max", [(1, 4), (2, 3), (3, 2)])
     def test_three_symbol_sweep_matches_per_budget_decisions(self, rows, cols_max):
         # Over three symbols a shape has up to 3**cols distinct rows, so the
-        # frame rows a sweep lays out once and reuses are many per shape.
+        # rows a sweep assigns into the shape's one frame vary widely.
         U, D, L, R = g.Direction.U, g.Direction.D, g.Direction.L, g.Direction.R
         machine = g.Automaton(
             "tri", ("0", "1", "2"), ("s", "t", "u", "acc"), "s", "acc", "nondet",
@@ -283,6 +283,50 @@ class TestSharedSearches:
         assert searched == sum(1 + 2**c + 2 ** (c - 1) for c in range(1, 5)) == 49
         assert searched * 10 < decided
         assert_sweep_matches_decisions(machine, 2, 4, budgets)
+
+    def test_a_run_searched_mid_way_ends_at_its_aligned_boundary(self):
+        # On a 0 at (1,1) it needs the up budget at once; on a 1 it accepts.
+        # At the full budget 01 alone is accepted of the pictures starting
+        # 0, so starved, 01 is searched though 00 was not: that search
+        # reads only (1,1), and its verdict covers 01 but not 10.
+        machine = g.Automaton(
+            "mid_run", ("0", "1"), ("s", "t", "u", "v", "acc"), "s", "acc", "det",
+            g.THREE_WAY, g.Budget(1, g.INF),
+            {
+                ("s", "0"): (("t", U),),
+                ("s", "1"): (("acc", R),),
+                ("t", "#"): (("u", D),),
+                ("u", "0"): (("v", R),),
+                ("v", "1"): (("acc", R),),
+            },
+        )
+        report = assert_sweep_matches_decisions(
+            machine, 1, 2, [g.Budget(0, g.INF), machine.budget]
+        )
+        assert [e.accepted for e in report.per_budget] == [3, 4]
+
+    def test_language_sample_shares_searches(self, monkeypatch):
+        # (1..4)x(1..4) is 74,954 pictures; M_M2 halts early on most of them.
+        machine = g.build_M_Mi(2)
+        sample = []
+        searched = count_searches(
+            monkeypatch, lambda: sample.extend(g.language_sample(machine, 4, 4))
+        )
+        assert searched < 1000
+        assert len(sample) == 46 and all(g.in_M(2, p) for p in sample)
+
+    def test_empty_alphabet_decides_no_picture(self):
+        # Valid, and accepts on the frame alone, but has no picture to read.
+        machine = g.Automaton(
+            "empty", (), ("s", "acc"), "s", "acc", "det", g.FOUR_WAY,
+            g.Budget(g.INF, g.INF), {("s", "#"): (("acc", R),)},
+        )
+        assert g.language_sample(machine, 2, 3) == []
+        report = g.budget_sweep(machine, "L1", 2, 3, [machine.budget, g.Budget(0, 0)])
+        assert report.per_budget == (
+            (machine.budget, 0, 0), (g.Budget(0, 0), 0, 0),
+        )
+        assert report.member_total == 0 and report.mismatches == ()
 
     def four_way(self, name, transitions):
         return g.Automaton(

@@ -58,6 +58,22 @@ class TestParsePicture:
         text = format_picture_stream(pics)
         assert g.parse_picture_stream(text, {"0", "1"}) == pics
 
+    def test_stream_refuses_a_separator_row(self):
+        pics = [g.Picture.from_rows(["0-"]), g.Picture.from_rows(["-0", "--"])]
+        with pytest.raises(g.PictureFormatError) as err:
+            format_picture_stream(pics)
+        assert str(err.value) == (
+            "picture 2 cannot be written to a stream: its row 2 is the stream separator '--'"
+        )
+
+    @given(st.lists(small_pictures(max_rows=3, max_cols=3, alphabet="0-"), min_size=1, max_size=4))
+    def test_stream_round_trip_over_the_separator_symbol(self, pics):
+        if any("".join(row) == "--" for p in pics for row in p.cells):
+            with pytest.raises(g.PictureFormatError):
+                format_picture_stream(pics)
+        else:
+            assert g.parse_picture_stream(format_picture_stream(pics), "0-") == pics
+
     def test_crlf_lines(self):
         pics = [g.Picture.from_rows(["01", "10"]), ALL_ONES_2X2]
         assert g.parse_picture("01\r\n10\r\n", {"0", "1"}) == pics[0]

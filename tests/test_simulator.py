@@ -6,7 +6,7 @@ import gridfa as g
 from gridfa.machine import DELTAS
 
 import reference
-from conftest import all_pictures
+from conftest import all_pictures, random_machines
 
 D, U, L, R = g.Direction.D, g.Direction.U, g.Direction.L, g.Direction.R
 
@@ -247,6 +247,21 @@ class TestLanguageSample:
             if g.in_N2(p)
         ]
         assert sample == oracle
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_language_sample_matches_per_picture_decisions(data):
+    machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    rows_max, cols_max = data.draw(st.sampled_from([(3, 2), (2, 3)]))
+    expected = [
+        p
+        for rows in range(1, rows_max + 1)
+        for cols in range(1, cols_max + 1)
+        for p in g.enumerate_pictures(machine.alphabet, rows, cols)
+        if g.accepts(machine, p)
+    ]
+    assert g.language_sample(machine, rows_max, cols_max) == expected
 
 
 class TestTraceFormat:

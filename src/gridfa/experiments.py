@@ -129,9 +129,12 @@ def budget_sweep(
 
     Budgets must not exceed the declared ones (overrides only lower); they
     are resolved in list order before any picture is decided, so the first
-    bad one raises BudgetOverrideError.  ``cols_max`` below 1 raises
-    ValueError before anything else is checked.  Mismatches are recorded
-    against the last budget in the list.
+    bad one raises BudgetOverrideError.  An override may budget a
+    direction the machine's policy leaves free: ``Budget(INF, 0)`` runs a
+    machine with L free as if L were budgeted at 0, which starves it of
+    every L move (its class, read off the declaration, is unchanged).
+    ``cols_max`` below 1 raises ValueError before anything else is
+    checked.  Mismatches are recorded against the last budget in the list.
 
     The simulator decides each shape under all the budgets at once
     (``_decide_shape``); the counts are those of one ``accepts`` call per

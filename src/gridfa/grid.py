@@ -28,6 +28,9 @@ BOUNDARY = "#"
 
 STREAM_SEPARATOR = "--"
 
+#: Symbols that picture text cannot hold: it is split into rows at them.
+_LINE_BREAKS = frozenset("\r\n")
+
 
 class PictureFormatError(ValueError):
     """Ragged lines, empty input, or other malformed picture text."""
@@ -51,7 +54,8 @@ class Picture:
 
     ``cells`` is a tuple of rows, each a tuple of single characters.
     Degenerate (zero-row or zero-column) pictures are rejected, and the
-    boundary marker ``#`` may never appear in a cell.
+    boundary marker ``#`` may never appear in a cell, nor may ``\r`` or
+    ``\n``, which picture text could not hold.
     """
 
     cells: tuple[tuple[str, ...], ...]
@@ -70,6 +74,8 @@ class Picture:
                     raise PictureFormatError(
                         f"cell ({r},{c}) is not a single character: {sym!r}"
                     )
+                if sym in _LINE_BREAKS:
+                    raise PictureFormatError(f"cell ({r},{c}) is a line break: {sym!r}")
                 if sym == BOUNDARY:
                     raise AlphabetError(
                         f"cell ({r},{c}) uses the reserved boundary marker {BOUNDARY!r}"
@@ -136,6 +142,8 @@ def _parse_lines(lines: list[str], alphabet: Iterable[str], first: int = 1) -> P
     allowed = frozenset(alphabet)
     if BOUNDARY in allowed:
         raise AlphabetError(f"alphabet may not contain the boundary marker {BOUNDARY!r}")
+    if not allowed.isdisjoint(_LINE_BREAKS):
+        raise PictureFormatError("alphabet may not contain a line break")
     if lines and lines[-1] == "":
         lines = lines[:-1]
     if not lines:
@@ -250,10 +258,10 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
     Order is deterministic: cells vary in row-major order, the last cell
     fastest, symbols cycling in the order the alphabet sequence declares
     them.  The alphabet is checked before the first picture: a symbol that
-    is not a single character raises PictureFormatError, and ``#`` or a
-    symbol given twice raises AlphabetError.  The |alphabet|^cols rows of
-    the shape are made once, before the first picture, and the pictures
-    share them.
+    is not a single character, or is ``\r`` or ``\n``, raises
+    PictureFormatError, and ``#`` or a symbol given twice raises
+    AlphabetError.  The |alphabet|^cols rows of the shape are made once,
+    before the first picture, and the pictures share them.
 
     Sweeps rely on this order: the pictures that agree on their first k
     cells are |alphabet|^(rows*cols - k) consecutive ones, so the
@@ -267,6 +275,8 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
     for n, sym in enumerate(symbols):
         if not isinstance(sym, str) or len(sym) != 1:
             raise PictureFormatError(f"alphabet symbol is not a single character: {sym!r}")
+        if sym in _LINE_BREAKS:
+            raise PictureFormatError(f"alphabet symbol is a line break: {sym!r}")
         if sym == BOUNDARY:
             raise AlphabetError(f"alphabet may not contain the boundary marker {BOUNDARY!r}")
         if sym in symbols[:n]:

@@ -172,7 +172,9 @@ def validate(a: Automaton) -> list[str]:
     """Report every violated well-formedness rule; empty list means clean.
 
     Checks: state bookkeeping (initial/accepting/endpoints declared),
-    symbol bookkeeping, no transition out of the accepting state,
+    symbol bookkeeping (each symbol one character and not whitespace,
+    which the machine file format could not carry), no transition out of
+    the accepting state,
     determinism when declared, and the direction policy (every transition
     direction must be free or budgeted, and a free direction's budget is
     ``INF``, so that ``classify`` reads the budget the simulator enforces).
@@ -186,6 +188,11 @@ def validate(a: Automaton) -> list[str]:
         problems.append("alphabet contains the reserved boundary marker '#'")
     if len(set(a.alphabet)) != len(a.alphabet):
         problems.append("alphabet declares a symbol twice")
+    for symbol in a.alphabet:
+        if not isinstance(symbol, str) or len(symbol) != 1:
+            problems.append(f"alphabet symbol {symbol!r} is not a single character")
+        elif symbol.isspace():
+            problems.append(f"alphabet symbol {symbol!r} is whitespace")
     if len(declared) != len(a.states):
         problems.append("state list declares a state twice")
     if a.initial not in declared:

@@ -25,7 +25,11 @@ search itself, and it is cached on the machine, so a sweep sets it up
 once per budget for all its pictures.  The picture is laid out once per
 search as one flat frame, and each configuration is one int packing the
 frame index of the head with the state and the budget layers.  Only the
-configurations a caller gets back are decoded.
+configurations a caller reads are decoded: ``step`` and
+``accepting_trace`` decode theirs before they return, and the trace of
+``run_deterministic`` holds the run's path of ints and decodes it on the
+first read of its steps or final configuration, since many callers read
+only the outcome.
 
 All functions are pure in (machine, picture, budget override) and safe to
 call concurrently: the tables they cache on a machine are filled
@@ -74,11 +78,39 @@ class TraceStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Trace:
-    """A run: the steps taken (configuration, direction) and where it ended."""
+    """A run: the steps taken (configuration, direction) and where it ended.
+
+    A trace from ``run_deterministic`` holds only its path of configuration
+    codes until ``steps`` or ``final`` is first read, and then decodes
+    both.  It equals, hashes like and prints like the trace built from the
+    decoded fields.
+    """
 
     steps: tuple[TraceStep, ...]
     final: Configuration
     outcome: RunOutcome
+
+    @classmethod
+    def _lazy(cls, tables: _Tables, path: list[int], width: int, outcome: RunOutcome) -> Trace:
+        """The trace along ``path`` (codes of ``tables`` in a frame
+        ``width`` columns wide), decoded on the first read."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "outcome", outcome)
+        object.__setattr__(trace, "_pending", (tables, path, width))
+        return trace
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute the instance lacks: on a lazy trace,
+        # ``steps`` and ``final`` until the first read of either sets both.
+        pending = self.__dict__.get("_pending") if name in ("steps", "final") else None
+        if pending is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tables, path, width = pending
+        steps, final = tables.steps(path, width)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "final", final)
+        self.__dict__.pop("_pending", None)  # another thread may have decoded too
+        return self.__dict__[name]
 
     def directions(self) -> tuple[Direction, ...]:
         return tuple(step.direction for step in self.steps)
@@ -88,6 +120,12 @@ class Trace:
 
 
 def _resolve_budget(a: Automaton, override: Budget | None) -> Budget:
+    """The budget a run of ``a`` spends: the override if one is given,
+    else the declared one.  An override may only lower the declared
+    budget (BudgetOverrideError otherwise), and it may budget a direction
+    the policy leaves free: ``Budget(INF, 0)`` runs a machine with L free
+    as if L were budgeted at 0, so no L move is taken.  That starves a
+    free direction, which is itself a restriction experiment."""
     if override is None:
         return a.budget
     up = Budget.check(override.up, "up")
@@ -315,9 +353,10 @@ class _Tables(dict):
             out.append(_new(Configuration, (state, row, col, up, left)))
         return out
 
-    def trace(self, path: list[int], width: int, outcome: RunOutcome) -> Trace:
-        """The trace along a path of codes; each step's direction is read
-        off the frame-index delta to the next code."""
+    def steps(self, path: list[int], width: int) -> tuple[tuple[TraceStep, ...], Configuration]:
+        """The steps and the final configuration of a trace along a path
+        of codes; each step's direction is read off the frame-index delta
+        to the next code."""
         configs = self.decode(path, width)
         shift = self.shift
         direction_of = {-width: Direction.U, width: Direction.D, -1: Direction.L, 1: Direction.R}
@@ -325,7 +364,7 @@ class _Tables(dict):
             _new(TraceStep, (config, direction_of[(after >> shift) - (before >> shift)]))
             for config, before, after in zip(configs, path, islice(path, 1, None))
         )
-        return Trace(steps, configs[-1], outcome)
+        return steps, configs[-1]
 
 
 def _tables(a: Automaton, up: int | float, left: int | float) -> _Tables:
@@ -393,21 +432,22 @@ def run_deterministic(
     exactly the run; when it finds no accepting configuration, the last
     one discovered either has no successor (halt-reject) or re-enters one
     seen before (loop).  The trace records the path up to the outcome (for
-    a loop, up to and including the first re-entry).
+    a loop, up to and including the first re-entry).  It is decoded on the
+    first read of its steps or final configuration, so a caller that reads
+    only the outcome pays for no decoding.
     """
     ensure_valid(a)
     if a.mode != "det":
         raise ModeError(f"machine {a.name!r} is nondeterministic")
     tables, frame, width, parents, goal = _search(a, p, budget)
-    path = _path_to(parents, next(reversed(parents)) if goal is None else goal)
-    del parents  # decode the path without the discovery map alive
+    path = list(parents)  # discovery order is the run's order
     if goal is not None:
-        return RunOutcome.ACCEPT, tables.trace(path, width, RunOutcome.ACCEPT)
-    successors = list(tables.explore(frame, width, path[-1], 1)[0])[1:]
-    if not successors:
-        return RunOutcome.REJECT_HALT, tables.trace(path, width, RunOutcome.REJECT_HALT)
-    path.append(successors[0])
-    return RunOutcome.LOOP, tables.trace(path, width, RunOutcome.LOOP)
+        outcome = RunOutcome.ACCEPT
+    else:
+        successors = list(tables.explore(frame, width, path[-1], 1)[0])[1:]
+        outcome = RunOutcome.LOOP if successors else RunOutcome.REJECT_HALT
+        path += successors
+    return outcome, Trace._lazy(tables, path, width, outcome)
 
 
 def accepts(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:
@@ -434,7 +474,7 @@ def accepting_trace(
         return None
     path = _path_to(parents, goal)
     del parents  # decode the path without the discovery map alive
-    return tables.trace(path, width, RunOutcome.ACCEPT)
+    return Trace(*tables.steps(path, width), RunOutcome.ACCEPT)
 
 
 def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:

@@ -185,6 +185,8 @@ class TestEnumerate:
             ("01", "0", "2", "enumeration needs rows >= 1 and cols >= 1"),
             ("", "1", "0", "enumeration needs rows >= 1 and cols >= 1"),
             ("0#0", "0", "2", "enumeration needs rows >= 1 and cols >= 1"),
+            ("0\r", "1", "2", "alphabet symbol is a line break: '\\r'"),
+            ("\n1", "1", "1", "alphabet symbol is a line break: '\\n'"),
         ],
     )
     def test_bad_alphabet_or_shape(self, alphabet, rows, cols, message, capsys):

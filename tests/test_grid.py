@@ -74,6 +74,53 @@ class TestParsePicture:
         else:
             assert g.parse_picture_stream(format_picture_stream(pics), "0-") == pics
 
+    def test_line_break_cells_are_refused(self):
+        for rows in (["0\r"], ["0", "\n"], ["\r0"]):
+            with pytest.raises(g.PictureFormatError, match="is a line break"):
+                g.Picture.from_rows(rows)
+        for alphabet in ("0\r", "\n"):
+            with pytest.raises(g.PictureFormatError, match="alphabet symbol is a line break"):
+                next(g.enumerate_pictures(alphabet, 1, 1))
+            with pytest.raises(g.PictureFormatError, match="alphabet may not contain a line break"):
+                g.parse_picture("0", alphabet)
+        # A mid-line CR is not a line ending, and no alphabet admits it.
+        with pytest.raises(g.AlphabetError, match=r"^line 1: symbol '\\r' not in alphabet$"):
+            g.parse_picture_stream("0\r0\n", "0")
+
+    @given(
+        st.lists(
+            st.integers(1, 3).flatmap(
+                lambda cols: st.lists(
+                    st.lists(
+                        st.sampled_from(["0", "-", " ", "#", "\r", "\n", "\x0b", "\x85"])
+                        | st.characters(),
+                        min_size=cols,
+                        max_size=cols,
+                    ),
+                    min_size=1,
+                    max_size=3,
+                )
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_every_picture_the_library_accepts_reads_back(self, grids):
+        pictures = []
+        for grid in grids:
+            cells = tuple(tuple(row) for row in grid)
+            if any(sym in "#\r\n" for row in cells for sym in row):
+                with pytest.raises((g.AlphabetError, g.PictureFormatError)):
+                    g.Picture(cells)
+            else:
+                pictures.append(g.Picture(cells))
+        alphabet = {sym for p in pictures for sym in p.symbols()}
+        if any("".join(row) == "--" for p in pictures for row in p.cells):
+            with pytest.raises(g.PictureFormatError):
+                format_picture_stream(pictures)
+        elif pictures:
+            assert g.parse_picture_stream(format_picture_stream(pictures), alphabet) == pictures
+
     def test_crlf_lines(self):
         pics = [g.Picture.from_rows(["01", "10"]), ALL_ONES_2X2]
         assert g.parse_picture("01\r\n10\r\n", {"0", "1"}) == pics[0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,17 @@ class TestValidate:
         ]
         fixed = g.parse_machine(text.replace("budget up 0\n", ""))
         assert g.validate(fixed) == [] and g.accepts(fixed, g.Picture.from_rows(["1"]))
+
+    def test_alphabet_symbols_the_machine_format_cannot_carry_flagged(self):
+        base = mk({("q0", "1"): [("qa", D)]})
+        for alphabet, problem in [
+            (("0", "1", " "), "alphabet symbol ' ' is whitespace"),
+            (("\n", "1"), "alphabet symbol '\\n' is whitespace"),
+            (("0", "1", "\x85"), "alphabet symbol '\\x85' is whitespace"),
+            (("01", "1"), "alphabet symbol '01' is not a single character"),
+            (("", "1"), "alphabet symbol '' is not a single character"),
+        ]:
+            assert g.validate(dataclasses.replace(base, alphabet=alphabet)) == [problem]
 
     def test_ensure_valid_raises(self):
         a = mk({("q0", "1"): [("ghost", D)]}, states=("q0", "qa"))
@@ -371,6 +384,35 @@ class TestRandomMachines:
     def test_serialize_parse_round_trip(self, machine):
         assert g.validate(machine) == []
         assert g.parse_machine(g.serialize_machine(machine)) == machine
+
+    @given(
+        st.sampled_from(["det", "nondet"]).flatmap(random_machines),
+        st.lists(
+            st.sampled_from(["0", "-", ">", "#", " ", "\t", "\r", "\x85", "01", ""])
+            | st.characters(),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+    )
+    @settings(max_examples=200)
+    def test_every_machine_that_validates_round_trips(self, machine, alphabet):
+        # The machine's 0 and 1 are renamed to the drawn symbols; the
+        # transitions on a symbol left without a name are dropped.
+        rename = dict(zip(("0", "1"), alphabet), **{"#": "#"})
+        machine = dataclasses.replace(
+            machine,
+            alphabet=tuple(alphabet),
+            transitions={
+                (state, rename[symbol]): moves
+                for (state, symbol), moves in machine.transitions.items()
+                if symbol in rename
+            },
+        )
+        odd = [s for s in alphabet if len(s) != 1 or s.isspace() or s == "#"]
+        assert bool(g.validate(machine)) == bool(odd)
+        if not odd:
+            assert g.parse_machine(g.serialize_machine(machine)) == machine
 
     @given(random_machines(), st.integers(0, 255))
     @settings(max_examples=60)

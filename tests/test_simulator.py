@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfa as g
 from gridfa.machine import DELTAS
+from gridfa.simulator import _tables
 
 import reference
 from conftest import all_pictures, random_machines
@@ -130,6 +133,89 @@ class TestRunDeterministic:
                 assert (outcome is g.RunOutcome.ACCEPT) == g.accepts(machine, p)
 
 
+def _brancher() -> g.Automaton:
+    """A fresh deterministic machine that loops on a 0 in cell (1,1) and
+    goes down on a 1: it accepts from the bottom ring and halts on a 0."""
+    return g.Automaton(
+        "brancher", ("0", "1"), ("ping", "pong", "down", "acc"), "ping", "acc", "det",
+        g.THREE_WAY_NO_UP, g.Budget(0, g.INF),
+        {
+            ("ping", "0"): (("pong", R),),
+            ("pong", "0"): (("ping", L),),
+            ("pong", "#"): (("ping", L),),
+            ("ping", "1"): (("down", D),),
+            ("down", "#"): (("acc", R),),
+        },
+    )
+
+
+#: One run per outcome: (machine builder, picture rows, outcome).
+RUNS = [
+    (g.build_M_M1, ["0110", "0110"], g.RunOutcome.ACCEPT),
+    (g.build_M_M1, ["101", "100"], g.RunOutcome.REJECT_HALT),
+    (_brancher, ["0"], g.RunOutcome.LOOP),
+]
+
+
+@pytest.mark.parametrize("build, rows, outcome", RUNS)
+class TestDeterministicTraceOnFirstRead:
+    """A trace from ``run_deterministic`` is decoded on its first read and
+    is then the same value as the eagerly built trace of the run."""
+
+    def test_equals_and_hashes_like_the_trace_of_its_fields(self, build, rows, outcome):
+        machine, p = build(), g.Picture.from_rows(rows)
+        read = g.run_deterministic(machine, p)[1]
+        eager = g.Trace(read.steps, read.final, read.outcome)
+        assert read.outcome is outcome
+        assert eager == reference.run_deterministic(machine, p)[1]
+        # Each comparison starts from a trace nothing has read yet.
+        assert g.run_deterministic(machine, p)[1] == eager
+        assert eager == g.run_deterministic(machine, p)[1]
+        assert hash(g.run_deterministic(machine, p)[1]) == hash(eager)
+        assert repr(g.run_deterministic(machine, p)[1]) == repr(eager)
+        assert g.run_deterministic(machine, p)[1].configurations() == eager.configurations()
+        assert g.run_deterministic(machine, p)[1].directions() == eager.directions()
+
+    def test_formats_like_the_trace_of_its_fields(self, build, rows, outcome):
+        machine, p = build(), g.Picture.from_rows(rows)
+        read = g.run_deterministic(machine, p)[1]
+        eager = g.Trace(read.steps, read.final, read.outcome)
+        text = g.format_trace(g.run_deterministic(machine, p)[1])
+        assert text == g.format_trace(eager)
+        assert text.split("\n")[-1].endswith(outcome.value)
+
+    def test_refuses_attribute_assignment(self, build, rows, outcome):
+        machine, p = build(), g.Picture.from_rows(rows)
+        expected = reference.run_deterministic(machine, p)[1]
+        trace = g.run_deterministic(machine, p)[1]
+        for field in ("steps", "final", "outcome", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, field, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(trace, field)
+        with pytest.raises(AttributeError):
+            trace.extra
+        assert trace == expected  # the first read, after the refusals
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.final = None
+
+
+@pytest.mark.parametrize(
+    "rows, outcome",
+    [(["1"], g.RunOutcome.ACCEPT), (["1", "0"], g.RunOutcome.REJECT_HALT), (["0"], g.RunOutcome.LOOP)],
+)
+def test_trace_decodes_after_later_searches_grow_the_tables(rows, outcome):
+    machine, p = _brancher(), g.Picture.from_rows(rows)
+    run, trace = g.run_deterministic(machine, p)
+    assert run is outcome
+    tables = _tables(machine, *machine.budget)
+    built = len(tables)
+    for other in all_pictures(2, 3):
+        g.run_deterministic(machine, other)
+    assert len(tables) > built  # the later runs reached states this one did not
+    assert trace == reference.run_deterministic(machine, p)[1]
+
+
 class TestAcceptingTrace:
     def test_rejected_picture_has_no_trace(self):
         assert g.accepting_trace(g.build_A_L1(), g.Picture.from_rows(["00", "00"])) is None
@@ -142,6 +228,14 @@ class TestAcceptingTrace:
     def test_exactly_one_up_step_on_fig1(self, fig1_word):
         trace = g.accepting_trace(g.build_A_L1(), fig1_word)
         assert trace.directions().count(U) == 1
+
+    def test_deterministic_run_traces_equal_accepting_traces(self):
+        for machine in (g.build_M_M1(), g.build_M_Mi(2)):
+            for p in all_pictures(machine.budget.up * 2, 4):
+                outcome, trace = g.run_deterministic(machine, p)
+                if outcome is g.RunOutcome.ACCEPT:
+                    assert trace == g.accepting_trace(machine, p)
+                    assert g.format_trace(trace) == g.format_trace(g.accepting_trace(machine, p))
 
     def test_stable_across_calls(self, fig1_word):
         a = g.build_A_L1()

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .grid import Picture
-from .languages import in_L, make_w, oracle_for, splice_words
+from .grid import Picture, _picture_at
+from .languages import _member_rank, in_L, make_w, parse_language_id, splice_words
 from .machine import Automaton, Budget, Direction, classify, ensure_valid, fmt_budget
 from .simulator import Trace, _decide_shape, _resolve_budget, accepting_trace, accepts
 from .constructions import build_M_Mi, build_S_rec
@@ -136,32 +136,38 @@ def budget_sweep(
     ``cols_max`` below 1 raises ValueError before anything else is
     checked.  Mismatches are recorded against the last budget in the list.
 
-    The simulator decides each shape under all the budgets at once
-    (``_decide_shape``); the counts are those of one ``accepts`` call per
-    picture and budget.  The sweep keeps only the counts and mismatches,
-    shape by shape.
+    The simulator decides each shape as runs of enumeration indices
+    (``_decide_shape``), and a run's members are counted from the
+    language's row-pair table (``_member_rank``); only a run whose count
+    disagrees with its verdict is gone through picture by picture.
     """
     if cols_max < 1:
         raise ValueError(f"need cols_max >= 1, got {cols_max}")
     ensure_valid(a)
     if not budgets:
         raise ValueError("budget_sweep needs at least one budget")
-    oracle = oracle_for(lang_id)
+    parse_language_id(lang_id)
     resolved = [_resolve_budget(a, budget) for budget in budgets]
     counts = [[0, 0] for _ in resolved]  # accepted, accepted members
     member_total, mismatches = 0, list[Mismatch]()
     for cols in range(1, cols_max + 1):
-        pictures, verdicts = _decide_shape(a, rows, cols, resolved)
-        expected = [oracle(p) for p in pictures]
-        member_total += sum(expected)
-        for count, column in zip(counts, verdicts):
-            count[0] += sum(column)
-            count[1] += sum(verdict and member for verdict, member in zip(column, expected))
-        mismatches += (
-            Mismatch(p, verdict, member)
-            for p, verdict, member in zip(pictures, verdicts[-1], expected)
-            if verdict != member
-        )
+        shape_rows, verdicts = _decide_shape(a, rows, cols, resolved)
+        rank = _member_rank(lang_id, shape_rows, rows)
+        member_total += rank(len(shape_rows) ** rows)
+        for count, runs in zip(counts, verdicts):
+            start = before = 0  # ``before`` is rank(start)
+            for end, verdict in runs:
+                members = rank(end) - before
+                if verdict:
+                    count[0] += end - start
+                    count[1] += members
+                if runs is verdicts[-1] and members != (end - start if verdict else 0):
+                    mismatches += (
+                        Mismatch(_picture_at(shape_rows, rows, n), verdict, not verdict)
+                        for n in range(start, end)
+                        if rank(n + 1) - rank(n) != verdict
+                    )
+                start, before = end, before + members
     per_budget = tuple(BudgetCount(budget, *count) for budget, count in zip(resolved, counts))
     return SweepReport(
         a.name, lang_id, rows, cols_max, per_budget, member_total, tuple(mismatches)

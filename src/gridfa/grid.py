@@ -263,12 +263,20 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
     AlphabetError.  The |alphabet|^cols rows of the shape are made once,
     before the first picture, and the pictures share them.
 
-    Sweeps rely on this order: the pictures that agree on their first k
-    cells are |alphabet|^(rows*cols - k) consecutive ones, so the
-    simulator's ``_decide_shape`` (behind ``budget_sweep`` and
-    ``language_sample``) gives the verdict of a search that read no cell
-    past the first k to all of them.
+    So a picture's index is its rows read as digits in base |alphabet|^cols,
+    the top row most significant, and the pictures that agree on their
+    first k cells are |alphabet|^(rows*cols - k) consecutive ones.  Sweeps
+    rely on this order: they decide a shape as runs of indices and decode
+    (``_picture_at``) only the pictures a caller reads.
     """
+    trusted = Picture._trusted
+    for cells in itertools.product(_shape_rows(alphabet, rows, cols), repeat=rows):
+        yield trusted(cells)
+
+
+def _shape_rows(alphabet: Sequence[str], rows: int, cols: int) -> list[tuple[str, ...]]:
+    """The rows of the ``rows x cols`` shape in enumeration order, after
+    checking the shape and the alphabet as ``enumerate_pictures`` does."""
     if rows < 1 or cols < 1:
         raise PictureFormatError("enumeration needs rows >= 1 and cols >= 1")
     symbols = tuple(alphabet)
@@ -281,7 +289,12 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
             raise AlphabetError(f"alphabet may not contain the boundary marker {BOUNDARY!r}")
         if sym in symbols[:n]:
             raise AlphabetError(f"alphabet declares symbol {sym!r} twice")
-    trusted = Picture._trusted
-    row_tuples = list(itertools.product(symbols, repeat=cols))
-    for cells in itertools.product(row_tuples, repeat=rows):
-        yield trusted(cells)
+    return list(itertools.product(symbols, repeat=cols))
+
+
+def _picture_at(shape_rows: Sequence[tuple[str, ...]], rows: int, index: int) -> Picture:
+    """Picture ``index`` (from 0) of the enumeration of the shape whose
+    rows ``_shape_rows`` gave, for the rows the digits of ``index``."""
+    base = len(shape_rows)
+    cells = [shape_rows[index // base**k % base] for k in range(rows - 1, -1, -1)]
+    return Picture._trusted(tuple(cells))

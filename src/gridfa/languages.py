@@ -1,10 +1,10 @@
-"""Brute-force membership oracles and word constructors for the witness
-languages over the alphabet {0, 1}.
+"""Membership oracles and word constructors for the witness languages
+over the alphabet {0, 1}.
 
 Every language is built from the "stacked 1s" notion: a column whose two
-cells in a designated row pair both hold 1.  The oracles are deliberately
-naive (scan the whole picture) so they can stand as independent ground
-truth against the machines that recognize the same languages:
+cells in a designated row pair both hold 1.  Each is defined once, as a
+row count and a predicate that every disjoint row pair (rows 1-2, 3-4,
+...) must pass:
 
 * ``L_i``  -- exactly 2i rows; each disjoint row pair has >= 2 stacked columns.
 * ``M_i``  -- exactly 2i rows; in each disjoint row pair both rows carry
@@ -12,7 +12,9 @@ truth against the machines that recognize the same languages:
   columns and nothing else in it is a 1).
 * ``N_1`` / ``N_2`` -- 2 rows (resp. 4 rows) with >= 1 stacked column per pair.
 * ``K_i``  -- 2 rows with >= 2i stacked columns; ``K_1`` coincides with ``L_1``.
-* ``S_i``  -- the single 2 x i all-ones word.
+* ``S_i``  -- the single 2 x i all-ones word (an i-column pair, all stacked).
+
+The oracles and the member counts of ``_member_rank`` are built from it.
 
 Oracles return False (never raise) on pictures of the wrong shape: a
 language is a set of pictures and a non-member is simply a non-member.
@@ -21,15 +23,12 @@ language is a set of pictures and a non-member is simply a non-member.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
+from typing import Callable, Sequence
 
 from .grid import Picture, ShapeError
 
 ALPHABET_01: tuple[str, ...] = ("0", "1")
-
-
-def _require_index(i: int) -> None:
-    if i < 1:
-        raise ValueError(f"language index must be >= 1, got {i}")
 
 
 def _stacked(upper: tuple[str, ...], lower: tuple[str, ...]) -> int:
@@ -50,18 +49,6 @@ def stacked_count(p: Picture, top_row: int) -> int:
     return _stacked(p.cells[top_row - 1], p.cells[top_row])
 
 
-def in_L(i: int, p: Picture) -> bool:
-    """Member of L_i: 2i rows, every disjoint pair with >= 2 stacked columns."""
-    _require_index(i)
-    cells = p.cells
-    if len(cells) != 2 * i:
-        return False
-    for r in range(0, 2 * i, 2):
-        if _stacked(cells[r], cells[r + 1]) < 2:
-            return False
-    return True
-
-
 def _exact_pair(upper: tuple[str, ...], lower: tuple[str, ...]) -> bool:
     # Both rows hold exactly two 1s, and the lower row holds 1s in the
     # upper row's two columns.  Rows that merely agree on their 1s may
@@ -72,49 +59,84 @@ def _exact_pair(upper: tuple[str, ...], lower: tuple[str, ...]) -> bool:
     return lower[first] == "1" == lower[upper.index("1", first + 1)]
 
 
-def in_M(i: int, p: Picture) -> bool:
-    """Member of M_i: 2i rows, every disjoint pair an exact two-column pair.
+def _pair_form(kind: str, index: int) -> tuple[int, Callable[[tuple, tuple], bool]]:
+    """The language of ``kind`` and ``index`` as its row count and the
+    predicate each disjoint row pair (upper row, lower row) must pass."""
+    if index < 1:
+        raise ValueError(f"language index must be >= 1, got {index}")
+    if kind == "L":
+        return 2 * index, lambda upper, lower: _stacked(upper, lower) >= 2
+    if kind == "M":
+        return 2 * index, _exact_pair
+    if kind == "N":
+        return 2 * index, lambda upper, lower: _stacked(upper, lower) >= 1
+    if kind == "K":
+        return 2, lambda upper, lower: _stacked(upper, lower) >= 2 * index
+    return 2, lambda upper, lower: len(upper) == index == _stacked(upper, lower)
 
-    Exact means the pair's two rows carry exactly two 1s each, in the same
-    two columns, i.e. exactly two stacked columns and no stray 1s (over
-    {0, 1} the two rows agree); this is the language the deterministic
-    recognizers in :mod:`gridfa.constructions` decide.
-    """
-    _require_index(i)
-    cells = p.cells
-    if len(cells) != 2 * i:
-        return False
-    for r in range(0, 2 * i, 2):
-        if not _exact_pair(cells[r], cells[r + 1]):
-            return False
-    return True
+
+def _membership(kind: str, index: int) -> Callable[[Picture], bool]:
+    rows, pair = _pair_form(kind, index)
+    return lambda p: len(p.cells) == rows and all(map(pair, p.cells[::2], p.cells[1::2]))
+
+
+def in_L(i: int, p: Picture) -> bool:
+    """Member of L_i: 2i rows, every disjoint pair with >= 2 stacked columns."""
+    return _membership("L", i)(p)
+
+
+def in_M(i: int, p: Picture) -> bool:
+    """Member of M_i: 2i rows, every disjoint pair an exact two-column pair:
+    both rows carry exactly two 1s, in the same two columns."""
+    return _membership("M", i)(p)
 
 
 def in_N1(p: Picture) -> bool:
     """Member of N_1: two rows with at least one stacked column."""
-    return p.rows == 2 and _stacked(*p.cells) >= 1
+    return _membership("N", 1)(p)
 
 
 def in_N2(p: Picture) -> bool:
     """Member of N_2: four rows, both disjoint pairs with >= 1 stacked column."""
-    cells = p.cells
-    return len(cells) == 4 and _stacked(*cells[:2]) >= 1 and _stacked(*cells[2:]) >= 1
+    return _membership("N", 2)(p)
 
 
 def in_K(i: int, p: Picture) -> bool:
     """Member of K_i: two rows with at least 2i stacked columns."""
-    _require_index(i)
-    return p.rows == 2 and _stacked(*p.cells) >= 2 * i
+    return _membership("K", i)(p)
 
 
 def in_S(i: int, p: Picture) -> bool:
     """Member of S_i: the unique 2 x i picture whose cells are all 1."""
-    _require_index(i)
-    return (
-        p.rows == 2
-        and p.cols == i
-        and all(sym == "1" for row in p.cells for sym in row)
-    )
+    return _membership("S", i)(p)
+
+
+def _member_rank(lang_id: str, shape_rows: Sequence[tuple], rows: int) -> Callable[[int], int]:
+    """``rank(x)``: the members of ``lang_id`` among the first ``x``
+    pictures of the ``rows``-row shape whose rows ``grid._shape_rows`` gave.
+    An index has the row pairs as digits, top pair first.  A member below
+    ``x`` shares some passing leading pairs with it, then has a passing pair
+    below ``x``'s next one (``below`` counts them), then any passing pairs."""
+    want, pair = _pair_form(*parse_language_id(lang_id))
+    if rows != want:
+        return lambda x: 0
+    below = [0, *accumulate(pair(upper, lower) for upper in shape_rows for lower in shape_rows)]
+    size, passing, pairs = len(below) - 1, below[-1], rows // 2
+    if pairs == 1:  # the index is the pair's value
+        return below.__getitem__
+
+    def rank(x: int) -> int:
+        if x >= size**pairs:
+            return passing**pairs
+        count = 0
+        for k in reversed(range(pairs)):
+            digit, x = divmod(x, size**k)
+            count += below[digit] * passing**k
+            if below[digit + 1] == below[digit]:  # the pair fails
+                break
+        return count
+
+    return rank
 
 
 def make_u(i: int, j: int, z: int) -> Picture:
@@ -171,23 +193,11 @@ def parse_language_id(text: str) -> tuple[str, int]:
     return text[0], int(text[1:])
 
 
-def oracle_for(lang_id: str):
+def oracle_for(lang_id: str) -> Callable[[Picture], bool]:
     """Membership predicate ``Picture -> bool`` for a language id."""
-    kind, index = parse_language_id(lang_id)
-    if kind == "L":
-        return lambda p: in_L(index, p)
-    if kind == "M":
-        return lambda p: in_M(index, p)
-    if kind == "N":
-        return in_N1 if index == 1 else in_N2
-    if kind == "K":
-        return lambda p: in_K(index, p)
-    return lambda p: in_S(index, p)
+    return _membership(*parse_language_id(lang_id))
 
 
 def natural_rows(lang_id: str) -> int:
     """Row count outside of which the language is empty."""
-    kind, index = parse_language_id(lang_id)
-    if kind in ("L", "M", "N"):
-        return 2 * index
-    return 2
+    return _pair_form(*parse_language_id(lang_id))[0]

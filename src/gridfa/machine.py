@@ -171,13 +171,13 @@ class Automaton:
 def validate(a: Automaton) -> list[str]:
     """Report every violated well-formedness rule; empty list means clean.
 
-    Checks: state bookkeeping (initial/accepting/endpoints declared),
-    symbol bookkeeping (each symbol one character and not whitespace,
-    which the machine file format could not carry), no transition out of
-    the accepting state,
-    determinism when declared, and the direction policy (every transition
-    direction must be free or budgeted, and a free direction's budget is
-    ``INF``, so that ``classify`` reads the budget the simulator enforces).
+    Checks: names (the machine's and each state's nonempty, without
+    whitespace) and symbols (one character, not whitespace), which the
+    machine file format must carry; state bookkeeping (initial/accepting/
+    endpoints declared); no transition out of the accepting state;
+    determinism when declared; and the direction policy (every transition
+    direction free or budgeted, and a free direction's budget ``INF``, so
+    that ``classify`` reads the budget the simulator enforces).
     """
     problems: list[str] = []
     declared = set(a.states)
@@ -193,6 +193,10 @@ def validate(a: Automaton) -> list[str]:
             problems.append(f"alphabet symbol {symbol!r} is not a single character")
         elif symbol.isspace():
             problems.append(f"alphabet symbol {symbol!r} is whitespace")
+    names = [a.name, *a.states]  # machine files split their lines at whitespace
+    if " ".join(map(str, names)).split() != names:
+        bad = [name for name in names if not isinstance(name, str) or name.split() != [name]]
+        problems.append(f"machine or state names empty or holding whitespace: {bad!r}")
     if len(declared) != len(a.states):
         problems.append("state list declares a state twice")
     if a.initial not in declared:
@@ -230,15 +234,17 @@ def validate(a: Automaton) -> list[str]:
         if found:
             where = f"transition ({state!r}, {symbol!r})"
             problems += [f"{where}: {problem}" for problem in found]
+    if not problems:  # recorded, so that ensure_valid does not check again
+        object.__setattr__(a, "_valid", True)
     return problems
 
 
 def ensure_valid(a: Automaton) -> None:
     """Raise MachineInvalidError unless ``a`` is well-formed.
 
-    Machines are immutable, so a passing check is recorded on the machine
-    itself (it dies with it) and later calls are one lookup: sweeps call
-    into the simulator per picture and should not re-pay validation.
+    Machines are immutable, so ``validate`` records a passing check on the
+    machine itself (it dies with it) and later calls are one lookup: sweeps
+    call into the simulator per picture and should not re-pay validation.
     """
     if "_valid" in a.__dict__:
         return
@@ -247,7 +253,6 @@ def ensure_valid(a: Automaton) -> None:
         raise MachineInvalidError(
             f"machine {a.name!r} is not well-formed: " + "; ".join(problems)
         )
-    object.__setattr__(a, "_valid", True)
 
 
 class ClassTag(NamedTuple):

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, islice, repeat
-from typing import Iterable, NamedTuple, Sequence
+from bisect import bisect_right
+from itertools import islice
+from typing import NamedTuple, Sequence
 
-from .grid import BOUNDARY, AlphabetError, Picture, cell_at, enumerate_pictures
+from .grid import BOUNDARY, AlphabetError, Picture, _picture_at, _shape_rows, cell_at
 from .machine import INF, Automaton, Budget, Direction, ensure_valid, fmt_budget
 
 
@@ -489,74 +490,75 @@ def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) ->
 
 def _decide_shape(
     a: Automaton, rows: int, cols: int, budgets: Sequence[Budget]
-) -> tuple[list[Picture], list[list[bool]]]:
-    """The pictures of the ``rows x cols`` shape in enumeration order, and
-    per budget (resolved, in list order) the verdict on each: those of one
-    ``accepts`` call per picture and budget.  The machine must be valid;
-    an empty alphabet gives no pictures.
+) -> tuple[list[tuple[str, ...]], list[list[tuple[int, bool]]]]:
+    """The rows of the ``rows x cols`` shape (``_shape_rows``) and, per
+    budget (resolved, in list order), the verdicts of one ``accepts`` call
+    per picture as runs ``(end, verdict)`` of enumeration indices, each
+    starting where the one before it ends, the first at 0, and no two
+    neighbours alike.  The machine must be valid.
 
-    Acceptance is monotone in the budget, componentwise with INF above
-    every finite value: any accepting run at a smaller budget is still an
-    accepting run at a larger one.  So budgets are decided last first (the
-    last is usually the largest): a picture rejected at a decided budget at
-    or above this one is rejected here, one accepted at a decided budget at
-    or below it is accepted here, and only the others are searched.
-
-    A search is shared by the pictures that agree on every cell it
-    reached.  It reads cells only at the configurations it dequeues, so
-    none past the farthest frame position it discovered (in row-major
-    order), and ``enumerate_pictures`` varies the last cell fastest, so the
-    pictures that agree with the searched one up to that cell are one
-    aligned run of the enumeration.  The pictures of the run after the
-    searched one take its verdict without a search, unless monotonicity
-    gave them one.
-
-    The shape's first picture is laid out once, which checks the alphabet;
-    before each search the searched picture's rows are assigned into that
-    frame.
+    Acceptance is monotone in the budget (componentwise, INF above every
+    finite value), so budgets are decided last first (the last is usually
+    the largest), and a rejected run of a decided budget at or above this
+    one, or an accepted run of one at or below it, is taken whole.  Other
+    pictures are searched in the shape's one frame (laid out once, which
+    checks the alphabet).  A search reads no cell past the farthest frame
+    position it discovered, so the pictures that agree with the searched
+    one up to there are one aligned run of indices, which takes its
+    verdict (where it overlaps a run monotonicity gave, both are exact).
     """
-    pictures = list(enumerate_pictures(a.alphabet, rows, cols))
-    if not pictures:
-        return pictures, [[] for _ in budgets]
-    frame, width = _layout(a, pictures[0]), cols + 2
-    slots = [slice(r * width + 1, r * width + 1 + cols) for r in range(1, rows + 1)]
+    shape_rows = _shape_rows(a.alphabet, rows, cols)
+    total = len(shape_rows) ** rows
+    if not total:
+        return shape_rows, [[] for _ in budgets]
+    frame, width = _layout(a, _picture_at(shape_rows, rows, 0)), cols + 2
+    bottom_up = [slice(r * width + 1, r * width + 1 + cols) for r in range(rows, 0, -1)]
     # Per frame position, the length of the run of pictures that agree on
     # every cell up to it.  A left ring position counts as its row's first
     # cell, a right ring one as its row's last, the bottom ring as the last
     # cell (and the top ring, which no farthest position reaches, as row 1).
     symbols, cells = len(a.alphabet), rows * cols
-    runs = [
+    spans = [
         symbols ** (0 if r > rows else cells - (max(r, 1) - 1) * cols - min(max(c, 1), cols))
         for r in range(rows + 2)
         for c in range(width)
     ]
-    verdicts: list[list[bool] | None] = [None] * len(budgets)
+    decided: list[list[tuple[int, bool]] | None] = [None] * len(budgets)
     for index in reversed(range(len(budgets))):
         up, left = budgets[index]
         tables = _tables(a, up, left)
-        # The verdict each picture's decided budgets imply, or None.  Lazy,
-        # so that the verdict lists are the only per-picture lists held.
-        known: Iterable[bool | None] = repeat(None)
-        for (other_up, other_left), decided in zip(budgets, verdicts):
-            if decided is None:
+        # Each decided budget's run ends and verdicts, and the verdict implied.
+        implying = []
+        for (other_up, other_left), runs in zip(budgets, decided):
+            if runs is None:
                 continue
+            ends, verdicts = zip(*runs)
             if up <= other_up and left <= other_left:  # rejected above
-                known = (verdict and k for k, verdict in zip(known, decided))
+                implying.append((ends, verdicts, False))
             if other_up <= up and other_left <= left:  # accepted below
-                known = (verdict or k for k, verdict in zip(known, decided))
-        column: list[bool] = []
-        # The last search's verdict, and the index that ends its run.
-        shared, shared_until = False, 0
-        for n, (p, k) in enumerate(zip(pictures, known)):
-            if k is None and n >= shared_until:
-                for slot, row in zip(slots, p.cells):
-                    frame[slot] = row
+                implying.append((ends, verdicts, True))
+        column: list[tuple[int, bool]] = []
+        n = 0
+        while n < total:
+            for ends, verdicts, implied in implying:
+                run = bisect_right(ends, n)
+                if verdicts[run] is implied:
+                    end, verdict = ends[run], implied
+                    break
+            else:
+                rest = n  # the rows are its digits, the bottom one least significant
+                for slot in bottom_up:
+                    rest, digit = divmod(rest, len(shape_rows))
+                    frame[slot] = shape_rows[digit]
                 parents, goal = tables.explore(frame, width)
-                run = runs[max(parents) >> tables.shift]
-                shared, shared_until = goal is not None, n + run - n % run
-            column.append(shared if k is None else k)
-        verdicts[index] = column
-    return pictures, verdicts
+                span = spans[max(parents) >> tables.shift]
+                end, verdict = n + span - n % span, goal is not None
+            if column and column[-1][1] is verdict:
+                column.pop()  # the run goes on
+            column.append((end, verdict))
+            n = end
+        decided[index] = column
+    return shape_rows, decided
 
 
 def language_sample(a: Automaton, rows_max: int, cols_max: int) -> list[Picture]:
@@ -566,8 +568,12 @@ def language_sample(a: Automaton, rows_max: int, cols_max: int) -> list[Picture]
     sample: list[Picture] = []
     for rows in range(1, rows_max + 1):
         for cols in range(1, cols_max + 1):
-            pictures, (verdicts,) = _decide_shape(a, rows, cols, [a.budget])
-            sample += compress(pictures, verdicts)
+            shape_rows, (runs,) = _decide_shape(a, rows, cols, [a.budget])
+            start = 0
+            for end, verdict in runs:
+                if verdict:
+                    sample += (_picture_at(shape_rows, rows, n) for n in range(start, end))
+                start = end
     return sample
 
 

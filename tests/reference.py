@@ -1,11 +1,16 @@
-"""Reference simulator: the pure breadth-first search over named
-configurations that the compiled kernel in ``gridfa.simulator`` must
-reproduce bit for bit.
+"""Reference simulator and reference oracles.
 
-It reads the machine's transition table and the picture's cells directly
-(no integer tables, no frame layout), so it shares no logic with the code
-under test beyond the public value types.  Tests compare verdicts,
-canonical traces, deterministic outcomes and single steps against it.
+The simulator is the pure breadth-first search over named configurations
+that the compiled kernel in ``gridfa.simulator`` must reproduce bit for
+bit.  It reads the machine's transition table and the picture's cells
+directly (no integer tables, no frame layout), so it shares no logic with
+the code under test beyond the public value types.  Tests compare
+verdicts, canonical traces, deterministic outcomes and single steps
+against it.
+
+The oracles are one hand-written scan per witness language, with no
+shared pair form, against which ``gridfa.languages`` (its oracles and
+its member counts) is checked.
 """
 
 from __future__ import annotations
@@ -142,3 +147,60 @@ def run_deterministic(a, p, budget=None) -> tuple[g.RunOutcome, g.Trace]:
     return g.RunOutcome.LOOP, g.Trace(
         steps + (_move(last, again),), again, g.RunOutcome.LOOP
     )
+
+
+def _stacked(upper, lower) -> int:
+    return sum(1 for a, b in zip(upper, lower) if a == "1" and b == "1")
+
+
+def _exact_pair(upper, lower) -> bool:
+    if upper.count("1") != 2 or lower.count("1") != 2:
+        return False
+    first = upper.index("1")
+    return lower[first] == "1" == lower[upper.index("1", first + 1)]
+
+
+def in_L(i: int, p: g.Picture) -> bool:
+    cells = p.cells
+    if len(cells) != 2 * i:
+        return False
+    for r in range(0, 2 * i, 2):
+        if _stacked(cells[r], cells[r + 1]) < 2:
+            return False
+    return True
+
+
+def in_M(i: int, p: g.Picture) -> bool:
+    cells = p.cells
+    if len(cells) != 2 * i:
+        return False
+    for r in range(0, 2 * i, 2):
+        if not _exact_pair(cells[r], cells[r + 1]):
+            return False
+    return True
+
+
+def in_N1(p: g.Picture) -> bool:
+    return p.rows == 2 and _stacked(*p.cells) >= 1
+
+
+def in_N2(p: g.Picture) -> bool:
+    cells = p.cells
+    return len(cells) == 4 and _stacked(*cells[:2]) >= 1 and _stacked(*cells[2:]) >= 1
+
+
+def in_K(i: int, p: g.Picture) -> bool:
+    return p.rows == 2 and _stacked(*p.cells) >= 2 * i
+
+
+def in_S(i: int, p: g.Picture) -> bool:
+    return p.rows == 2 and p.cols == i and all(sym == "1" for row in p.cells for sym in row)
+
+
+def oracle(lang_id: str):
+    """The reference membership predicate of a language id."""
+    kind, index = lang_id[0], int(lang_id[1:])
+    if kind == "N":
+        return in_N1 if index == 1 else in_N2
+    member = {"L": in_L, "M": in_M, "K": in_K, "S": in_S}[kind]
+    return lambda p: member(index, p)

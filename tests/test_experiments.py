@@ -1,9 +1,13 @@
+import tracemalloc
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfa as g
-from gridfa.simulator import _Tables
+import reference
+from gridfa.simulator import _decide_shape, _Tables
 from conftest import all_pictures, random_machines
 
 U, D, L, R = g.Direction.U, g.Direction.D, g.Direction.L, g.Direction.R
@@ -200,12 +204,14 @@ class TestSweeps:
         assert report.mismatches
 
 
-def assert_sweep_matches_decisions(machine, rows, cols_max, budgets):
-    """``budget_sweep`` against one ``accepts`` call per picture and budget."""
-    oracle = g.oracle_for("L1")
+def assert_sweep_matches_decisions(machine, rows, cols_max, budgets, lang_id="L1"):
+    """``budget_sweep`` against one ``accepts`` call per picture and budget
+    and one reference oracle call per picture (so the counts it takes from
+    the language's row-pair tables, and the order of its mismatches)."""
+    oracle = reference.oracle(lang_id)
     pictures = list(all_pictures(rows, cols_max, machine.alphabet))
     members = [oracle(p) for p in pictures]
-    report = g.budget_sweep(machine, "L1", rows, cols_max, budgets)
+    report = g.budget_sweep(machine, lang_id, rows, cols_max, budgets)
     verdicts = []
     for budget, entry in zip(budgets, report.per_budget):
         verdicts = [g.accepts(machine, p, budget) for p in pictures]
@@ -238,6 +244,46 @@ def test_budget_sweep_matches_per_budget_decisions(data):
     budgets = data.draw(budget_lists(machine.budget))
     rows = data.draw(st.integers(1, 2))
     assert_sweep_matches_decisions(machine, rows, 4 - rows, budgets)
+
+
+@pytest.mark.parametrize(
+    "lang_id, rows, cols_max",
+    [
+        *[(lang_id, 2, 4) for lang_id in ("L1", "M1", "N1", "K2", "S2")],
+        *[(lang_id, 4, 2) for lang_id in ("L2", "M2", "N2")],
+        ("M1", 3, 2),  # a row count outside the language
+    ],
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_budget_sweep_counts_each_language_as_per_picture_decisions(
+    lang_id, rows, cols_max, data
+):
+    machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    budgets = data.draw(budget_lists(machine.budget))
+    assert_sweep_matches_decisions(machine, rows, cols_max, budgets, lang_id)
+
+
+@pytest.mark.parametrize(
+    "builder, param, lang_id, rows, cols_max",
+    [
+        ("M_Mi", 2, "M2", 4, 3),
+        ("M_Mi", 2, "L2", 4, 3),
+        ("P_N2", None, "N2", 4, 2),
+        ("M_Mi", 1, "N1", 2, 5),
+        ("B_L", 1, "K2", 2, 5),
+        ("D_K", 2, "L1", 2, 5),
+        ("S_rec", 1, "S4", 2, 5),
+        ("S_rec", 1, "S3", 2, 5),
+    ],
+)
+def test_builder_sweeps_match_per_picture_decisions(builder, param, lang_id, rows, cols_max):
+    # Recognizers against their own language and against others: long
+    # accepted and rejected runs, and runs holding mismatches.
+    machine = g.make_machine(builder, param)
+    budgets = [machine.budget, g.Budget(0, 0)]
+    report = assert_sweep_matches_decisions(machine, rows, cols_max, budgets, lang_id)
+    assert report.member_total > 0
 
 
 def count_searches(monkeypatch, sweep):
@@ -304,6 +350,19 @@ class TestSharedSearches:
             machine, 1, 2, [g.Budget(0, g.INF), machine.budget]
         )
         assert [e.accepted for e in report.per_budget] == [3, 4]
+
+    @pytest.mark.parametrize("builder, param", [("M_Mi", 1), ("D_K", 1), ("B_L", 1)])
+    def test_verdict_runs_cover_the_shape_and_alternate(self, builder, param):
+        machine = g.make_machine(builder, param)
+        budgets = [machine.budget, g.Budget(0, 0), machine.budget]
+        pictures = list(g.enumerate_pictures(machine.alphabet, 2, 4))
+        _, decided = _decide_shape(machine, 2, 4, budgets)
+        for budget, runs in zip(budgets, decided):
+            ends = [end for end, _ in runs]
+            assert ends == sorted(set(ends)) and ends[-1] == len(pictures)
+            assert all(before[1] != after[1] for before, after in zip(runs, runs[1:]))
+            verdicts = [v for (end, v), start in zip(runs, [0, *ends]) for _ in range(start, end)]
+            assert verdicts == [g.accepts(machine, p, budget) for p in pictures]
 
     def test_language_sample_shares_searches(self, monkeypatch):
         # (1..4)x(1..4) is 74,954 pictures; M_M2 halts early on most of them.
@@ -407,6 +466,32 @@ class TestHierarchyReport:
 
     def test_vacuous_when_no_members_in_range(self):
         assert "vacuous" in g.hierarchy_report(2, 3).format_table()
+
+    @pytest.mark.parametrize("i_max, cols_max", [(2, 6), (3, 4)])
+    def test_members_follow_the_closed_forms(self, i_max, cols_max):
+        # 4 x 6 and 6 x 4 shapes hold 2**24 pictures each: the sweeps count
+        # them in runs and never make them.  M_i has C(c, 2)**i members of
+        # c columns (each of its i row pairs picks its two stacked columns
+        # on its own), and S_2i one, at 2i columns.
+        report = g.hierarchy_report(i_max, cols_max)
+        expected = []
+        for i in range(1, i_max + 1):
+            expected.append((f"M{i}", sum(comb(c, 2) ** i for c in range(1, cols_max + 1))))
+            expected.append((f"S{2 * i}", int(2 * i <= cols_max)))
+        assert [(r.language, r.members) for r in report.rows] == expected
+        for r in report.rows:
+            assert r.starvation == ("confirmed" if r.members else "vacuous")
+            assert r.mismatches == 0
+
+    def test_peak_memory_stays_small(self):
+        # The 4 x 5 shape holds 2**20 pictures; none of them is held at once.
+        tracemalloc.start()
+        try:
+            g.hierarchy_report(2, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_searches_far_fewer_pictures_than_it_decides(self, monkeypatch):
         # The chains' recognizers are deterministic and most pictures stop

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gridfa as g
-from gridfa.grid import format_picture_stream
+from gridfa.grid import _picture_at, _shape_rows, format_picture_stream
 
 ALL_ONES_2X2 = g.Picture.from_rows(["11", "11"])
 
@@ -275,6 +275,24 @@ class TestEnumerate:
     def test_bad_alphabet_rejected_before_the_first_picture(self, alphabet, error):
         with pytest.raises(error):
             next(g.enumerate_pictures(alphabet, 1, 1))
+
+    @pytest.mark.parametrize("alphabet", ["", "a", "01", "012", "10"])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 4), (2, 3), (3, 2), (4, 1)])
+    def test_index_decoder_follows_the_enumeration(self, alphabet, rows, cols):
+        pictures = list(g.enumerate_pictures(alphabet, rows, cols))
+        shape_rows = _shape_rows(alphabet, rows, cols)
+        assert len(pictures) == len(alphabet) ** (rows * cols) == len(shape_rows) ** rows
+        decoded = [_picture_at(shape_rows, rows, n) for n in range(len(pictures))]
+        assert decoded == pictures
+        assert all(p.cells == q.cells for p, q in zip(decoded, pictures))
+        for p in decoded:
+            assert_checked(p)
+
+    def test_shape_rows_check_as_the_enumeration_does(self):
+        with pytest.raises(g.PictureFormatError, match="enumeration needs rows >= 1"):
+            _shape_rows("01", 0, 2)
+        with pytest.raises(g.AlphabetError, match="declares symbol '0' twice"):
+            _shape_rows("00", 1, 1)
 
 
 class TestCheckedConstruction:

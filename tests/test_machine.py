@@ -88,6 +88,25 @@ class TestValidate:
         ]:
             assert g.validate(dataclasses.replace(base, alphabet=alphabet)) == [problem]
 
+    def test_names_the_machine_format_cannot_carry_flagged(self):
+        problem = "machine or state names empty or holding whitespace: "
+        for name, states, bad in [
+            ("a b", ("q0", "qa"), ["a b"]),
+            ("", ("q0", "qa"), [""]),
+            ("m", ("q0", "qa", "a b"), ["a b"]),
+            ("m", ("q0", "qa", ""), [""]),
+            ("m", ("q0", "qa", "x\x85"), ["x\x85"]),
+            ("a\tb", ("", "q0", "qa"), ["a\tb", ""]),
+        ]:
+            a = mk({("q0", "1"): [("qa", D)]}, states=states, name=name)
+            assert g.validate(a) == [problem + repr(bad)]
+        # The accepting state the machine file could not carry, and the
+        # raise that used to follow serializing a machine that validated.
+        a = mk({("q0", "1"): [("a b", D)]}, initial="q0", accepting="a b")
+        assert g.validate(a) == [problem + "['a b']"]
+        with pytest.raises(g.MachineParseError):
+            g.parse_machine(g.serialize_machine(a))
+
     def test_ensure_valid_raises(self):
         a = mk({("q0", "1"): [("ghost", D)]}, states=("q0", "qa"))
         with pytest.raises(g.MachineInvalidError):
@@ -394,22 +413,42 @@ class TestRandomMachines:
             max_size=3,
             unique=True,
         ),
+        st.lists(
+            st.sampled_from(["q", "#", "->", "a b", "", " ", "\t", "x\ny", "x\x85", "\u2028"])
+            | st.text(max_size=3),
+            min_size=5,
+            max_size=5,
+            unique=True,
+        ),
     )
     @settings(max_examples=200)
-    def test_every_machine_that_validates_round_trips(self, machine, alphabet):
+    def test_every_machine_that_validates_round_trips(self, machine, alphabet, names):
         # The machine's 0 and 1 are renamed to the drawn symbols; the
-        # transitions on a symbol left without a name are dropped.
+        # transitions on a symbol left without a name are dropped.  The
+        # machine takes the first drawn name, and its states the next ones.
         rename = dict(zip(("0", "1"), alphabet), **{"#": "#"})
+        state = dict(zip(machine.states, names[1:]))
         machine = dataclasses.replace(
             machine,
+            name=names[0],
             alphabet=tuple(alphabet),
+            states=tuple(state[s] for s in machine.states),
+            initial=state[machine.initial],
+            accepting=state[machine.accepting],
             transitions={
-                (state, rename[symbol]): moves
-                for (state, symbol), moves in machine.transitions.items()
+                (state[source], rename[symbol]): tuple(
+                    (state[target], direction) for target, direction in moves
+                )
+                for (source, symbol), moves in machine.transitions.items()
                 if symbol in rename
             },
         )
         odd = [s for s in alphabet if len(s) != 1 or s.isspace() or s == "#"]
+        odd += [
+            name
+            for name in (machine.name, *machine.states)
+            if not name or any(ch.isspace() for ch in name)
+        ]
         assert bool(g.validate(machine)) == bool(odd)
         if not odd:
             assert g.parse_machine(g.serialize_machine(machine)) == machine

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from .experiments import (
     splice_counterexample,
 )
 from .grid import (
+    STREAM_SEPARATOR,
     Picture,
     enumerate_pictures,
     format_picture_stream,
@@ -124,10 +126,19 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    pictures = list(enumerate_pictures(args.alphabet, args.rows, args.cols))
-    if not pictures:  # only an empty alphabet has no pictures of a valid shape
+    """Write the pictures as they are enumerated.  Each row of the shape
+    is the last row of one of the first |alphabet|^cols pictures, so a
+    picture the stream cannot carry is among those, and they are checked
+    before anything is written."""
+    pictures = enumerate_pictures(args.alphabet, args.rows, args.cols)
+    first = next(pictures, None)
+    if first is None:  # only an empty alphabet has no pictures of a valid shape
         raise CliError("alphabet must not be empty")
-    print(format_picture_stream(pictures), end="")
+    head = [first, *islice(pictures, len(args.alphabet) ** args.cols - 1)]
+    write = sys.stdout.write
+    write(format_picture_stream(head))
+    for p in pictures:
+        write(f"{STREAM_SEPARATOR}\n{p.to_text()}\n")
     return 0
 
 

@@ -23,6 +23,7 @@ language is a set of pictures and a non-member is simply a non-member.
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -75,6 +76,7 @@ def _pair_form(kind: str, index: int) -> tuple[int, Callable[[tuple, tuple], boo
     return 2, lambda upper, lower: len(upper) == index == _stacked(upper, lower)
 
 
+@cache  # built once per language, so ``in_L`` and the rest pay one lookup
 def _membership(kind: str, index: int) -> Callable[[Picture], bool]:
     rows, pair = _pair_form(kind, index)
     return lambda p: len(p.cells) == rows and all(map(pair, p.cells[::2], p.cells[1::2]))

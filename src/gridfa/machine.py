@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 INF = float("inf")
 
@@ -299,19 +299,33 @@ def classify(a: Automaton) -> ClassTag:
     return ClassTag(family, up, left, a.mode)
 
 
-def _relabel(
-    table: Iterable[tuple[tuple[str, str], tuple[Transition, ...]]],
-    rename,
-) -> list[tuple[tuple[str, str], list[Transition]]]:
-    out = []
-    for (state, symbol), targets in table:
-        out.append(
-            (
-                (rename(state), symbol),
-                [(rename(t), d) for t, d in targets],
-            )
-        )
-    return out
+def _map_table(
+    table: TransitionTable,
+    directions: dict[Direction, Direction],
+    states: dict[str, str] | None = None,
+) -> TransitionTable:
+    """``table`` with every move's direction sent through ``directions``
+    and, if ``states`` is given, every state (source and target) renamed
+    through it.  Keys and each key's edges keep their order, the tie-break
+    of canonical traces."""
+    if states is None:  # the keys stay: the cheap path transpose and rotate take
+        return {key: tuple((t, directions[d]) for t, d in edges) for key, edges in table.items()}
+    return {
+        (states[state], symbol): tuple((states[t], directions[d]) for t, d in edges)
+        for (state, symbol), edges in table.items()
+    }
+
+
+def _map_policy(
+    policy: DirectionPolicy, directions: dict[Direction, Direction]
+) -> tuple[frozenset[Direction], frozenset[Direction]]:
+    """The free and the budgeted directions of ``policy`` sent through
+    ``directions``.  The caller builds the DirectionPolicy from them, so
+    that it can first refuse a budget no policy carries."""
+    return (
+        frozenset(directions[d] for d in policy.free),
+        frozenset(directions[d] for d in policy.budgeted),
+    )
 
 
 def union_machine(a: Automaton, b: Automaton) -> Automaton:
@@ -358,32 +372,23 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
                     f"{fmt_budget(joined)}"
                 )
     init, acc = "init", "accept"
-
-    def ren(prefix: str, machine: Automaton):
-        def rename(state: str) -> str:
-            return acc if state == machine.accepting else f"{prefix}:{state}"
-
-        return rename
-
-    ren_a, ren_b = ren("a", a), ren("b", b)
+    unturned = dict(zip(Direction, Direction))
     states = [init]
-    states += [ren_a(s) for s in a.states if s != a.accepting]
-    states += [ren_b(s) for s in b.states if s != b.accepting]
+    starts = []
+    transitions: TransitionTable = {}
+    for prefix, machine in (("a", a), ("b", b)):
+        rename = {state: f"{prefix}:{state}" for state in machine.states}
+        rename[machine.accepting] = acc
+        states += [rename[s] for s in machine.states if s != machine.accepting]
+        starts.append(rename[machine.initial])
+        # The prefixes keep the two halves' keys apart.
+        transitions.update(_map_table(machine.transitions, unturned, rename))
     states.append(acc)
-    transitions: dict[tuple[str, str], list[Transition]] = {}
-    for key, targets in _relabel(a.transitions.items(), ren_a):
-        transitions.setdefault(key, []).extend(targets)
-    for key, targets in _relabel(b.transitions.items(), ren_b):
-        transitions.setdefault(key, []).extend(targets)
     for symbol in a.alphabet + ("#",):
-        merged = [
-            (ren_a(t), d) for t, d in a.transitions_from(a.initial, symbol)
-        ] + [
-            (ren_b(t), d) for t, d in b.transitions_from(b.initial, symbol)
-        ]
+        # Both accepting states become ``acc``, so the halves can share an edge.
+        merged = dict.fromkeys(e for s in starts for e in transitions.get((s, symbol), ()))
         if merged:
-            # Both accepting states become ``acc``, so the halves can share an edge.
-            transitions[(init, symbol)] = list(dict.fromkeys(merged))
+            transitions[(init, symbol)] = tuple(merged)
     return Automaton(
         name,
         a.alphabet,
@@ -393,7 +398,7 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
         "nondet",
         policy,
         budget,
-        {k: tuple(v) for k, v in transitions.items()},
+        transitions,
     )
 
 
@@ -411,15 +416,6 @@ def transpose_machine(a: Automaton) -> Automaton:
     the operation twice restores the original machine.
     """
     ensure_valid(a)
-    swap = TRANSPOSE_MAP
-    policy = DirectionPolicy(
-        frozenset(swap[d] for d in a.policy.free),
-        frozenset(swap[d] for d in a.policy.budgeted),
-    )
-    transitions = {
-        key: tuple((t, swap[d]) for t, d in targets)
-        for key, targets in a.transitions.items()
-    }
     return Automaton(
         _toggle_suffix(a.name, "_T"),
         a.alphabet,
@@ -427,9 +423,9 @@ def transpose_machine(a: Automaton) -> Automaton:
         a.initial,
         a.accepting,
         a.mode,
-        policy,
+        DirectionPolicy(*_map_policy(a.policy, TRANSPOSE_MAP)),
         Budget(up=a.budget.left, left=a.budget.up),
-        transitions,
+        _map_table(a.transitions, TRANSPOSE_MAP),
     )
 
 
@@ -449,23 +445,18 @@ def rotate_machine(a: Automaton) -> Automaton:
     rotated policy.
     """
     ensure_valid(a)
-    rot = ROTATE_CW_MAP
-    budgeted = frozenset(rot[d] for d in a.policy.budgeted)
+    free, budgeted = _map_policy(a.policy, ROTATE_CW_MAP)
     if not budgeted <= {Direction.U, Direction.L}:
         bad = ", ".join(sorted(d.value for d in budgeted - {Direction.U, Direction.L}))
         raise RotationError(
             f"rotating {a.name!r} would budget direction(s) {bad}; "
             "only U and L budgets exist"
         )
-    free = frozenset(rot[d] for d in a.policy.free) | {Direction.L, Direction.R}
-    policy = DirectionPolicy(free - budgeted, budgeted)
+    policy = DirectionPolicy((free | {Direction.L, Direction.R}) - budgeted, budgeted)
     seek = "rot_seek"
     while seek in a.states:
         seek += "_"
-    transitions: dict[tuple[str, str], tuple[Transition, ...]] = {
-        key: tuple((t, rot[d]) for t, d in targets)
-        for key, targets in a.transitions.items()
-    }
+    transitions = _map_table(a.transitions, ROTATE_CW_MAP)
     for symbol in a.alphabet:
         transitions[(seek, symbol)] = ((seek, Direction.R),)
     transitions[(seek, "#")] = ((a.initial, Direction.L),)
@@ -483,8 +474,7 @@ def rotate_machine(a: Automaton) -> Automaton:
 
 
 def _dirs_text(dirs: frozenset[Direction]) -> str:
-    order = [Direction.U, Direction.D, Direction.L, Direction.R]
-    return " ".join(d.value for d in order if d in dirs)
+    return " ".join(d.value for d in Direction if d in dirs)
 
 
 def serialize_machine(a: Automaton) -> str:
@@ -526,14 +516,20 @@ def parse_budget(token: str) -> int | float:
     return int(token)
 
 
-def _parse_dirs(tokens: list[str], line_no: int) -> frozenset[Direction]:
-    dirs = set()
-    for token in tokens:
-        try:
-            dirs.add(Direction(token))
-        except ValueError:
-            raise MachineParseError(f"line {line_no}: unknown direction {token!r}")
-    return frozenset(dirs)
+def _parse_direction(token: str, line_no: int) -> Direction:
+    try:
+        return Direction[token]  # names are the tokens; cheaper than Direction(token)
+    except KeyError:
+        raise MachineParseError(f"line {line_no}: unknown direction {token!r}")
+
+
+#: The one-value directives: the field each sets and its usage error.
+_ONE_VALUE: dict[str, tuple[str, str]] = {
+    "machine": ("name", "machine takes one name"),
+    "initial": ("initial", "initial takes one state"),
+    "accept": ("accepting", "exactly one accepting state is required"),
+    "mode": ("mode", "mode is 'det' or 'nondet'"),
+}
 
 
 def parse_machine(text: str) -> Automaton:
@@ -547,13 +543,12 @@ def parse_machine(text: str) -> Automaton:
     deterministic machine declaring two transitions on one key is a parse
     error, as is more than one accepting state.
     """
-    fields: dict[str, object] = {}
-    budget_up: int | float | None = None
-    budget_left: int | float | None = None
+    fields: dict[str, Any] = {}
+    budgets: dict[str, int | float] = {}
     trans: dict[tuple[str, str], list[Transition]] = {}
     trans_lines: list[tuple[int, list[str]]] = []
 
-    def set_once(key: str, value: object, line_no: int) -> None:
+    def set_once(key: str, value: Any, line_no: int) -> None:
         if key in fields:
             raise MachineParseError(f"line {line_no}: duplicate {key!r} directive")
         fields[key] = value
@@ -564,10 +559,11 @@ def parse_machine(text: str) -> Automaton:
             continue
         tokens = line.split()
         directive = tokens[0]
-        if directive == "machine":
-            if len(tokens) != 2:
-                raise MachineParseError(f"line {line_no}: machine takes one name")
-            set_once("name", tokens[1], line_no)
+        if directive in _ONE_VALUE:
+            key, usage = _ONE_VALUE[directive]
+            if len(tokens) != 2 or (key == "mode" and tokens[1] not in ("det", "nondet")):
+                raise MachineParseError(f"line {line_no}: {usage}")
+            set_once(key, tokens[1], line_no)
         elif directive == "alphabet":
             for sym in tokens[1:]:
                 if len(sym) != 1:
@@ -579,24 +575,9 @@ def parse_machine(text: str) -> Automaton:
             set_once("alphabet", tuple(tokens[1:]), line_no)
         elif directive == "states":
             set_once("states", tuple(tokens[1:]), line_no)
-        elif directive == "initial":
-            if len(tokens) != 2:
-                raise MachineParseError(f"line {line_no}: initial takes one state")
-            set_once("initial", tokens[1], line_no)
-        elif directive == "accept":
-            if len(tokens) != 2:
-                raise MachineParseError(
-                    f"line {line_no}: exactly one accepting state is required"
-                )
-            set_once("accepting", tokens[1], line_no)
-        elif directive == "mode":
-            if len(tokens) != 2 or tokens[1] not in ("det", "nondet"):
-                raise MachineParseError(f"line {line_no}: mode is 'det' or 'nondet'")
-            set_once("mode", tokens[1], line_no)
-        elif directive == "free":
-            set_once("free", _parse_dirs(tokens[1:], line_no), line_no)
-        elif directive == "budgeted":
-            set_once("budgeted", _parse_dirs(tokens[1:], line_no), line_no)
+        elif directive in ("free", "budgeted"):
+            dirs = frozenset(_parse_direction(token, line_no) for token in tokens[1:])
+            set_once(directive, dirs, line_no)
         elif directive == "budget":
             if len(tokens) != 3 or tokens[1] not in ("up", "left"):
                 raise MachineParseError(
@@ -606,14 +587,9 @@ def parse_machine(text: str) -> Automaton:
                 value = parse_budget(tokens[2])
             except ValueError as exc:
                 raise MachineParseError(f"line {line_no}: {exc}")
-            if tokens[1] == "up":
-                if budget_up is not None:
-                    raise MachineParseError(f"line {line_no}: duplicate up budget")
-                budget_up = value
-            else:
-                if budget_left is not None:
-                    raise MachineParseError(f"line {line_no}: duplicate left budget")
-                budget_left = value
+            if tokens[1] in budgets:
+                raise MachineParseError(f"line {line_no}: duplicate {tokens[1]} budget")
+            budgets[tokens[1]] = value
         elif directive == "trans":
             if len(tokens) != 6 or tokens[3] != "->":
                 raise MachineParseError(
@@ -623,38 +599,30 @@ def parse_machine(text: str) -> Automaton:
         else:
             raise MachineParseError(f"line {line_no}: unknown directive {directive!r}")
 
-    for key in ("name", "alphabet", "states", "initial", "accepting", "mode"):
+    required = ("name", "alphabet", "states", "initial", "accepting", "mode")
+    for key in required:
         if key not in fields:
             raise MachineParseError(f"missing {key!r} directive")
-    name = fields["name"]
-    alphabet: tuple[str, ...] = fields["alphabet"]  # type: ignore[assignment]
-    states: tuple[str, ...] = fields["states"]  # type: ignore[assignment]
-    mode = fields["mode"]
-    free: frozenset[Direction] = fields.get("free", frozenset())  # type: ignore[assignment]
-    budgeted: frozenset[Direction] = fields.get("budgeted", frozenset())  # type: ignore[assignment]
+    name, alphabet, states, initial, accepting, mode = [fields[key] for key in required]
     try:
-        policy = DirectionPolicy(free, budgeted)
+        policy = DirectionPolicy(fields.get("free", ()), fields.get("budgeted", ()))
     except MachineError as exc:
         raise MachineParseError(f"bad direction policy: {exc}")
-    if budget_up is None:
-        budget_up = INF if Direction.U in policy.free else 0
-    if budget_left is None:
-        budget_left = INF if Direction.L in policy.free else 0
+    budget = Budget(
+        budgets.get("up", INF if Direction.U in policy.free else 0),
+        budgets.get("left", INF if Direction.L in policy.free else 0),
+    )
 
     declared_states = set(states)
     declared_symbols = set(alphabet) | {"#"}
     for line_no, tokens in trans_lines:
         _, source, symbol, _, target, dir_token = tokens
-        if source not in declared_states:
-            raise MachineParseError(f"line {line_no}: undeclared state {source!r}")
-        if target not in declared_states:
-            raise MachineParseError(f"line {line_no}: undeclared state {target!r}")
+        for state in (source, target):
+            if state not in declared_states:
+                raise MachineParseError(f"line {line_no}: undeclared state {state!r}")
         if symbol not in declared_symbols:
             raise MachineParseError(f"line {line_no}: undeclared symbol {symbol!r}")
-        try:
-            direction = Direction(dir_token)
-        except ValueError:
-            raise MachineParseError(f"line {line_no}: unknown direction {dir_token!r}")
+        direction = _parse_direction(dir_token, line_no)
         key = (source, symbol)
         if mode == "det" and trans.get(key):
             raise MachineParseError(
@@ -663,13 +631,13 @@ def parse_machine(text: str) -> Automaton:
         trans.setdefault(key, []).append((target, direction))
 
     return Automaton(
-        name,  # type: ignore[arg-type]
+        name,
         alphabet,
         states,
-        fields["initial"],  # type: ignore[arg-type]
-        fields["accepting"],  # type: ignore[arg-type]
-        mode,  # type: ignore[arg-type]
+        initial,
+        accepting,
+        mode,
         policy,
-        Budget(budget_up, budget_left),
+        budget,
         {k: tuple(v) for k, v in trans.items()},
     )

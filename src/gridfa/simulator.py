@@ -53,7 +53,8 @@ class ModeError(ValueError):
 
 
 class BudgetOverrideError(ValueError):
-    """A run-time budget override exceeded the machine's declared budget."""
+    """A run-time budget override is not an (up, left) pair or exceeds the
+    machine's declared budget."""
 
 
 class Configuration(NamedTuple):
@@ -122,15 +123,22 @@ class Trace:
 
 def _resolve_budget(a: Automaton, override: Budget | None) -> Budget:
     """The budget a run of ``a`` spends: the override if one is given,
-    else the declared one.  An override may only lower the declared
-    budget (BudgetOverrideError otherwise), and it may budget a direction
-    the policy leaves free: ``Budget(INF, 0)`` runs a machine with L free
-    as if L were budgeted at 0, so no L move is taken.  That starves a
-    free direction, which is itself a restriction experiment."""
+    else the declared one.  An override is an (up, left) pair that may
+    only lower the declared budget (BudgetOverrideError otherwise), and it
+    may budget a direction the policy leaves free: ``Budget(INF, 0)`` runs
+    a machine with L free as if L were budgeted at 0, so no L move is
+    taken.  That starves a free direction, which is itself a restriction
+    experiment."""
     if override is None:
         return a.budget
-    up = Budget.check(override.up, "up")
-    left = Budget.check(override.left, "left")
+    try:
+        up, left = override
+    except (TypeError, ValueError):
+        raise BudgetOverrideError(
+            f"budget override must be an (up, left) pair, got {override!r}"
+        ) from None
+    up = Budget.check(up, "up")
+    left = Budget.check(left, "left")
     if up > a.budget.up or left > a.budget.left:
         raise BudgetOverrideError(
             f"override ({fmt_budget(up)},{fmt_budget(left)}) exceeds declared "

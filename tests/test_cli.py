@@ -1,3 +1,7 @@
+import contextlib
+import os
+import tracemalloc
+
 import pytest
 
 import gridfa as g
@@ -169,6 +173,33 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: alphabet must not be empty\n"
+
+    def test_pictures_are_written_as_they_are_enumerated(self):
+        # 2^18 pictures; building the whole stream first peaks above 60 MB.
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["enumerate", "--rows", "3", "--cols", "6"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize(
+        "alphabet, rows, cols, number, row",
+        [("-", "2", "2", 1, 1), ("01-", "3", "2", 9, 3)],
+    )
+    def test_picture_with_a_separator_row_is_refused_before_any_output(
+        self, alphabet, rows, cols, number, row, capsys
+    ):
+        argv = ["enumerate", f"--alphabet={alphabet}", "--rows", rows, "--cols", cols]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: picture {number} cannot be written to a stream: its row {row} "
+            "is the stream separator '--'\n"
+        )
 
     def test_picture_with_a_separator_row_is_refused(self, capsys):
         # Over 0 and -, the fourth picture of 1x2 is the row "--".

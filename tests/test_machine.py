@@ -291,6 +291,178 @@ class TestRotateMachine:
             g.rotate_machine(g.build_C_L1_2W())
 
 
+def lines(*rows: str) -> str:
+    return "\n".join(rows) + "\n"
+
+
+class TestExactConstructions:
+    """Declaration order breaks ties in canonical traces, so a reordered
+    table keeps every language equation and still changes traces: these
+    pin the exact text of each operation's result."""
+
+    def test_transpose_text(self):
+        assert g.serialize_machine(g.transpose_machine(g.build_A_L1())) == lines(
+            "machine A_L1_T",
+            "alphabet 0 1",
+            "states scan1 verify_down scan2 verify_up acc",
+            "initial scan1",
+            "accept acc",
+            "mode nondet",
+            "free U D R",
+            "budgeted L",
+            "budget up inf",
+            "budget left 1",
+            "trans scan1 0 -> scan1 D",
+            "trans scan1 1 -> scan1 D",
+            "trans scan1 1 -> verify_down R",
+            "trans verify_down 1 -> scan2 D",
+            "trans scan2 0 -> scan2 D",
+            "trans scan2 1 -> scan2 D",
+            "trans scan2 1 -> verify_up L",
+            "trans verify_up 1 -> acc D",
+        )
+
+    def test_rotate_text(self):
+        rotated = g.rotate_machine(g.transpose_machine(g.build_M_M1()))
+        assert g.serialize_machine(rotated) == lines(
+            "machine M_M1_T_rot",
+            "alphabet 0 1",
+            "states rot_seek count1_0 count1_1 count1_2 return1 seek_first verify_down"
+            " check_left count2_0 count2_1 count2_2 return2 verify_up acc",
+            "initial rot_seek",
+            "accept acc",
+            "mode det",
+            "free D L R",
+            "budgeted U",
+            "budget up 1",
+            "budget left inf",
+            "trans rot_seek 0 -> rot_seek R",
+            "trans rot_seek 1 -> rot_seek R",
+            "trans rot_seek # -> count1_0 L",
+            "trans count1_0 0 -> count1_0 L",
+            "trans count1_0 1 -> count1_1 L",
+            "trans count1_1 0 -> count1_1 L",
+            "trans count1_1 1 -> count1_2 L",
+            "trans count1_2 0 -> count1_2 L",
+            "trans count1_2 # -> return1 R",
+            "trans return1 0 -> return1 R",
+            "trans return1 1 -> return1 R",
+            "trans return1 # -> seek_first L",
+            "trans seek_first 0 -> seek_first L",
+            "trans seek_first 1 -> verify_down D",
+            "trans verify_down 1 -> check_left R",
+            "trans check_left 0 -> check_left R",
+            "trans check_left # -> count2_0 L",
+            "trans count2_0 0 -> count2_0 L",
+            "trans count2_0 1 -> count2_1 L",
+            "trans count2_1 0 -> count2_1 L",
+            "trans count2_1 1 -> count2_2 L",
+            "trans count2_2 0 -> count2_2 L",
+            "trans count2_2 # -> return2 R",
+            "trans return2 0 -> return2 R",
+            "trans return2 1 -> verify_up U",
+            "trans verify_up 1 -> acc L",
+        )
+
+    def test_union_text_and_trace(self):
+        u = g.union_machine(g.build_A_L1(), g.build_C_L1_2W())
+        assert g.serialize_machine(u) == lines(
+            "machine A_L1+C_L1_2W",
+            "alphabet 0 1",
+            "states init a:scan1 a:verify_down a:scan2 a:verify_up"
+            " b:scan1 b:verify_down b:scan2 b:verify_up accept",
+            "initial init",
+            "accept accept",
+            "mode nondet",
+            "free D L R",
+            "budgeted U",
+            "budget up 1",
+            "budget left inf",
+            "trans init 0 -> a:scan1 R",
+            "trans init 0 -> b:scan1 R",
+            "trans init 1 -> a:scan1 R",
+            "trans init 1 -> a:verify_down D",
+            "trans init 1 -> b:scan1 R",
+            "trans init 1 -> b:verify_down D",
+            "trans a:scan1 0 -> a:scan1 R",
+            "trans a:scan1 1 -> a:scan1 R",
+            "trans a:scan1 1 -> a:verify_down D",
+            "trans a:verify_down 1 -> a:scan2 R",
+            "trans a:scan2 0 -> a:scan2 R",
+            "trans a:scan2 1 -> a:scan2 R",
+            "trans a:scan2 1 -> a:verify_up U",
+            "trans a:verify_up 1 -> accept R",
+            "trans b:scan1 0 -> b:scan1 R",
+            "trans b:scan1 1 -> b:scan1 R",
+            "trans b:scan1 1 -> b:verify_down D",
+            "trans b:verify_down 1 -> b:scan2 R",
+            "trans b:scan2 0 -> b:scan2 R",
+            "trans b:scan2 1 -> b:scan2 R",
+            "trans b:scan2 1 -> b:verify_up U",
+            "trans b:verify_up 1 -> accept R",
+        )
+        trace = g.accepting_trace(u, g.Picture.from_rows(["1010", "1010"]))
+        assert g.format_trace(trace) == (
+            "init (1,1) up=1 left=inf --D-->\n"
+            "a:verify_down (2,1) up=1 left=inf --R-->\n"
+            "a:scan2 (2,2) up=1 left=inf --R-->\n"
+            "a:scan2 (2,3) up=1 left=inf --U-->\n"
+            "a:verify_up (1,3) up=0 left=inf --R-->\n"
+            "accept (1,4) up=0 left=inf ACCEPT"
+        )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("machine", "line 1: machine takes one name"),
+            ("machine a b", "line 1: machine takes one name"),
+            ("initial", "line 1: initial takes one state"),
+            ("initial s t", "line 1: initial takes one state"),
+            ("accept", "line 1: exactly one accepting state is required"),
+            ("accept s t", "line 1: exactly one accepting state is required"),
+            ("mode", "line 1: mode is 'det' or 'nondet'"),
+            ("mode det nondet", "line 1: mode is 'det' or 'nondet'"),
+            ("mode both", "line 1: mode is 'det' or 'nondet'"),
+            ("budget up", "line 1: expected 'budget up|left <n|inf>'"),
+            ("budget down 1", "line 1: expected 'budget up|left <n|inf>'"),
+            ("budget up 1 2", "line 1: expected 'budget up|left <n|inf>'"),
+        ],
+    )
+    def test_one_value_directive_usage_errors(self, line, message):
+        with pytest.raises(g.MachineParseError) as err:
+            g.parse_machine(line + "\n")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("machine m2", "line 11: duplicate 'name' directive"),
+            ("initial t", "line 11: duplicate 'initial' directive"),
+            ("accept s", "line 11: duplicate 'accepting' directive"),
+            ("mode det", "line 11: duplicate 'mode' directive"),
+            ("budget up 0", "line 11: duplicate up budget"),
+            ("budget left inf", "line 11: duplicate left budget"),
+        ],
+    )
+    def test_one_value_directive_duplicate_errors(self, line, message):
+        text = lines(
+            "machine m",
+            "alphabet 0 1",
+            "states s t",
+            "initial s",
+            "accept t",
+            "mode nondet",
+            "free D L R",
+            "budgeted U",
+            "budget up 1",
+            "budget left inf",
+            line,
+        )
+        with pytest.raises(g.MachineParseError) as err:
+            g.parse_machine(text)
+        assert str(err.value) == message
+
+
 class TestSerialization:
     def test_round_trip_every_builder(self):
         for builder_id, (factory, parametric) in g.BUILDERS.items():

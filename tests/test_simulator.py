@@ -41,6 +41,30 @@ class TestInitialConfiguration:
         with pytest.raises(g.BudgetOverrideError):
             g.initial_configuration(a, p, g.Budget(2, g.INF))
 
+    @pytest.mark.parametrize("override", [3, 1.5, "inf", (1,), (1, 0, 0)])
+    def test_override_that_is_not_a_pair_is_a_typed_error(self, override):
+        a = g.build_A_L1()
+        p = g.Picture.from_rows(["11", "11"])
+        message = r"^budget override must be an \(up, left\) pair, got "
+        for call in (
+            lambda: g.accepts(a, p, override),
+            lambda: g.initial_configuration(a, p, override),
+            lambda: g.config_space_bound(a, p, override),
+            lambda: g.budget_sweep(a, "L1", 2, 2, [override]),
+        ):
+            with pytest.raises(g.BudgetOverrideError, match=message):
+                call()
+
+    def test_override_may_be_a_plain_pair(self):
+        a = g.build_A_L1()
+        p = g.Picture.from_rows(["11", "11"])
+        assert g.accepts(a, p, (1, g.INF)) == g.accepts(a, p, g.Budget(1, g.INF)) is True
+        assert g.accepts(a, p, (0, g.INF)) is False
+        assert g.initial_configuration(a, p, (0, g.INF)).up_left == 0
+        assert g.config_space_bound(a, p, (1, g.INF)) == g.config_space_bound(a, p)
+        sweep = g.budget_sweep(a, "L1", 2, 2, [(0, g.INF), (1, g.INF)])
+        assert sweep == g.budget_sweep(a, "L1", 2, 2, [g.Budget(0, g.INF), g.Budget(1, g.INF)])
+
     def test_errors_come_in_search_order(self):
         # machine, then picture, then budget, as accepts reports them
         a = g.build_A_L1()

@@ -133,17 +133,23 @@ def parse_picture(text: str, alphabet: Iterable[str]) -> Picture:
     belong to ``alphabet``; ``#`` is reserved for the frame.  A trailing
     newline is tolerated, and lines may end in CRLF.
     """
-    return _parse_lines(_lines(text), alphabet)
+    return _parse_lines(_lines(text), _allowed(alphabet))
 
 
-def _parse_lines(lines: list[str], alphabet: Iterable[str], first: int = 1) -> Picture:
-    """One picture from its lines, numbered from ``first`` in messages; a
-    last empty line is tolerated."""
+def _allowed(alphabet: Iterable[str]) -> frozenset[str]:
+    """The symbols of a declared alphabet, which may hold neither ``#`` nor
+    a line break."""
     allowed = frozenset(alphabet)
     if BOUNDARY in allowed:
         raise AlphabetError(f"alphabet may not contain the boundary marker {BOUNDARY!r}")
     if not allowed.isdisjoint(_LINE_BREAKS):
         raise PictureFormatError("alphabet may not contain a line break")
+    return allowed
+
+
+def _parse_lines(lines: list[str], allowed: frozenset[str], first: int = 1) -> Picture:
+    """One picture from its lines, numbered from ``first`` in messages,
+    over the symbols ``_allowed`` gave; a last empty line is tolerated."""
     if lines and lines[-1] == "":
         lines = lines[:-1]
     if not lines:
@@ -156,11 +162,12 @@ def _parse_lines(lines: list[str], alphabet: Iterable[str], first: int = 1) -> P
             raise PictureFormatError(
                 f"line {n} has length {len(line)}, expected {width} (ragged picture)"
             )
-        for ch in line:
-            if ch == BOUNDARY:
-                raise AlphabetError(f"line {n}: reserved boundary marker {BOUNDARY!r}")
-            if ch not in allowed:
-                raise AlphabetError(f"line {n}: symbol {ch!r} not in alphabet")
+        if not allowed.issuperset(line):  # ``allowed`` holds no ``#``
+            for ch in line:
+                if ch == BOUNDARY:
+                    raise AlphabetError(f"line {n}: reserved boundary marker {BOUNDARY!r}")
+                if ch not in allowed:
+                    raise AlphabetError(f"line {n}: symbol {ch!r} not in alphabet")
     return Picture._trusted(tuple(tuple(line) for line in lines))
 
 
@@ -175,7 +182,7 @@ def parse_picture_stream(text: str, alphabet: Iterable[str]) -> list[Picture]:
             chunks.append((n + 1, []))
         else:
             chunks[-1][1].append(line)
-    pictures = []
+    pictures, allowed = [], None
     for index, (first, chunk) in enumerate(chunks):
         start, end = 0, len(chunk)
         while start < end and not chunk[start]:
@@ -192,7 +199,9 @@ def parse_picture_stream(text: str, alphabet: Iterable[str]) -> list[Picture]:
             else:
                 where = f"between the stream separators on lines {before} and {after}"
             raise PictureFormatError(f"empty picture {where}")
-        pictures.append(_parse_lines(chunk[start:end], alphabet, first + start))
+        if allowed is None:  # once, after any empty picture before it is reported
+            allowed = _allowed(alphabet)
+        pictures.append(_parse_lines(chunk[start:end], allowed, first + start))
     return pictures
 
 
@@ -243,13 +252,7 @@ def transpose(p: Picture) -> Picture:
 
 def rotate90_cw(p: Picture) -> Picture:
     """Rotate a quarter turn clockwise: output (r,c) = input (rows+1-c, r)."""
-    rows, cols = p.rows, p.cols
-    return Picture._trusted(
-        tuple(
-            tuple(p.cells[rows - c][r] for c in range(1, rows + 1))
-            for r in range(cols)
-        )
-    )
+    return Picture._trusted(tuple(zip(*reversed(p.cells))))
 
 
 def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterator[Picture]:

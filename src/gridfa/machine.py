@@ -245,6 +245,9 @@ def ensure_valid(a: Automaton) -> None:
     Machines are immutable, so ``validate`` records a passing check on the
     machine itself (it dies with it) and later calls are one lookup: sweeps
     call into the simulator per picture and should not re-pay validation.
+    ``transpose_machine``, ``rotate_machine`` and ``union_machine`` check
+    their inputs and set the same record on what they build, which is
+    valid whenever they are.
     """
     if "_valid" in a.__dict__:
         return
@@ -356,7 +359,7 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
     # A machine whose initial state already accepts recognizes everything,
     # and so does any union containing it.
     if a.initial == a.accepting or b.initial == b.accepting:
-        return Automaton(
+        return _derived(
             name, a.alphabet, ("all",), "all", "all", "nondet", policy, budget, {}
         )
     for machine in (a, b):
@@ -389,7 +392,7 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
         merged = dict.fromkeys(e for s in starts for e in transitions.get((s, symbol), ()))
         if merged:
             transitions[(init, symbol)] = tuple(merged)
-    return Automaton(
+    return _derived(
         name,
         a.alphabet,
         tuple(states),
@@ -403,7 +406,27 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
 
 
 def _toggle_suffix(name: str, suffix: str) -> str:
-    return name[: -len(suffix)] if name.endswith(suffix) else name + suffix
+    """``name`` with one ``suffix`` taken off or put on.  The suffix comes
+    off ``name`` k times while more than the suffix is left; an odd k takes
+    one off, an even k puts one on.  So ``x`` and ``x_T`` pair up, as do
+    ``x_T_T`` and ``x_T_T_T``, and ``_T`` and ``_T_T``: toggling twice
+    gives the name back, and no name is emptied."""
+    base = name
+    while base.endswith(suffix) and len(base) > len(suffix):
+        base = base[: -len(suffix)]
+    if (len(name) - len(base)) // len(suffix) % 2:
+        return name[: -len(suffix)]
+    return name + suffix
+
+
+def _derived(*fields: Any) -> Automaton:
+    """The machine of these fields, which an operation built from valid
+    machines and which is valid because they are.  It carries the record a
+    passing ``validate`` leaves, so its first search does not check it
+    again."""
+    a = Automaton(*fields)
+    object.__setattr__(a, "_valid", True)
+    return a
 
 
 def transpose_machine(a: Automaton) -> Automaton:
@@ -416,7 +439,7 @@ def transpose_machine(a: Automaton) -> Automaton:
     the operation twice restores the original machine.
     """
     ensure_valid(a)
-    return Automaton(
+    return _derived(
         _toggle_suffix(a.name, "_T"),
         a.alphabet,
         a.states,
@@ -460,7 +483,7 @@ def rotate_machine(a: Automaton) -> Automaton:
     for symbol in a.alphabet:
         transitions[(seek, symbol)] = ((seek, Direction.R),)
     transitions[(seek, "#")] = ((a.initial, Direction.L),)
-    return Automaton(
+    return _derived(
         a.name + "_rot",
         a.alphabet,
         (seek,) + a.states,
@@ -516,11 +539,15 @@ def parse_budget(token: str) -> int | float:
     return int(token)
 
 
+#: Each direction by its token (a plain dict: cheaper than Direction(token)).
+_DIRECTIONS: dict[str, Direction] = {d.value: d for d in Direction}
+
+
 def _parse_direction(token: str, line_no: int) -> Direction:
-    try:
-        return Direction[token]  # names are the tokens; cheaper than Direction(token)
-    except KeyError:
+    direction = _DIRECTIONS.get(token)
+    if direction is None:
         raise MachineParseError(f"line {line_no}: unknown direction {token!r}")
+    return direction
 
 
 #: The one-value directives: the field each sets and its usage error.
@@ -554,12 +581,17 @@ def parse_machine(text: str) -> Automaton:
         fields[key] = value
 
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         directive = tokens[0]
-        if directive in _ONE_VALUE:
+        if directive == "trans":  # the most common line first
+            if len(tokens) != 6 or tokens[3] != "->":
+                raise MachineParseError(
+                    f"line {line_no}: expected 'trans <state> <sym> -> <state> <dir>'"
+                )
+            trans_lines.append((line_no, tokens))
+        elif directive in _ONE_VALUE:
             key, usage = _ONE_VALUE[directive]
             if len(tokens) != 2 or (key == "mode" and tokens[1] not in ("det", "nondet")):
                 raise MachineParseError(f"line {line_no}: {usage}")
@@ -590,12 +622,6 @@ def parse_machine(text: str) -> Automaton:
             if tokens[1] in budgets:
                 raise MachineParseError(f"line {line_no}: duplicate {tokens[1]} budget")
             budgets[tokens[1]] = value
-        elif directive == "trans":
-            if len(tokens) != 6 or tokens[3] != "->":
-                raise MachineParseError(
-                    f"line {line_no}: expected 'trans <state> <sym> -> <state> <dir>'"
-                )
-            trans_lines.append((line_no, tokens))
         else:
             raise MachineParseError(f"line {line_no}: unknown directive {directive!r}")
 

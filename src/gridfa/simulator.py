@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -174,7 +175,6 @@ def config_space_bound(a: Automaton, p: Picture, budget: Budget | None = None) -
 #: Direction codes of the move rows: a direction's index here (a
 #: Direction is a str, and ``str.index`` is cheaper than hashing an enum).
 _CODES = "UDLR"
-_UP, _LEFT = _CODES.index("U"), _CODES.index("L")
 
 #: Ring cells of the frame are laid out under ``#`` plus the sides they lie
 #: on, each mapped to the codes of the moves that would leave the frame
@@ -188,6 +188,10 @@ _RING: dict[str, frozenset[int]] = {
     for horizontal in ("L", "", "R")
     if vertical or horizontal
 }
+_UL, _U, _UR, _L, _R, _DL, _D, _DR = _RING  # in the order built above
+
+#: The ring part of a row whose state has no move on ``#``.
+_NO_RING_MOVES: dict[str, tuple] = dict.fromkeys(_RING, ())
 
 
 def _cell_key(p: Picture, row: int, col: int) -> str:
@@ -201,17 +205,30 @@ def _cell_key(p: Picture, row: int, col: int) -> str:
     return BOUNDARY + vertical + horizontal
 
 
+@lru_cache(maxsize=64)
+def _frame_keys(alphabet: tuple[str, ...]) -> frozenset[str]:
+    """The cell keys a frame over ``alphabet`` may hold: its symbols and
+    the ring keys.  Every search checks its frame against this set, and
+    fresh machines share a few alphabets, so it is built once for each."""
+    return frozenset(alphabet).union(_RING)
+
+
 def _layout(a: Automaton, p: Picture) -> list[str]:
     """The frame of ``p`` as one flat row-major list of its (rows+2) *
     (cols+2) cell keys (as ``_cell_key`` gives them).  Raises
     AlphabetError if ``p`` uses a symbol outside the alphabet of ``a``."""
-    frame = [BOUNDARY + "UL", *[BOUNDARY + "U"] * p.cols, BOUNDARY + "UR"]
-    left, right = BOUNDARY + "L", BOUNDARY + "R"
-    for row in p.cells:
-        frame += [left, *row, right]
-    frame += [BOUNDARY + "DL", *[BOUNDARY + "D"] * p.cols, BOUNDARY + "DR"]
-    missing = set(frame).difference(a.alphabet, _RING)
-    if missing:
+    cells = p.cells
+    cols = len(cells[0])
+    frame = [_UL, *[_U] * cols, _UR]
+    for row in cells:
+        frame.append(_L)
+        frame += row
+        frame.append(_R)
+    frame.append(_DL)
+    frame += [_D] * cols
+    frame.append(_DR)
+    if not _frame_keys(a.alphabet).issuperset(frame):
+        missing = set(frame).difference(a.alphabet, _RING)
         raise AlphabetError(
             f"picture uses symbols {sorted(missing)} outside machine alphabet"
         )
@@ -261,6 +278,7 @@ class _Tables(dict):
         self.left_inf = left == INF
         self.left_layers = 1 if self.left_inf else left + 1
         self.per_state = (1 if self.up_inf else up + 1) * self.left_layers
+        self.offsets = {state: index * self.per_state for state, index in self.ids.items()}
         self.shift = (len(states) * self.per_state - 1).bit_length()
         self.mask = (1 << self.shift) - 1
         self.accepting = (len(states) - 1) * self.per_state
@@ -277,31 +295,33 @@ class _Tables(dict):
         if shared != low:
             row = self[low] = self[shared]
             return row
-        up_ok, left_ok = self.up_inf or up > 0, self.left_inf or left > 0
-        name, ids, row = self.states[state], self.ids, {}
+        # Per direction code (U, D, L, R as in ``_CODES``), the low delta of
+        # a move besides its change of state, or None where the budget left
+        # cannot pay for it.
+        cost = (
+            0 if self.up_inf else -left_layers if up else None,
+            0,
+            0 if self.left_inf else -1 if left else None,
+            0,
+        )
+        name, get, index = self.states[state], self.transitions.get, _CODES.index
+        offsets, offset, row = self.offsets, low - rest, {}
         for symbol in self.symbols:
             moves = []
-            for target, direction in self.transitions.get((name, symbol), ()):
-                code = _CODES.index(direction)
-                delta = (ids[target] - state) * per_state
-                if code == _UP:
-                    if not up_ok:
-                        continue
-                    if not self.up_inf:
-                        delta -= left_layers
-                elif code == _LEFT:
-                    if not left_ok:
-                        continue
-                    if not self.left_inf:
-                        delta -= 1
-                moves.append((delta, code))
+            for target, direction in get((name, symbol), ()):
+                code = index(direction)
+                if cost[code] is not None:
+                    moves.append((offsets[target] - offset + cost[code], code))
             row[symbol] = tuple(moves)
         boundary = row.pop(BOUNDARY)
-        codes = {code for _, code in boundary}
-        for key, leaving in _RING.items():
-            row[key] = boundary if leaving.isdisjoint(codes) else tuple(
-                [move for move in boundary if move[1] not in leaving]
-            )
+        if not boundary:
+            row.update(_NO_RING_MOVES)
+        else:
+            codes = {code for _, code in boundary}
+            for key, leaving in _RING.items():
+                row[key] = boundary if leaving.isdisjoint(codes) else tuple(
+                    [move for move in boundary if move[1] not in leaving]
+                )
         self[low] = row
         return row
 

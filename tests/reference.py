@@ -8,6 +8,10 @@ the code under test beyond the public value types.  Tests compare
 verdicts, canonical traces, deterministic outcomes and single steps
 against it.
 
+``table_row`` is the one white-box piece: the row of a compiled table,
+built by a plain loop over each move, against which the rows
+``gridfa.simulator._Tables`` builds are checked.
+
 The oracles are one hand-written scan per witness language, with no
 shared pair form, against which ``gridfa.languages`` (its oracles and
 its member counts) is checked.
@@ -19,6 +23,7 @@ from collections import deque
 
 import gridfa as g
 from gridfa.machine import DELTAS
+from gridfa.simulator import _CODES, _RING
 
 _DIRECTION_OF = {delta: direction for direction, delta in DELTAS.items()}
 
@@ -147,6 +152,38 @@ def run_deterministic(a, p, budget=None) -> tuple[g.RunOutcome, g.Trace]:
     return g.RunOutcome.LOOP, g.Trace(
         steps + (_move(last, again),), again, g.RunOutcome.LOOP
     )
+
+
+def table_row(tables, low: int) -> dict:
+    """The row of low part ``low`` of ``tables`` (a ``_Tables``), move by
+    move: each symbol, and each ring key, mapped to its enabled moves as
+    ``(low delta, direction code)`` pairs in declaration order."""
+    per_state, left_layers = tables.per_state, tables.left_layers
+    state, rest = divmod(low, per_state)
+    up, left = divmod(rest, left_layers)
+    up_ok, left_ok = tables.up_inf or up > 0, tables.left_inf or left > 0
+    name, ids, row = tables.states[state], tables.ids, {}
+    for symbol in tables.symbols:
+        moves = []
+        for target, direction in tables.transitions.get((name, symbol), ()):
+            code = _CODES.index(direction)
+            delta = (ids[target] - state) * per_state
+            if direction is g.Direction.U:
+                if not up_ok:
+                    continue
+                if not tables.up_inf:
+                    delta -= left_layers
+            elif direction is g.Direction.L:
+                if not left_ok:
+                    continue
+                if not tables.left_inf:
+                    delta -= 1
+            moves.append((delta, code))
+        row[symbol] = tuple(moves)
+    boundary = row.pop("#")
+    for key, leaving in _RING.items():
+        row[key] = tuple(move for move in boundary if move[1] not in leaving)
+    return row
 
 
 def _stacked(upper, lower) -> int:

@@ -137,6 +137,33 @@ class TestParsePicture:
             g.parse_picture_stream("11\n--\n01\n\n01\n", "01")
 
     @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("01x0", "line 5: symbol 'x' not in alphabet"),
+            ("01#0", "line 5: reserved boundary marker '#'"),
+            ("0x#0", "line 5: symbol 'x' not in alphabet"),
+            ("0#x0", "line 5: reserved boundary marker '#'"),
+            ("011 ", "line 5: symbol ' ' not in alphabet"),
+        ],
+    )
+    def test_bad_symbol_after_a_valid_prefix_names_the_first(self, line, message):
+        text = "0101\n--\n1010\n0110\n" + line + "\n1111\n"
+        for parse, numbered in ((g.parse_picture_stream, text), (g.parse_picture, text[8:])):
+            with pytest.raises((g.AlphabetError, g.PictureFormatError)) as err:
+                parse(numbered, "01")
+            expected = message if parse is g.parse_picture_stream else message.replace("5", "3", 1)
+            assert str(err.value) == expected
+
+    def test_stream_reads_its_alphabet_once(self):
+        pics = [g.Picture.from_rows(["01"]), g.Picture.from_rows(["10"])]
+        assert g.parse_picture_stream("01\n--\n10\n", iter("01")) == pics
+        # An empty first picture is still reported before a bad alphabet.
+        with pytest.raises(g.PictureFormatError, match="^empty picture before"):
+            g.parse_picture_stream("\n--\n01\n", "0#")
+        with pytest.raises(g.AlphabetError, match="^alphabet may not contain"):
+            g.parse_picture_stream("01\n--\n\n", "0#")
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("\n--\n01\n", "empty picture before the first stream separator, on line 2"),

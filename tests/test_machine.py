@@ -262,6 +262,17 @@ class TestTransposeMachine:
         for p in all_pictures(2, 3):
             assert g.accepts(at, g.transpose(p)) == g.accepts(a, p)
 
+    @pytest.mark.parametrize(
+        "name, transposed",
+        [("x", "x_T"), ("_T", "_T_T"), ("x_T_T", "x_T_T_T"), ("T", "T_T"), ("_T_T_T", "_T_T_T_T")],
+    )
+    def test_names_pair_up_and_are_never_emptied(self, name, transposed):
+        c = dataclasses.replace(g.build_C_L1_2W(), name=name)
+        t = g.transpose_machine(c)
+        assert t.name == transposed and g.validate(t) == []
+        assert g.parse_machine(g.serialize_machine(t)) == t
+        assert g.transpose_machine(t) == c
+
 
 class TestRotateMachine:
     def test_rotated_three_way_becomes_three_way(self):
@@ -623,6 +634,53 @@ class TestRandomMachines:
         ]
         assert bool(g.validate(machine)) == bool(odd)
         if not odd:
+            assert g.parse_machine(g.serialize_machine(machine)) == machine
+
+    @given(
+        st.sampled_from(["det", "nondet"]).flatmap(random_machines),
+        st.sampled_from(["det", "nondet"]).flatmap(random_machines),
+        st.sampled_from(["_T", "x_T", "x_rot", "_T_T", "x_T_T", "x", "T"]),
+        st.lists(
+            st.sampled_from(["rot_seek", "rot_seek_", "init", "accept", "all", "s0", "s1", "a:s0"]),
+            min_size=8,
+            max_size=8,
+            unique=True,
+        ),
+    )
+    @settings(max_examples=200)
+    def test_derived_machines_validate_cleanly(self, a, b, name, names):
+        # ``a`` takes the drawn name and the first drawn state names, ``b``
+        # the last ones; ``validate`` is called directly, since it never
+        # reads the validity record the operations leave.
+        def renamed(machine, name, names):
+            state = dict(zip(machine.states, names))
+            return dataclasses.replace(
+                machine,
+                name=name,
+                states=tuple(state[s] for s in machine.states),
+                initial=state[machine.initial],
+                accepting=state[machine.accepting],
+                transitions={
+                    (state[source], symbol): tuple((state[t], d) for t, d in moves)
+                    for (source, symbol), moves in machine.transitions.items()
+                },
+            )
+
+        a, b = renamed(a, name, names[:4]), renamed(b, name + "b", names[::-1])
+        derived = [g.transpose_machine(a)]
+        assert g.transpose_machine(derived[0]) == a
+        for operation, args, refusal in (
+            (g.rotate_machine, (a,), g.RotationError),
+            (g.union_machine, (a, b), g.CompositionError),
+            (g.union_machine, (b, a), g.CompositionError),
+        ):
+            try:
+                derived.append(operation(*args))
+            except refusal:
+                pass
+        for machine in derived:
+            assert "_valid" in machine.__dict__
+            assert g.validate(machine) == []
             assert g.parse_machine(g.serialize_machine(machine)) == machine
 
     @given(random_machines(), st.integers(0, 255))

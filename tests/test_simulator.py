@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import gridfa as g
 from gridfa.machine import DELTAS
-from gridfa.simulator import _tables
+from gridfa.simulator import _Tables, _layout, _tables
 
 import reference
 from conftest import all_pictures, random_machines
@@ -82,6 +82,54 @@ class TestInitialConfiguration:
                 ask(invalid, stray, above)
             with pytest.raises(g.AlphabetError):
                 ask(a, stray, above)
+
+
+class TestLayout:
+    # A 3x4 picture over {0, 1}: corner cells, cells on the frame edge
+    # (next to the ring) and interior cells, 0-based.
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0, 0)], [(0, 3)], [(2, 0)], [(2, 3)],
+            [(0, 1)], [(1, 0)], [(1, 3)], [(2, 2)],
+            [(1, 1)], [(1, 2)],
+            [(1, 2), (0, 0)], [(2, 3), (1, 1), (0, 2)],
+        ],
+    )
+    def test_foreign_symbols_name_themselves_sorted(self, cells):
+        a = g.build_A_L1()
+        foreign = ["x", "2", "a"][: len(cells)]
+        rows = [list("0101"), list("1100"), list("0011")]
+        for (r, c), symbol in zip(cells, foreign):
+            rows[r][c] = symbol
+        p = g.Picture.from_rows(["".join(row) for row in rows])
+        message = f"picture uses symbols {sorted(foreign)} outside machine alphabet"
+        for ask in (g.accepts, g.initial_configuration, g.accepting_trace):
+            with pytest.raises(g.AlphabetError) as err:
+                ask(a, p)
+            assert str(err.value) == message
+        with pytest.raises(g.AlphabetError) as err:
+            g.run_deterministic(g.build_M_M1(), p)
+        assert str(err.value) == message
+
+    def test_the_frame_holds_ring_keys_around_the_cells(self):
+        frame = _layout(g.build_A_L1(), g.Picture.from_rows(["01", "10"]))
+        assert frame == [
+            "#UL", "#U", "#U", "#UR",
+            "#L", "0", "1", "#R",
+            "#L", "1", "0", "#R",
+            "#DL", "#D", "#D", "#DR",
+        ]
+
+
+@given(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+@settings(max_examples=100, deadline=None)
+def test_table_rows_match_the_move_by_move_reference(machine):
+    for up in (0, 1, 2, g.INF):
+        for left in (0, 1, 2, g.INF):
+            tables = _Tables(machine, up, left)
+            for low in range(len(tables.states) * tables.per_state):
+                assert tables[low] == reference.table_row(tables, low)
 
 
 class TestStep:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -28,8 +27,9 @@ from .experiments import (
 from .grid import (
     STREAM_SEPARATOR,
     Picture,
+    _separator_row,
+    _shape_rows,
     enumerate_pictures,
-    format_picture_stream,
     parse_picture_stream,
 )
 from .languages import natural_rows, parse_language_id
@@ -126,17 +126,21 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    """Write the pictures as they are enumerated.  Each row of the shape
-    is the last row of one of the first |alphabet|^cols pictures, so a
-    picture the stream cannot carry is among those, and they are checked
-    before anything is written."""
+    """Write the pictures as they are enumerated.  A picture with a row
+    that reads as the stream separator is refused before anything is
+    written; the alphabet and the shape tell whether there is one."""
     pictures = enumerate_pictures(args.alphabet, args.rows, args.cols)
     first = next(pictures, None)
     if first is None:  # only an empty alphabet has no pictures of a valid shape
         raise CliError("alphabet must not be empty")
-    head = [first, *islice(pictures, len(args.alphabet) ** args.cols - 1)]
+    separator = tuple(STREAM_SEPARATOR)
+    if args.cols == len(separator) and set(separator) <= set(args.alphabet):
+        # The separator is row n of the shape's rows, so picture n (from 0)
+        # is the first to hold it: as its last row, or as every row if n is 0.
+        n = _shape_rows(args.alphabet, 1, args.cols).index(separator)
+        raise _separator_row(n + 1, args.rows if n else 1)
     write = sys.stdout.write
-    write(format_picture_stream(head))
+    write(f"{first.to_text()}\n")
     for p in pictures:
         write(f"{STREAM_SEPARATOR}\n{p.to_text()}\n")
     return 0

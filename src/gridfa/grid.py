@@ -212,11 +212,17 @@ def format_picture_stream(pictures: Sequence[Picture]) -> str:
     for n, p in enumerate(pictures, start=1):
         for r, row in enumerate(p.cells, start=1):
             if "".join(row) == STREAM_SEPARATOR:
-                raise PictureFormatError(
-                    f"picture {n} cannot be written to a stream: its row {r} "
-                    f"is the stream separator {STREAM_SEPARATOR!r}"
-                )
+                raise _separator_row(n, r)
     return f"\n{STREAM_SEPARATOR}\n".join(p.to_text() for p in pictures) + "\n"
+
+
+def _separator_row(number: int, row: int) -> PictureFormatError:
+    """The refusal of picture ``number`` (from 1), whose row ``row`` is the
+    stream separator."""
+    return PictureFormatError(
+        f"picture {number} cannot be written to a stream: its row {row} "
+        f"is the stream separator {STREAM_SEPARATOR!r}"
+    )
 
 
 def cell_at(p: Picture, row: int, col: int) -> str:
@@ -263,8 +269,9 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
     them.  The alphabet is checked before the first picture: a symbol that
     is not a single character, or is ``\r`` or ``\n``, raises
     PictureFormatError, and ``#`` or a symbol given twice raises
-    AlphabetError.  The |alphabet|^cols rows of the shape are made once,
-    before the first picture, and the pictures share them.
+    AlphabetError.  Pictures of more than one row share the shape's
+    |alphabet|^cols rows, made once before the first picture; one-row
+    pictures are made one at a time, so a stream of them holds no more.
 
     So a picture's index is its rows read as digits in base |alphabet|^cols,
     the top row most significant, and the pictures that agree on their
@@ -273,13 +280,23 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
     (``_picture_at``) only the pictures a caller reads.
     """
     trusted = Picture._trusted
-    for cells in itertools.product(_shape_rows(alphabet, rows, cols), repeat=rows):
-        yield trusted(cells)
+    shape_rows = _row_stream(alphabet, rows, cols)
+    if rows == 1:
+        for row in shape_rows:
+            yield trusted((row,))
+    else:
+        for cells in itertools.product(shape_rows, repeat=rows):
+            yield trusted(cells)
 
 
 def _shape_rows(alphabet: Sequence[str], rows: int, cols: int) -> list[tuple[str, ...]]:
     """The rows of the ``rows x cols`` shape in enumeration order, after
     checking the shape and the alphabet as ``enumerate_pictures`` does."""
+    return list(_row_stream(alphabet, rows, cols))
+
+
+def _row_stream(alphabet: Sequence[str], rows: int, cols: int) -> Iterator[tuple[str, ...]]:
+    """``_shape_rows``, made one row at a time (the checks come first)."""
     if rows < 1 or cols < 1:
         raise PictureFormatError("enumeration needs rows >= 1 and cols >= 1")
     symbols = tuple(alphabet)
@@ -292,7 +309,7 @@ def _shape_rows(alphabet: Sequence[str], rows: int, cols: int) -> list[tuple[str
             raise AlphabetError(f"alphabet may not contain the boundary marker {BOUNDARY!r}")
         if sym in symbols[:n]:
             raise AlphabetError(f"alphabet declares symbol {sym!r} twice")
-    return list(itertools.product(symbols, repeat=cols))
+    return itertools.product(symbols, repeat=cols)
 
 
 def _picture_at(shape_rows: Sequence[tuple[str, ...]], rows: int, index: int) -> Picture:

@@ -15,8 +15,9 @@ three ways:
 
 It is also read for a whole shape at once: ``_decide_shape`` decides
 every picture of one shape under a list of budgets, for the sweeps and
-``language_sample``, and searches only the pictures whose verdict neither
-monotonicity in the budget nor an earlier search of the same cells gives.
+``language_sample``, in one search per budget.  That search starts with
+every cell of the frame unread and forks, once per symbol, where it first
+reads one, so the pictures that agree on the cells a branch read share it.
 
 The search runs over the compiled form of the machine under the
 resolved budget (``_Tables``), not over :class:`Configuration` values.
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple, Sequence
@@ -337,7 +337,8 @@ class _Tables(dict):
         return self.states[state], INF if self.up_inf else up, INF if self.left_inf else left
 
     def explore(
-        self, frame, width: int, start: int | None = None, limit: int | None = None
+        self, frame, width: int, start: int | None = None, limit: int | None = None,
+        resume: tuple[dict[int, int | None], list[int], int, list[list[int]]] | None = None,
     ) -> tuple[dict[int, int | None], int | None]:
         """Breadth-first search from ``start`` (the initial configuration,
         on cell (1,1), when None), expanding moves in declaration order,
@@ -349,24 +350,43 @@ class _Tables(dict):
         order) and that accepting configuration, or None.  Discovery order
         is FIFO order, so the accepting configuration dequeued first is the
         one discovered first.
+
+        ``resume`` goes on with a search whose frame may hold unread cells
+        (None): its discovery map and queue, which grow in place, the queue
+        index to dequeue next, and its list of forks.  Dequeuing a
+        configuration on an unread cell forks the search there: it appends
+        ``[frame index, 0, queue length, queue index]`` to the forks and
+        reads the cell as the first symbol of the alphabet.
         """
         mask, shift, accepting = self.mask, self.shift, self.accepting
-        if start is None:
-            start = (width + 1) << shift | self.start
+        if resume is None:  # separate stores: a tuple here slows short searches
+            if start is None:
+                start = (width + 1) << shift | self.start
+            parents = {start: None}
+            queue = [start]
+            index = 0
+        else:
+            parents, queue, index, forks = resume
         # A move adds its low delta and the frame-index delta of its direction.
         step = (-width << shift, width << shift, -1 << shift, 1 << shift)
-        parents: dict[int, int | None] = {start: None}
-        queue = [start]
-        for c in islice(queue, limit):  # the queue grows while it is read
-            low = c & mask
-            if low >= accepting:
-                return parents, c
-            for delta, direction in self[low][frame[c >> shift]]:
-                nxt = c + delta + step[direction]
-                if nxt not in parents:
-                    parents[nxt] = c
-                    queue.append(nxt)
-        return parents, None
+        while True:
+            try:  # outside the loop, so that the loop pays nothing for forks
+                for c in islice(queue, index, limit):  # the queue grows while it is read
+                    low = c & mask
+                    if low >= accepting:
+                        return parents, c
+                    for delta, direction in self[low][frame[c >> shift]]:
+                        nxt = c + delta + step[direction]
+                        if nxt not in parents:
+                            parents[nxt] = c
+                            queue.append(nxt)
+                return parents, None
+            except KeyError:
+                if frame[c >> shift] is not None:
+                    raise
+                index = queue.index(c, index)  # dequeue ``c`` again, reading the symbol
+                forks.append([c >> shift, 0, len(queue), index])
+                frame[c >> shift] = self.symbols[0]
 
     def decode(self, codes: list[int], width: int) -> list[Configuration]:
         shift, mask = self.shift, self.mask
@@ -525,67 +545,76 @@ def _decide_shape(
     starting where the one before it ends, the first at 0, and no two
     neighbours alike.  The machine must be valid.
 
-    Acceptance is monotone in the budget (componentwise, INF above every
-    finite value), so budgets are decided last first (the last is usually
-    the largest), and a rejected run of a decided budget at or above this
-    one, or an accepted run of one at or below it, is taken whole.  Other
-    pictures are searched in the shape's one frame (laid out once, which
-    checks the alphabet).  A search reads no cell past the farthest frame
-    position it discovered, so the pictures that agree with the searched
-    one up to there are one aligned run of indices, which takes its
-    verdict (where it overlaps a run monotonicity gave, both are exact).
+    Each budget takes one search over a frame whose cells start unread,
+    which forks where it first dequeues a configuration on an unread cell
+    (``_Tables.explore``): it goes on from there once per symbol, and
+    deletes what one branch discovered before the next.  A branch ends at
+    an accepting configuration or an empty queue and decides the pictures
+    that agree on the cells it read: for each value of the unread cells
+    before its last read one, an aligned run of indices (cells count in
+    row-major order, the last fastest).  The accepted runs, sorted, give
+    the verdicts.
     """
     shape_rows = _shape_rows(a.alphabet, rows, cols)
     total = len(shape_rows) ** rows
     if not total:
         return shape_rows, [[] for _ in budgets]
-    frame, width = _layout(a, _picture_at(shape_rows, rows, 0)), cols + 2
-    bottom_up = [slice(r * width + 1, r * width + 1 + cols) for r in range(rows, 0, -1)]
-    # Per frame position, the length of the run of pictures that agree on
-    # every cell up to it.  A left ring position counts as its row's first
-    # cell, a right ring one as its row's last, the bottom ring as the last
-    # cell (and the top ring, which no farthest position reaches, as row 1).
-    symbols, cells = len(a.alphabet), rows * cols
-    spans = [
-        symbols ** (0 if r > rows else cells - (max(r, 1) - 1) * cols - min(max(c, 1), cols))
-        for r in range(rows + 2)
-        for c in range(width)
+    symbols, width = a.alphabet, cols + 2
+    frame = [_UL, *[_U] * cols, _UR, *[_L, *[None] * cols, _R] * rows, _DL, *[_D] * cols, _DR]
+    # Per frame position, the run of pictures one value of its cell spans.
+    weights = [
+        len(symbols) ** (rows * cols - (pos // width - 1) * cols - pos % width)
+        if cell is None else 0
+        for pos, cell in enumerate(frame)
     ]
-    decided: list[list[tuple[int, bool]] | None] = [None] * len(budgets)
-    for index in reversed(range(len(budgets))):
-        up, left = budgets[index]
+    decided = []
+    for up, left in budgets:
         tables = _tables(a, up, left)
-        # Each decided budget's run ends and verdicts, and the verdict implied.
-        implying = []
-        for (other_up, other_left), runs in zip(budgets, decided):
-            if runs is None:
-                continue
-            ends, verdicts = zip(*runs)
-            if up <= other_up and left <= other_left:  # rejected above
-                implying.append((ends, verdicts, False))
-            if other_up <= up and other_left <= left:  # accepted below
-                implying.append((ends, verdicts, True))
+        start = (width + 1) << tables.shift | tables.start
+        parents, queue, index, forks = {start: None}, [start], 0, []
+        base, accepted = 0, []  # base: the index of the branch's first picture
+        while True:
+            if tables.explore(frame, width, resume=(parents, queue, index, forks))[1] is not None:
+                last = max(forks)[0] if forks else 0
+                starts = [base]
+                for weight, cell in zip(weights, frame[:last]):
+                    if cell is None:  # unread before the last cell read
+                        starts = [n + v * weight for n in starts for v in range(len(symbols))]
+                accepted += [(n, n + (weights[last] if forks else total)) for n in starts]
+            # Undo the branch and go on with the next symbol of the last fork
+            # that has one.  A symbol on which the forking configuration has
+            # no move, with nothing queued behind it, rejects without a search.
+            while forks:
+                pos, old, length, index = fork = forks[-1]
+                value = old + 1
+                if index + 1 == length:
+                    moves = tables[queue[index] & tables.mask]
+                    while value < len(symbols) and not moves[symbols[value]]:
+                        value += 1
+                if value < len(symbols):
+                    break
+                base -= old * weights[pos]
+                frame[pos] = None
+                forks.pop()
+            else:
+                break
+            for c in islice(queue, length, None):
+                del parents[c]
+            del queue[length:]
+            base += (value - old) * weights[pos]
+            fork[1], frame[pos] = value, symbols[value]
         column: list[tuple[int, bool]] = []
         n = 0
-        while n < total:
-            for ends, verdicts, implied in implying:
-                run = bisect_right(ends, n)
-                if verdicts[run] is implied:
-                    end, verdict = ends[run], implied
-                    break
-            else:
-                rest = n  # the rows are its digits, the bottom one least significant
-                for slot in bottom_up:
-                    rest, digit = divmod(rest, len(shape_rows))
-                    frame[slot] = shape_rows[digit]
-                parents, goal = tables.explore(frame, width)
-                span = spans[max(parents) >> tables.shift]
-                end, verdict = n + span - n % span, goal is not None
-            if column and column[-1][1] is verdict:
-                column.pop()  # the run goes on
-            column.append((end, verdict))
+        for begin, end in sorted(accepted):
+            if begin > n:
+                column.append((begin, False))
+            elif column:
+                column.pop()  # the accepted run goes on
+            column.append((end, True))
             n = end
-        decided[index] = column
+        if n < total:
+            column.append((total, False))
+        decided.append(column)
     return shape_rows, decided
 
 

@@ -185,9 +185,27 @@ class TestEnumerate:
                 tracemalloc.stop()
         assert peak < 4_000_000
 
+    def test_one_row_pictures_are_streamed(self):
+        # 2^16 one-row pictures: buffering the first |alphabet|^cols of them
+        # to look for a separator row held the whole stream (26.7 MB).
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["enumerate", "--rows", "1", "--cols", "16"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize(
         "alphabet, rows, cols, number, row",
-        [("-", "2", "2", 1, 1), ("01-", "3", "2", 9, 3)],
+        [
+            ("-", "2", "2", 1, 1),
+            ("01-", "3", "2", 9, 3),
+            ("-0", "3", "2", 1, 1),
+            ("0-", "1", "2", 4, 1),
+            ("a-b", "2", "2", 5, 2),
+        ],
     )
     def test_picture_with_a_separator_row_is_refused_before_any_output(
         self, alphabet, rows, cols, number, row, capsys

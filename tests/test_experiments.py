@@ -286,6 +286,37 @@ def test_builder_sweeps_match_per_picture_decisions(builder, param, lang_id, row
     assert report.member_total > 0
 
 
+def run_verdicts(runs, total):
+    """The verdicts of ``_decide_shape`` runs, one per picture, after
+    checking that the runs cover the ``total`` pictures and alternate."""
+    ends = [end for end, _ in runs]
+    assert ends == sorted(set(ends)) and ends[-1] == total
+    assert all(before[1] != after[1] for before, after in zip(runs, runs[1:]))
+    return [v for (end, v), start in zip(runs, [0, *ends]) for _ in range(start, end)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_decide_shape_matches_per_picture_decisions(data):
+    # One call decides every budget, in one search each: the declared one,
+    # 0, the incomparable (1,0) and (0,1) where declared allows, and drawn
+    # ones (INF lowered to a finite value among them).
+    machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    up, left = machine.budget
+    budgets = [
+        machine.budget, g.Budget(0, 0), g.Budget(min(up, 1), 0), g.Budget(0, min(left, 1)),
+        *data.draw(budget_lists(machine.budget))[:2],
+    ]
+    rows = data.draw(st.integers(1, 3))
+    cols = data.draw(st.integers(1, 5 if rows < 3 else 4))
+    pictures = list(g.enumerate_pictures(machine.alphabet, rows, cols))
+    _, decided = _decide_shape(machine, rows, cols, budgets)
+    for budget, runs in zip(budgets, decided, strict=True):
+        assert run_verdicts(runs, len(pictures)) == [
+            g.accepts(machine, p, budget) for p in pictures
+        ]
+
+
 def count_searches(monkeypatch, sweep):
     """The number of ``_Tables.explore`` calls ``sweep()`` makes."""
     calls = []
@@ -322,11 +353,14 @@ class TestSharedSearches:
             monkeypatch, lambda: g.budget_sweep(machine, "L1", 2, 4, budgets)
         )
         decided = 2 * sum(4**cols for cols in range(1, 5))
-        # At the full budget a 2 x c shape takes one search for the pictures
-        # starting 0, and one per value of row 1 and cell (2,1) for the
-        # rest: 1 + 2**c.  Starved, only the pictures accepted at the full
-        # budget are searched, one per value of row 1: 2**(c-1).
-        assert searched == sum(1 + 2**c + 2 ** (c - 1) for c in range(1, 5)) == 49
+        # Each explore call ends one branch of the shape's search.  At either
+        # budget a 2 x c shape takes one for the pictures starting 0 (read at
+        # (1,1), where s has no move) and one for those starting 1 with a 0
+        # at (2,1).  At the full budget a third accepts those starting 1 with
+        # a 1 at (2,1); starved, t has no move on that 1 and nothing else is
+        # queued, so that branch rejects without a search.  No other cell is
+        # read, whatever c is: 3 + 2 per shape.
+        assert searched == 4 * (3 + 2) == 20
         assert searched * 10 < decided
         assert_sweep_matches_decisions(machine, 2, 4, budgets)
 
@@ -358,11 +392,23 @@ class TestSharedSearches:
         pictures = list(g.enumerate_pictures(machine.alphabet, 2, 4))
         _, decided = _decide_shape(machine, 2, 4, budgets)
         for budget, runs in zip(budgets, decided):
-            ends = [end for end, _ in runs]
-            assert ends == sorted(set(ends)) and ends[-1] == len(pictures)
-            assert all(before[1] != after[1] for before, after in zip(runs, runs[1:]))
-            verdicts = [v for (end, v), start in zip(runs, [0, *ends]) for _ in range(start, end)]
+            verdicts = run_verdicts(runs, len(pictures))
             assert verdicts == [g.accepts(machine, p, budget) for p in pictures]
+
+    def test_a_branch_forgets_what_the_branches_before_it_discovered(self):
+        # Both values of (1,1) move to the same configuration on (1,2), so
+        # the branch for a 1 reaches it again only if the branch for a 0
+        # took back its discoveries.
+        machine = g.Automaton(
+            "same_move", ("0", "1"), ("s", "t", "acc"), "s", "acc", "det",
+            g.THREE_WAY, g.Budget(0, g.INF),
+            {("s", "0"): (("t", R),), ("s", "1"): (("t", R),), ("t", "1"): (("acc", R),)},
+        )
+        for rows, cols in ((1, 2), (2, 3)):
+            pictures = list(g.enumerate_pictures(machine.alphabet, rows, cols))
+            _, (runs,) = _decide_shape(machine, rows, cols, [machine.budget])
+            verdicts = run_verdicts(runs, len(pictures))
+            assert verdicts == [p.cells[0][1] == "1" for p in pictures]
 
     def test_language_sample_shares_searches(self, monkeypatch):
         # (1..4)x(1..4) is 74,954 pictures; M_M2 halts early on most of them.
@@ -406,14 +452,13 @@ class TestSharedSearches:
         assert farthest(machine, p) == (2, 0) and g.accepts(machine, p)
         for rows, cols_max in ((2, 3), (3, 2)):
             assert_sweep_matches_decisions(machine, rows, cols_max, [machine.budget])
-        # The left ring position (2,0) counts as cell (2,1): a 2 x c shape
-        # takes one search for the pictures starting 0, one for those
-        # starting 2, and one per value of row 1 and cell (2,1) for those
-        # starting 1: 2 + 3**c.
+        # Ring cells are never unread, so the walk down the left ring and
+        # back reads no cell: a 2 x c shape takes one explore call per value
+        # of (1,1), each deciding every picture that starts with it.
         searched = count_searches(
             monkeypatch, lambda: g.oracle_equivalence(machine, "L1", 2, 2)
         )
-        assert searched == sum(2 + 3**c for c in (1, 2)) == 16
+        assert searched == 2 * 3 == 6
 
     def test_farthest_on_the_right_ring(self):
         # Walks row 1 while it reads 1s and accepts from its right ring.

@@ -9,6 +9,7 @@ fixed and traces are canonical.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -138,8 +139,10 @@ def budget_sweep(
 
     The simulator decides each shape as runs of enumeration indices
     (``_decide_shape``), and a run's members are counted from the
-    language's row-pair table (``_member_rank``); only a run whose count
-    disagrees with its verdict is gone through picture by picture.
+    language's row-pair table (``_member_rank``).  In a run whose count
+    disagrees with its verdict, each disagreeing picture is found by
+    bisecting that count over the run, so a report costs O(mismatches *
+    log run) counts, not one per picture.
     """
     if cols_max < 1:
         raise ValueError(f"need cols_max >= 1, got {cols_max}")
@@ -161,12 +164,18 @@ def budget_sweep(
                 if verdict:
                     count[0] += end - start
                     count[1] += members
-                if runs is verdicts[-1] and members != (end - start if verdict else 0):
-                    mismatches += (
-                        Mismatch(_picture_at(shape_rows, rows, n), verdict, not verdict)
-                        for n in range(start, end)
-                        if rank(n + 1) - rank(n) != verdict
-                    )
+                misses = end - start - members if verdict else members
+                if misses and runs is verdicts[-1]:
+                    # wrong(n): the pictures below index n that the oracle
+                    # places against the verdict.  The k-th miss of the run is
+                    # n - 1 for the least n with wrong(n) = wrong(start) + k.
+                    wrong = (lambda n: n - rank(n)) if verdict else rank
+                    below = start - before if verdict else before  # wrong(start)
+                    ends, at = range(start + 1, end + 1), 0
+                    for k in range(below + 1, below + misses + 1):
+                        at = bisect_left(ends, k, at, key=wrong)
+                        picture = _picture_at(shape_rows, rows, start + at)
+                        mismatches.append(Mismatch(picture, verdict, not verdict))
                 start, before = end, before + members
     per_budget = tuple(BudgetCount(budget, *count) for budget, count in zip(resolved, counts))
     return SweepReport(

@@ -143,6 +143,20 @@ Transition = tuple[str, Direction]
 TransitionTable = dict[tuple[str, str], tuple[Transition, ...]]
 
 
+class _ReadOnlyTable(dict):
+    """A transition table that refuses changes (TypeError).  It is still a
+    dict, so reads cost what a dict's do, and it pickles and copies as one
+    (``__reduce__``), which a ``types.MappingProxyType`` would not."""
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a machine's transition table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self) -> tuple[type, tuple[dict]]:
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Automaton:
     """Immutable machine definition.
@@ -151,7 +165,9 @@ class Automaton:
     ``(next_state, direction)`` pairs.  Declaration order matters: the
     simulator uses it as the tie-break for canonical traces.  ``mode`` is
     ``"det"`` or ``"nondet"``; deterministic machines allow at most one
-    pair per key.
+    pair per key.  The machine keeps a read-only copy of the table it is
+    given, so that what it caches on itself (the validity record and the
+    simulator's compiled tables) cannot go stale.
     """
 
     name: str
@@ -163,6 +179,9 @@ class Automaton:
     policy: DirectionPolicy
     budget: Budget
     transitions: TransitionTable = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "transitions", _ReadOnlyTable(self.transitions))
 
     def transitions_from(self, state: str, symbol: str) -> tuple[Transition, ...]:
         return self.transitions.get((state, symbol), ())

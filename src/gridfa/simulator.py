@@ -25,10 +25,10 @@ That one object holds the integer tables, the start of every run and the
 search itself, and it is cached on the machine, so a sweep sets it up
 once per budget for all its pictures.  The picture is laid out once per
 search as one flat frame, and each configuration is one int packing the
-frame index of the head with the state and the budget layers.  Only the
-configurations a caller reads are decoded: ``step`` and
-``accepting_trace`` decode theirs before they return, and the trace of
-``run_deterministic`` holds the run's path of ints and decodes it on the
+frame index of the head with the state and the budget layers.  One move
+is no search: ``step``, and ``run_deterministic`` telling a halt from a
+loop, read it off one table row.  Only what a caller reads is decoded:
+the trace of ``run_deterministic`` holds the run's path of ints until the
 first read of its steps or final configuration, since many callers read
 only the outcome.
 
@@ -163,13 +163,11 @@ def initial_configuration(
 
 def config_space_bound(a: Automaton, p: Picture, budget: Budget | None = None) -> int:
     """Size bound of the configuration space: |Q| * (rows+2) * (cols+2) *
-    (up+1) * (left+1), with an infinite budget counting as one layer.  The
-    machine must be well-formed (MachineInvalidError otherwise)."""
+    the budget layers of one state (``_Tables.per_state``).  The machine
+    must be well-formed (MachineInvalidError otherwise)."""
     ensure_valid(a)
-    up, left = _resolve_budget(a, budget)
-    up_layers = 1 if up == INF else int(up) + 1
-    left_layers = 1 if left == INF else int(left) + 1
-    return len(a.states) * (p.rows + 2) * (p.cols + 2) * up_layers * left_layers
+    per_state = _tables(a, *_resolve_budget(a, budget)).per_state
+    return len(a.states) * (p.rows + 2) * (p.cols + 2) * per_state
 
 
 #: Direction codes of the move rows: a direction's index here (a
@@ -261,9 +259,8 @@ class _Tables(dict):
     of one state share at most four rows.
 
     Nothing here depends on a picture, so one instance serves every
-    picture searched under its budget.  The picture comes in per call as a
-    frame (frame index to cell key: the whole layout, or just the cell a
-    single step reads) and its width in frame columns.
+    picture searched under its budget.  The picture comes in per call as
+    its laid-out frame and its width in frame columns.
     """
 
     def __init__(self, a: Automaton, up: int | float, left: int | float) -> None:
@@ -337,13 +334,12 @@ class _Tables(dict):
         return self.states[state], INF if self.up_inf else up, INF if self.left_inf else left
 
     def explore(
-        self, frame, width: int, start: int | None = None, limit: int | None = None,
+        self, frame: list[str | None], width: int,
         resume: tuple[dict[int, int | None], list[int], int, list[list[int]]] | None = None,
     ) -> tuple[dict[int, int | None], int | None]:
-        """Breadth-first search from ``start`` (the initial configuration,
-        on cell (1,1), when None), expanding moves in declaration order,
-        over at most ``limit`` configurations (all when None), until an
-        accepting configuration is dequeued.
+        """Breadth-first search over the laid-out ``frame``, ``width``
+        columns wide, from the initial configuration on cell (1,1), in move
+        declaration order, until an accepting configuration is dequeued.
 
         Returns the discovery map (each configuration reached, mapped to
         the one that first reached it, the start to None, in discovery
@@ -360,8 +356,7 @@ class _Tables(dict):
         """
         mask, shift, accepting = self.mask, self.shift, self.accepting
         if resume is None:  # separate stores: a tuple here slows short searches
-            if start is None:
-                start = (width + 1) << shift | self.start
+            start = (width + 1) << shift | self.start
             parents = {start: None}
             queue = [start]
             index = 0
@@ -371,7 +366,7 @@ class _Tables(dict):
         step = (-width << shift, width << shift, -1 << shift, 1 << shift)
         while True:
             try:  # outside the loop, so that the loop pays nothing for forks
-                for c in islice(queue, index, limit):  # the queue grows while it is read
+                for c in islice(queue, index, None):  # the queue grows while it is read
                     low = c & mask
                     if low >= accepting:
                         return parents, c
@@ -387,6 +382,13 @@ class _Tables(dict):
                 index = queue.index(c, index)  # dequeue ``c`` again, reading the symbol
                 forks.append([c >> shift, 0, len(queue), index])
                 frame[c >> shift] = self.symbols[0]
+
+    def successors(self, code: int, key: str, width: int) -> list[int]:
+        """The codes one move from configuration ``code`` on a cell keyed
+        ``key``, in declaration order, read off its row as ``explore``
+        reads them (``[]`` for a key with no entry)."""
+        step, moves = (-width, width, -1, 1), self[code & self.mask].get(key, ())
+        return [code + delta + (step[direction] << self.shift) for delta, direction in moves]
 
     def decode(self, codes: list[int], width: int) -> list[Configuration]:
         shift, mask = self.shift, self.mask
@@ -455,19 +457,17 @@ def _path_to(parents: dict[int, int | None], end: int | None) -> list[int]:
 def step(a: Automaton, p: Picture, c: Configuration) -> tuple[Configuration, ...]:
     """Successor configurations of ``c`` in transition declaration order;
     empty means stuck (halt-reject).  The machine must be well-formed
-    (MachineInvalidError otherwise), and ``c`` inside the frame."""
+    (MachineInvalidError otherwise), and ``c`` inside the frame.  They are
+    read off one table row with no search (``_Tables.successors``); a
+    symbol outside the alphabet has no moves."""
     key = _cell_key(p, c.row, c.col)
     ensure_valid(a)
     if c.state not in a.states:
         return ()
-    up = Budget.check(c.up_left, "up")
-    left = Budget.check(c.left_left, "left")
+    up, left = Budget.check(c.up_left, "up"), Budget.check(c.left_left, "left")
     tables, width = _tables(a, up, left), p.cols + 2
-    pos, low = c.row * width + c.col, tables.low(tables.ids[c.state], up, left)
-    if key not in tables[low]:
-        return ()  # a symbol outside the alphabet has no moves
-    parents, _ = tables.explore({pos: key}, width, pos << tables.shift | low, 1)
-    return tuple(tables.decode(list(parents)[1:], width))
+    code = (c.row * width + c.col) << tables.shift | tables.low(tables.ids[c.state], up, left)
+    return tuple(tables.decode(tables.successors(code, key, width), width))
 
 
 def run_deterministic(
@@ -478,12 +478,12 @@ def run_deterministic(
     Accept on entering the accepting state, halt-reject on a stuck
     configuration, and loop as soon as a configuration repeats.  The run
     graph of a deterministic machine is a path, so the search discovers
-    exactly the run; when it finds no accepting configuration, the last
-    one discovered either has no successor (halt-reject) or re-enters one
-    seen before (loop).  The trace records the path up to the outcome (for
-    a loop, up to and including the first re-entry).  It is decoded on the
-    first read of its steps or final configuration, so a caller that reads
-    only the outcome pays for no decoding.
+    exactly the run; when it finds no accepting configuration, the row of
+    the last one discovered tells whether it has no successor (halt-reject)
+    or re-enters one seen before (loop).  The trace records the path up to
+    the outcome (for a loop, up to and including the first re-entry).  It
+    is decoded on the first read of its steps or final configuration, so a
+    caller that reads only the outcome pays for no decoding.
     """
     ensure_valid(a)
     if a.mode != "det":
@@ -493,7 +493,7 @@ def run_deterministic(
     if goal is not None:
         outcome = RunOutcome.ACCEPT
     else:
-        successors = list(tables.explore(frame, width, path[-1], 1)[0])[1:]
+        successors = tables.successors(path[-1], frame[path[-1] >> tables.shift], width)
         outcome = RunOutcome.LOOP if successors else RunOutcome.REJECT_HALT
         path += successors
     return outcome, Trace._lazy(tables, path, width, outcome)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import strategies as st
 
 import gridfa as g
+from gridfa.simulator import _Tables
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +50,31 @@ def reject_all() -> g.Automaton:
         g.THREE_WAY,
         g.Budget(0, g.INF),
         {},
+    )
+
+
+def count_searches(monkeypatch, call) -> int:
+    """The number of ``_Tables.explore`` calls ``call()`` makes."""
+    calls = []
+    explore = _Tables.explore
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return explore(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Tables, "explore", counting)
+        call()
+    return len(calls)
+
+
+def starve_the_chain(monkeypatch) -> None:
+    """Make ``hierarchy_report`` build the exact-pair chain machines with no
+    transitions: recognizers that accept no member, so that every row of
+    theirs fails starvation."""
+    build = g.build_M_Mi
+    monkeypatch.setattr(
+        g.experiments, "build_M_Mi", lambda i: dataclasses.replace(build(i), transitions={})
     )
 
 

@@ -8,6 +8,8 @@ import gridfa as g
 from gridfa.cli import main
 from gridfa.languages import natural_rows
 
+from conftest import starve_the_chain
+
 
 @pytest.fixture()
 def a_l1_file(tmp_path):
@@ -365,6 +367,35 @@ class TestHierarchy:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --cols-max must be >= 1\n"
+
+
+Z_REFUSED = "error: --z must be at least 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out_line, err",
+    [
+        (["splice", "A_L1", "--z", "1"], 2, None, Z_REFUSED),
+        (["splice", "M_Mi", "--param", "1", "--z", "-3"], 2, None, Z_REFUSED),
+        (
+            ["hierarchy", "--i-max", "1", "--cols-max", "3"],
+            1,
+            "record=hierarchy i=1 class=3W[1]-det language=M1 members=4 "
+            "starvation=FAILED mismatches=4",
+            "",
+        ),
+    ],
+)
+def test_refusals_and_failures_exit_non_zero(argv, code, out_line, err, monkeypatch, capsys):
+    # The chain machines accept nothing here, so hierarchy reports a failure.
+    starve_the_chain(monkeypatch)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if out_line is None:
+        assert captured.out == ""
+    else:
+        assert out_line in captured.out.split("\n")
 
 
 class TestUsage:

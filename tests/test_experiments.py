@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import gridfa as g
 import reference
-from gridfa.simulator import _decide_shape, _Tables
-from conftest import all_pictures, random_machines
+from gridfa.simulator import _decide_shape
+from conftest import all_pictures, count_searches, random_machines, starve_the_chain
 
 U, D, L, R = g.Direction.U, g.Direction.D, g.Direction.L, g.Direction.R
 
@@ -177,6 +177,45 @@ class TestSweeps:
         # (0,1) three each.
         assert [e.accepted for e in report.per_budget] == [3, 6, 3, 0, 3, 3]
 
+    @pytest.mark.parametrize(
+        "machine, lang_id, rows, cols_max, budget",
+        [
+            # A starved budget: the rejected runs hold every member of M_2.
+            (g.build_M_Mi(2), "M2", 4, 5, g.Budget(1, g.INF)),
+            # A flawed recognizer: its accepted runs hold non-members of L_1.
+            (g.build_flawed_L1_3W0(), "L1", 2, 6, g.Budget(0, g.INF)),
+        ],
+    )
+    def test_mismatches_cost_rank_calls_per_mismatch(
+        self, machine, lang_id, rows, cols_max, budget, monkeypatch
+    ):
+        # Each mismatch is found by bisecting ``rank`` over its run, which
+        # holds at most 2**(rows * cols_max) pictures; beyond that a sweep
+        # calls it once per run and once per shape.  Walking every picture
+        # of the runs that disagree took 2,236,938 calls on M_2.
+        calls = []
+        member_rank = g.experiments._member_rank
+
+        def counting(*args):
+            rank = member_rank(*args)
+            return lambda n: calls.append(n) or rank(n)
+
+        monkeypatch.setattr(g.experiments, "_member_rank", counting)
+        report = g.budget_sweep(machine, lang_id, rows, cols_max, [budget])
+        runs = sum(
+            len(_decide_shape(machine, rows, cols, [budget])[1][0])
+            for cols in range(1, cols_max + 1)
+        )
+        assert len(calls) <= len(report.mismatches) * (rows * cols_max + 1) + runs + cols_max
+        oracle = reference.oracle(lang_id)
+        pictures = [m.picture for m in report.mismatches]
+        assert len(pictures) == len(set(pictures)) > 100
+        for miss in report.mismatches:
+            assert miss.oracle_accepts == oracle(miss.picture) != miss.machine_accepts
+            assert miss.machine_accepts == g.accepts(machine, miss.picture, budget)
+        if lang_id == "M2":
+            assert len(report.mismatches) == report.member_total == 146
+
     @pytest.mark.parametrize("rows, cols_max", [(1, 4), (2, 3), (3, 2)])
     def test_three_symbol_sweep_matches_per_budget_decisions(self, rows, cols_max):
         # Over three symbols a shape has up to 3**cols distinct rows, so the
@@ -315,21 +354,6 @@ def test_decide_shape_matches_per_picture_decisions(data):
         assert run_verdicts(runs, len(pictures)) == [
             g.accepts(machine, p, budget) for p in pictures
         ]
-
-
-def count_searches(monkeypatch, sweep):
-    """The number of ``_Tables.explore`` calls ``sweep()`` makes."""
-    calls = []
-    explore = _Tables.explore
-
-    def counting(self, *args, **kwargs):
-        calls.append(None)
-        return explore(self, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_Tables, "explore", counting)
-        sweep()
-    return len(calls)
 
 
 def farthest(machine, p):
@@ -537,6 +561,17 @@ class TestHierarchyReport:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_a_recognizer_that_accepts_no_member_fails_starvation(self, monkeypatch):
+        starve_the_chain(monkeypatch)
+        report = g.hierarchy_report(1, 3)
+        assert not report.ok
+        assert report.format_records().split("\n") == [
+            "record=hierarchy i=1 class=3W[1]-det language=M1 members=4 "
+            "starvation=FAILED mismatches=4",
+            "record=hierarchy i=1 class=2W[1,0]-det language=S2 members=1 "
+            "starvation=confirmed mismatches=0",
+        ]
 
     def test_searches_far_fewer_pictures_than_it_decides(self, monkeypatch):
         # The chains' recognizers are deterministic and most pictures stop

@@ -217,6 +217,20 @@ class TestCellAt:
                 assert (g.cell_at(p, row, col) == "#") == on_ring
 
 
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: ALL_ONES_2X2.row_text(0), "row 0 outside interior 1..2"),
+        (lambda: ALL_ONES_2X2.row_text(3), "row 3 outside interior 1..2"),
+        (lambda: g.Picture.from_rows(["0"]).row_text(-1), "row -1 outside interior 1..1"),
+    ],
+)
+def test_reads_off_the_interior_are_refused(refused, message):
+    with pytest.raises(g.FrameError) as err:
+        refused()
+    assert str(err.value) == message
+
+
 class TestRowConcat:
     def test_shape_arithmetic(self):
         a = g.Picture.from_rows(["101", "010"])

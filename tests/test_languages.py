@@ -224,6 +224,22 @@ class TestConstructors:
         assert g.in_L(i + 1, g.make_v(j, k, z, i))
 
 
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: g.in_L(0, g.Picture.from_rows(["1", "1"])), "language index must be >= 1, got 0"),
+        (lambda: g.make_v(1, 2, 3, -1), "need i >= 0, got -1"),
+        (lambda: g.make_v(2, 2, 3, 0), "need 1 <= j < k <= z, got j=2, k=2, z=3"),
+        (lambda: g.make_v(0, 1, 3, 0), "need 1 <= j < k <= z, got j=0, k=1, z=3"),
+        (lambda: g.make_v(1, 4, 3, 1), "need 1 <= j < k <= z, got j=1, k=4, z=3"),
+    ],
+)
+def test_bad_arguments_are_refused(refused, message):
+    with pytest.raises(ValueError) as err:
+        refused()
+    assert str(err.value) == message
+
+
 class TestSplice:
     def test_degenerate_boundaries(self):
         a, b = g.make_w(1, 2, 3), g.make_w(1, 3, 3)

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 import gridfa as g
 from gridfa.machine import DELTAS, fmt_budget, parse_budget
 
+import reference
 from conftest import all_pictures, random_machines
 
 D, U, L, R = g.Direction.D, g.Direction.U, g.Direction.L, g.Direction.R
@@ -28,6 +31,10 @@ def mk(
         name, ("0", "1"), tuple(states), initial, accepting, mode, policy, budget,
         {k: tuple(v) for k, v in transitions.items()},
     )
+
+
+def lines(*rows: str) -> str:
+    return "\n".join(rows) + "\n"
 
 
 class TestValidate:
@@ -111,6 +118,121 @@ class TestValidate:
         a = mk({("q0", "1"): [("ghost", D)]}, states=("q0", "qa"))
         with pytest.raises(g.MachineInvalidError):
             g.classify(a)
+
+
+#: A clean machine, changed one field at a time below.
+BASE = mk({("q0", "1"): [("qa", D)]})
+
+#: The head of a machine file for ``BASE``, for one line to change or add.
+BASE_TEXT = lines(
+    "machine m", "alphabet 0 1", "states q0 qa", "initial q0", "accept qa", "mode det"
+)
+
+
+@pytest.mark.parametrize(
+    "subject, message",
+    [
+        (dataclasses.replace(BASE, mode="both"), "unknown mode 'both'"),
+        (dataclasses.replace(BASE, alphabet=("0", "1", "0")), "alphabet declares a symbol twice"),
+        (dataclasses.replace(BASE, states=("q0", "qa", "q0")), "state list declares a state twice"),
+        (dataclasses.replace(BASE, accepting="qz"), "accepting state 'qz' not declared"),
+        (
+            dataclasses.replace(BASE, budget=g.Budget(-1, g.INF)),
+            "up budget must be a nonnegative integer or INF",
+        ),
+        (
+            dataclasses.replace(BASE, policy=g.TWO_WAY, budget=g.Budget(1, 1.5)),
+            "left budget must be a nonnegative integer or INF",
+        ),
+        (
+            mk({("q0", "1"): [("qa", D)], ("ghost", "0"): [("qa", D)]}, states=("q0", "qa")),
+            "transition ('ghost', '0'): source state not declared",
+        ),
+        (mk({("q0", "5"): [("qa", D)]}), "transition ('q0', '5'): symbol not in alphabet or '#'"),
+        (
+            mk({("q0", "1"): [("qa", D), ("qa", D)]}, mode="nondet"),
+            "transition ('q0', '1'): duplicate edge to ('qa', D)",
+        ),
+        (
+            BASE_TEXT.replace("alphabet 0 1", "alphabet 0 10"),
+            "line 2: symbols are single characters, got '10'",
+        ),
+        (BASE_TEXT.replace("alphabet 0 1", "alphabet 0 #"), "line 2: '#' is reserved"),
+        (
+            BASE_TEXT + lines("free U D", "budgeted U"),
+            "bad direction policy: free and budgeted direction sets overlap",
+        ),
+        (
+            BASE_TEXT + lines("free U", "budgeted D"),
+            "bad direction policy: only U and L moves can carry a budget",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(subject, message):
+    # A machine is refused by ``validate``, a machine file by ``parse_machine``.
+    if isinstance(subject, str):
+        with pytest.raises(g.MachineParseError) as err:
+            g.parse_machine(subject)
+        assert str(err.value) == message
+    else:
+        assert g.validate(subject) == [message]
+
+
+class TestMachinesAreValues:
+    """A machine is a value: its transition table cannot change after it is
+    built, and copies of it (pickled or deep-copied) equal it."""
+
+    def test_the_transition_table_is_read_only(self):
+        key = ("q0", "1")
+        table = {key: (("qa", D),)}
+        a = dataclasses.replace(BASE, transitions=table)
+        table[("q0", "0")] = (("qa", D),)  # the machine keeps its own copy
+        assert a.transitions == {key: (("qa", D),)}
+        assert g.accepts(a, g.Picture.from_rows(["1"]))
+        assert not g.accepts(a, g.Picture.from_rows(["0"]))
+        edits = [
+            lambda t: t.__setitem__(key, (("ghost", D),)),
+            lambda t: t.__delitem__(key),
+            lambda t: t.clear(),
+            lambda t: t.pop(key),
+            lambda t: t.popitem(),
+            lambda t: t.setdefault(("q0", "0"), ()),
+            lambda t: t.update({("q0", "0"): ()}),
+        ]
+        for edit in edits:
+            for held in (a.transitions, pickle.loads(pickle.dumps(a)).transitions):
+                with pytest.raises(TypeError, match="^a machine's transition table is read-only$"):
+                    edit(held)
+        with pytest.raises(TypeError):
+            a.transitions |= {}
+        assert a.transitions == {key: (("qa", D),)} and g.validate(a) == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            g.build_A_L1,
+            lambda: g.transpose_machine(g.build_A_L1()),
+            lambda: g.union_machine(g.build_A_L1(), g.build_A_L1()),
+            lambda: g.rotate_machine(g.transpose_machine(g.build_A_L1())),
+        ],
+    )
+    def test_machines_pickle_and_deep_copy(self, make):
+        a = make()
+        pictures = list(all_pictures(2, 3))
+        verdicts = [g.accepts(a, p) for p in pictures]  # with its caches set
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert twin == a and twin.transitions == a.transitions
+            assert g.serialize_machine(twin) == g.serialize_machine(a)
+            assert [g.accepts(twin, p) for p in pictures] == verdicts
+
+    def test_an_unread_deterministic_trace_pickles_and_deep_copies(self):
+        machine, p = g.build_M_M1(), g.Picture.from_rows(["0110", "0110"])
+        expected = reference.run_deterministic(machine, p)[1]
+        for duplicate in (lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy):
+            trace = g.run_deterministic(machine, p)[1]
+            assert "_pending" in trace.__dict__  # nothing has read the steps
+            twin = duplicate(trace)
+            assert twin == expected and trace == expected
 
 
 class TestPolicy:
@@ -300,10 +422,6 @@ class TestRotateMachine:
     def test_two_way_rotation_unsupported(self):
         with pytest.raises(g.RotationError):
             g.rotate_machine(g.build_C_L1_2W())
-
-
-def lines(*rows: str) -> str:
-    return "\n".join(rows) + "\n"
 
 
 class TestExactConstructions:

@@ -9,7 +9,7 @@ from gridfa.machine import DELTAS
 from gridfa.simulator import _Tables, _layout, _tables
 
 import reference
-from conftest import all_pictures, random_machines
+from conftest import all_pictures, count_searches, random_machines
 
 D, U, L, R = g.Direction.D, g.Direction.U, g.Direction.L, g.Direction.R
 
@@ -270,6 +270,27 @@ class TestDeterministicTraceOnFirstRead:
         assert trace == expected  # the first read, after the refusals
         with pytest.raises(dataclasses.FrozenInstanceError):
             trace.final = None
+
+
+@pytest.mark.parametrize("build, rows, outcome", RUNS)
+def test_a_deterministic_run_is_one_search_and_a_step_none(build, rows, outcome, monkeypatch):
+    # The last configuration's row tells a halt from a loop, and ``step``
+    # reads one row: neither searches again.
+    machine, p = build(), g.Picture.from_rows(rows)
+    runs = []
+    assert count_searches(monkeypatch, lambda: runs.append(g.run_deterministic(machine, p))) == 1
+    (run, trace), = runs
+    assert run is outcome and trace == reference.run_deterministic(machine, p)[1]
+    configs = trace.configurations()
+    steps = []
+    assert count_searches(
+        monkeypatch, lambda: steps.extend(g.step(machine, p, c) for c in configs)
+    ) == 0
+    assert steps == [reference.step(machine, p, c) for c in configs]
+    if outcome is g.RunOutcome.LOOP:  # the final configuration was met before
+        assert steps[-1] == (configs[configs.index(configs[-1]) + 1],)
+    else:
+        assert steps[-1] == ()
 
 
 @pytest.mark.parametrize(

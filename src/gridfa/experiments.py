@@ -138,11 +138,13 @@ def budget_sweep(
     checked.  Mismatches are recorded against the last budget in the list.
 
     The simulator decides each shape as runs of enumeration indices
-    (``_decide_shape``), and a run's members are counted from the
-    language's row-pair table (``_member_rank``).  In a run whose count
-    disagrees with its verdict, each disagreeing picture is found by
-    bisecting that count over the run, so a report costs O(mismatches *
-    log run) counts, not one per picture.
+    (``_decide_shape``, which joins each accepted run to its neighbours as
+    it finds it, so it holds the maximal runs, not one per accepting
+    branch), and a run's members are counted from the language's row-pair
+    table (``_member_rank``).  In a run whose count disagrees with its
+    verdict, each disagreeing picture is found by bisecting that count
+    over the run, so a report costs O(mismatches * log run) counts, not
+    one per picture.
     """
     if cols_max < 1:
         raise ValueError(f"need cols_max >= 1, got {cols_max}")
@@ -208,26 +210,38 @@ def find_crossing_match(
 
     A trace that ever crosses the boundary upward is left out of the
     matching, which is the stronger condition the multi-pair splice
-    argument needs.  All words must be accepted by the machine.
+    argument needs.
+
+    Pairs are tried first-major, and a word is traced when the first pair
+    that holds it is tried.  So the first word is always traced, a match
+    with it traces the words up to its partner and no more, and a later
+    match, or none, traces them all.  The words must be accepted: the
+    first rejected word traced, which is the first in list order, raises
+    ValueError.  A rejected word after the match is never traced.
     """
-    signatures: list[list[CrossingEvent]] = []
-    for word in words:
-        trace = accepting_trace(machine, word)
-        if trace is None:
-            raise ValueError(
-                f"machine {machine.name!r} rejects a supplied word:\n{word}"
-            )
-        events = [e for e in crossing_events(trace) if e.boundary == boundary]
-        if any(e.direction is Direction.U for e in events):
-            signatures.append([])
-        else:
-            signatures.append([e for e in events if e.direction is Direction.D])
+    signatures: dict[int, list[CrossingEvent]] = {}
+
+    def signature(index: int) -> list[CrossingEvent]:
+        if index not in signatures:
+            trace = accepting_trace(machine, words[index])
+            if trace is None:
+                raise ValueError(
+                    f"machine {machine.name!r} rejects a supplied word:\n{words[index]}"
+                )
+            events = [e for e in crossing_events(trace) if e.boundary == boundary]
+            if any(e.direction is Direction.U for e in events):
+                signatures[index] = []
+            else:
+                signatures[index] = [e for e in events if e.direction is Direction.D]
+        return signatures[index]
+
     for first in range(len(words)):
+        events = signature(first)
         for second in range(first + 1, len(words)):
             if words[first] == words[second]:
                 continue
-            keys = {(e.col, e.state) for e in signatures[second]}
-            for event in signatures[first]:
+            keys = {(e.col, e.state) for e in signature(second)}
+            for event in events:
                 if (event.col, event.state) in keys:
                     return words[first], words[second], event
     return None

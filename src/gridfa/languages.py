@@ -145,8 +145,9 @@ def make_u(i: int, j: int, z: int) -> Picture:
     """Single-row word of length z with 1s exactly at columns i < j."""
     if not 1 <= i < j <= z:
         raise ValueError(f"need 1 <= i < j <= z, got i={i}, j={j}, z={z}")
-    row = tuple("1" if c in (i, j) else "0" for c in range(1, z + 1))
-    return Picture._trusted((row,))
+    row = ["0"] * z
+    row[i - 1] = row[j - 1] = "1"
+    return Picture._trusted((tuple(row),))
 
 
 def make_w(i: int, j: int, z: int) -> Picture:
@@ -161,8 +162,9 @@ def make_v(j: int, k: int, z: int, i: int) -> Picture:
         raise ValueError(f"need i >= 0, got {i}")
     if not 1 <= j < k <= z:
         raise ValueError(f"need 1 <= j < k <= z, got j={j}, k={k}, z={z}")
-    row = tuple("1" if c in (j, k) else "0" for c in range(1, z + 1))
-    return Picture._trusted((row,) * (2 * i + 2))
+    row = ["0"] * z
+    row[j - 1] = row[k - 1] = "1"
+    return Picture._trusted((tuple(row),) * (2 * i + 2))
 
 
 def splice_words(top_source: Picture, bottom_source: Picture, boundary_row: int) -> Picture:

@@ -552,8 +552,11 @@ def _decide_shape(
     an accepting configuration or an empty queue and decides the pictures
     that agree on the cells it read: for each value of the unread cells
     before its last read one, an aligned run of indices (cells count in
-    row-major order, the last fastest).  The accepted runs, sorted, give
-    the verdicts.
+    row-major order, the last fastest).  Each accepted run is joined, as it
+    is found, to a run found before it that ends where it begins or begins
+    where it ends, so the search holds the maximal runs of the pictures
+    accepted so far, not one run per accepting branch.  Those, sorted,
+    give the verdicts.
     """
     shape_rows = _shape_rows(a.alphabet, rows, cols)
     total = len(shape_rows) ** rows
@@ -572,7 +575,11 @@ def _decide_shape(
         tables = _tables(a, up, left)
         start = (width + 1) << tables.shift | tables.start
         parents, queue, index, forks = {start: None}, [start], 0, []
-        base, accepted = 0, []  # base: the index of the branch's first picture
+        base = 0  # the index of the branch's first picture
+        # The maximal runs of the pictures accepted so far: each one's end
+        # by its begin, and its begin by its end.
+        ends: dict[int, int] = {}
+        begins: dict[int, int] = {}
         while True:
             if tables.explore(frame, width, resume=(parents, queue, index, forks))[1] is not None:
                 last = max(forks)[0] if forks else 0
@@ -580,7 +587,12 @@ def _decide_shape(
                 for weight, cell in zip(weights, frame[:last]):
                     if cell is None:  # unread before the last cell read
                         starts = [n + v * weight for n in starts for v in range(len(symbols))]
-                accepted += [(n, n + (weights[last] if forks else total)) for n in starts]
+                span = weights[last] if forks else total
+                for n in starts:
+                    # Branches decide disjoint runs, so [n, n + span) joins at
+                    # most a run that ends at n and one that begins at n + span.
+                    begin, end = begins.pop(n, n), ends.pop(n + span, n + span)
+                    ends[begin], begins[end] = end, begin
             # Undo the branch and go on with the next symbol of the last fork
             # that has one.  A symbol on which the forking configuration has
             # no move, with nothing queued behind it, rejects without a search.
@@ -605,11 +617,9 @@ def _decide_shape(
             fork[1], frame[pos] = value, symbols[value]
         column: list[tuple[int, bool]] = []
         n = 0
-        for begin, end in sorted(accepted):
+        for begin, end in sorted(ends.items()):
             if begin > n:
                 column.append((begin, False))
-            elif column:
-                column.pop()  # the accepted run goes on
             column.append((end, True))
             n = end
         if n < total:

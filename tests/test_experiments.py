@@ -81,6 +81,28 @@ class TestFindCrossingMatch:
         with pytest.raises(ValueError):
             g.find_crossing_match(a, [g.Picture.from_rows(["00", "00"])], 2)
 
+    def test_a_rejected_word_after_the_match_is_not_traced(self):
+        flawed = g.build_flawed_L1_3W0()
+        zeros = g.Picture.from_rows(["00000", "00000"])
+        assert not g.accepts(flawed, zeros)
+        words = [g.make_w(1, 2, 5), g.make_w(1, 3, 5), zeros]
+        first, second, _ = g.find_crossing_match(flawed, words, 2)
+        assert (first, second) == (words[0], words[1])
+        # Before the match it is traced, and named.
+        with pytest.raises(ValueError, match="rejects a supplied word:\n00000\n00000$"):
+            g.find_crossing_match(flawed, [words[0], zeros, words[1]], 2)
+
+    def test_the_splice_traces_only_the_words_it_compares(self, monkeypatch):
+        # Words 0 and 1 of the 435 at z=30 match: two traces, and the
+        # splice's own ``accepts``.
+        flawed = g.build_flawed_L1_3W0()
+        reports = []
+        searched = count_searches(
+            monkeypatch, lambda: reports.append(g.splice_counterexample(flawed, 30))
+        )
+        assert searched == 3
+        assert (reports[0].top, reports[0].bottom) == (g.make_w(1, 2, 30), g.make_w(1, 3, 30))
+
 
 class TestSpliceCounterexample:
     def test_flawed_fixture_demonstration(self):
@@ -433,6 +455,29 @@ class TestSharedSearches:
             _, (runs,) = _decide_shape(machine, rows, cols, [machine.budget])
             verdicts = run_verdicts(runs, len(pictures))
             assert verdicts == [p.cells[0][1] == "1" for p in pictures]
+
+    def test_the_run_list_stays_small_when_every_branch_accepts(self):
+        # Reads row 1 rightwards, then row 2 leftwards, and accepts: at 2 x 8
+        # each of its 65,536 branches accepts one picture, out of index order.
+        machine = g.Automaton(
+            "scanner", ("0", "1"), ("r", "d", "l", "acc"), "r", "acc", "det",
+            g.FOUR_WAY, g.Budget(g.INF, g.INF),
+            {
+                **{("r", s): (("r", R),) for s in "01"},
+                **{("l", s): (("l", L),) for s in "01"},
+                ("r", "#"): (("d", D),),
+                ("d", "#"): (("l", L),),
+                ("l", "#"): (("acc", R),),
+            },
+        )
+        tracemalloc.start()
+        try:
+            _, (runs,) = _decide_shape(machine, 2, 8, [machine.budget])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert runs == [(65536, True)]
+        assert peak < 2**20
 
     def test_language_sample_shares_searches(self, monkeypatch):
         # (1..4)x(1..4) is 74,954 pictures; M_M2 halts early on most of them.

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 ``accept``, ``run`` and ``trace`` are one per-picture loop, ``cmd_decide``:
-it reads the machine and the picture stream, applies any budget override,
-and prints what the command's decider gives for each picture.
+it reads the machine and the picture stream, resolves the budget the
+flags ask for, and prints what the command's decider gives for each picture.
 
 Exit codes follow one contract everywhere: 0 for success / an affirmative
 verdict, 1 for a negative verdict or a found mismatch, 2 for usage or
-input errors.  Verdicts go to stdout, diagnostics to stderr.
+input errors.  Verdicts go to stdout, diagnostics to stderr.  Input is
+refused with a ``ValueError`` (the library's typed errors subclass it),
+which ``main`` prints as ``error: ...`` with exit 2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 from .constructions import BUILDERS, make_machine
 from .experiments import (
     budget_sweep,
-    fooling_z,
+    fooling_parameters,
     hierarchy_report,
     splice_counterexample,
 )
@@ -43,18 +45,23 @@ from .simulator import (
 )
 
 
-class CliError(ValueError):
-    """Input problem reported on stderr with exit code 2."""
-
-
 def _read(path: str, what: str, parse):
     """``parse`` applied to the text of the ``what`` file at ``path``."""
     try:
         return parse(Path(path).read_text())
     except OSError as exc:
-        raise CliError(f"cannot read {what} file {path}: {exc}")
+        raise ValueError(f"cannot read {what} file {path}: {exc}")
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
+
+
+def _asked_budget(machine: Automaton, up: int | float | None, left: int | float | None) -> Budget:
+    """The budget a command asks for: the declared one in each direction
+    whose flag is missing."""
+    return Budget(
+        machine.budget.up if up is None else up,
+        machine.budget.left if left is None else left,
+    )
 
 
 def _budget(text: str) -> int | float:
@@ -68,23 +75,23 @@ def _budget(text: str) -> int | float:
 # returns the text printed for the picture and whether it was accepted.
 
 
-def _accept(machine: Automaton, p: Picture, override: Budget | None) -> tuple[str, bool]:
-    verdict = accepts(machine, p, override)
+def _accept(machine: Automaton, p: Picture, budget: Budget) -> tuple[str, bool]:
+    verdict = accepts(machine, p, budget)
     return ("ACCEPT" if verdict else "REJECT"), verdict
 
 
-def _run(machine: Automaton, p: Picture, override: Budget | None) -> tuple[str, bool]:
+def _run(machine: Automaton, p: Picture, budget: Budget) -> tuple[str, bool]:
     if machine.mode != "det":  # a rejection prints as RunOutcome.REJECT_HALT does
-        return _accept(machine, p, override)
-    outcome, _ = run_deterministic(machine, p, override)
+        return _accept(machine, p, budget)
+    outcome, _ = run_deterministic(machine, p, budget)
     return outcome.value, outcome is RunOutcome.ACCEPT
 
 
-def _trace(machine: Automaton, p: Picture, override: Budget | None) -> tuple[str, bool]:
+def _trace(machine: Automaton, p: Picture, budget: Budget) -> tuple[str, bool]:
     if machine.mode == "det":
-        trace = run_deterministic(machine, p, override)[1]
+        trace = run_deterministic(machine, p, budget)[1]
     else:
-        trace = accepting_trace(machine, p, override)
+        trace = accepting_trace(machine, p, budget)
         if trace is None:
             return "NO ACCEPTING RUN", False
     return format_trace(trace), trace.outcome is RunOutcome.ACCEPT
@@ -97,16 +104,10 @@ def cmd_decide(args: argparse.Namespace) -> int:
     pictures = _read(
         args.pictures, "picture", partial(parse_picture_stream, alphabet=machine.alphabet)
     )
-    up, left = args.budget_up, args.budget_left
-    override = None
-    if up is not None or left is not None:
-        override = Budget(
-            machine.budget.up if up is None else up,
-            machine.budget.left if left is None else left,
-        )
+    budget = _asked_budget(machine, args.budget_up, args.budget_left)
     all_accepted = True
     for p in pictures:
-        text, accepted = args.decide(machine, p, override)
+        text, accepted = args.decide(machine, p, budget)
         print(text)
         all_accepted &= accepted
     return 0 if all_accepted else 1
@@ -119,7 +120,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         try:
             Path(args.output).write_text(text)
         except OSError as exc:
-            raise CliError(f"cannot write machine file {args.output}: {exc}")
+            raise ValueError(f"cannot write machine file {args.output}: {exc}")
     else:
         print(text, end="")
     return 0
@@ -132,7 +133,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     pictures = enumerate_pictures(args.alphabet, args.rows, args.cols)
     first = next(pictures, None)
     if first is None:  # only an empty alphabet has no pictures of a valid shape
-        raise CliError("alphabet must not be empty")
+        raise ValueError("alphabet must not be empty")
     separator = tuple(STREAM_SEPARATOR)
     if args.cols == len(separator) and set(separator) <= set(args.alphabet):
         # The separator is row n of the shape's rows, so picture n (from 0)
@@ -149,14 +150,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``sweep``, and ``check``: the sweep at the declared budget."""
     if args.cols_max < 1:
-        raise CliError("--cols-max must be >= 1")
+        raise ValueError("--cols-max must be >= 1")
     # A bad language id is reported before a bad builder.
     parse_language_id(args.language)
     machine = make_machine(args.builder, args.param)
     rows = args.rows if args.rows is not None else natural_rows(args.language)
-    ups = args.budget_up if args.budget_up else [machine.budget.up]
-    left = machine.budget.left if args.budget_left is None else args.budget_left
-    budgets = [Budget(u, left) for u in ups]
+    budgets = [_asked_budget(machine, up, args.budget_left) for up in args.budget_up or [None]]
     report = budget_sweep(machine, args.language, rows, args.cols_max, budgets)
     print(report.format_table())
     print(report.format_records())
@@ -165,9 +164,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_splice(args: argparse.Namespace) -> int:
     machine = make_machine(args.builder, args.param)
-    z = args.z if args.z is not None else fooling_z(len(machine.states), 0)
+    z = args.z if args.z is not None else fooling_parameters(machine).z
     if z < 2:
-        raise CliError("--z must be at least 2")
+        raise ValueError("--z must be at least 2")
     report = splice_counterexample(machine, z)
     print(report.format())
     return 0 if report.demonstrates else 1
@@ -175,7 +174,7 @@ def cmd_splice(args: argparse.Namespace) -> int:
 
 def cmd_hierarchy(args: argparse.Namespace) -> int:
     if args.cols_max < 1:
-        raise CliError("--cols-max must be >= 1")
+        raise ValueError("--cols-max must be >= 1")
     report = hierarchy_report(args.i_max, args.cols_max)
     print(report.format_table())
     print()
@@ -222,29 +221,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, required=True)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("check", help="oracle equivalence sweep for a builder")
-    p.add_argument("builder")
-    p.add_argument("language")
-    p.add_argument("--param", type=int, default=None)
-    p.add_argument("--rows", type=int, default=None, help="default: the language's row count")
-    p.add_argument("--cols-max", type=int, default=4)
-    p.set_defaults(func=cmd_sweep, budget_up=None, budget_left=None)
-
-    p = sub.add_parser("sweep", help="budget sweep for a builder against an oracle")
-    p.add_argument("builder")
-    p.add_argument("language")
-    p.add_argument("--param", type=int, default=None)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols-max", type=int, default=4)
-    p.add_argument(
-        "--budget-up",
-        type=_budget,
-        action="append",
-        default=None,
-        help="repeatable: one sweep entry per value",
-    )
-    p.add_argument("--budget-left", type=_budget, default=None)
-    p.set_defaults(func=cmd_sweep)
+    for name, summary in (
+        ("check", "oracle equivalence sweep for a builder"),
+        ("sweep", "budget sweep for a builder against an oracle"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("builder")
+        p.add_argument("language")
+        p.add_argument("--param", type=int, default=None)
+        p.add_argument("--rows", type=int, default=None, help="default: the language's row count")
+        p.add_argument("--cols-max", type=int, default=4)
+        if name == "sweep":
+            p.add_argument(
+                "--budget-up",
+                type=_budget,
+                action="append",
+                help="repeatable: one sweep entry per value",
+            )
+            p.add_argument("--budget-left", type=_budget)
+        p.set_defaults(func=cmd_sweep, budget_up=None, budget_left=None)
 
     p = sub.add_parser("splice", help="crossing-match splice counterexample")
     p.add_argument("builder")

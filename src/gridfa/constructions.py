@@ -123,34 +123,43 @@ def build_A_L1() -> Automaton:
     return m.build(entry, "acc")
 
 
+def _chain(
+    m: _Sketch, i: int, gadget, entry: str, descend: str, last: str, last_dir: Direction
+) -> str:
+    """Joins ``i`` copies of ``gadget``, one per row pair, prefixed ``p1_``,
+    ``p2_``, ...: after each copy but the last the head walks back to the
+    left border (``p<k>_return``), descends two rows along it
+    (``p<k>_<descend>1``, ``p<k>_<descend>2``) and enters the next copy at
+    its ``entry`` state.  The last copy hands off to ``last`` via
+    ``last_dir``.  Returns the first copy's entry state."""
+    for k in range(1, i):
+        back, step1, step2 = f"p{k}_return", f"p{k}_{descend}1", f"p{k}_{descend}2"
+        gadget(m, f"p{k}_", back, L)
+        m.edge(back, "01", back, L)
+        m.edge(back, "#", step1, D)
+        m.edge(step1, "#", step2, D)
+        m.edge(step2, "#", f"p{k + 1}_{entry}", R)
+    gadget(m, f"p{i}_", last, last_dir)
+    return f"p1_{entry}"
+
+
 def build_B_L(i: int) -> Automaton:
     """Nondeterministic three-way recognizer of L_i, ``i`` upward moves.
 
-    Chains the L_1 gadget once per row pair: after each confirmed pair the
-    head walks back to the left border (leftward moves are free here),
-    descends two rows along the border, and re-enters the gadget.  After
-    the last pair it descends through the pair's lower row and accepts
-    only on seeing the bottom frame, so words with extra rows are
-    rejected.
+    Chains the L_1 gadget once per row pair with ``_chain``: after each
+    confirmed pair the head walks back to the left border (leftward moves
+    are free here), descends two rows along the border, and re-enters the
+    gadget.  After the last pair it descends through the pair's lower row
+    and accepts only on seeing the bottom frame, so words with extra rows
+    are rejected.
     """
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
     m = _Sketch(f"B_L{i}", "nondet", THREE_WAY, Budget(i, INF))
-    entries = []
-    for k in range(1, i + 1):
-        if k < i:
-            done, done_dir = f"p{k}_return", L
-        else:
-            done, done_dir = "end_probe", D
-        entries.append(_stacked_pair_gadget(m, f"p{k}_", done, done_dir))
-        if k < i:
-            m.edge(f"p{k}_return", "01", f"p{k}_return", L)
-            m.edge(f"p{k}_return", "#", f"p{k}_desc1", D)
-            m.edge(f"p{k}_desc1", "#", f"p{k}_desc2", D)
-            m.edge(f"p{k}_desc2", "#", f"p{k + 1}_scan1", R)
+    entry = _chain(m, i, _stacked_pair_gadget, "scan1", "desc", "end_probe", D)
     m.edge("end_probe", "01", "end_check", D)
     m.edge("end_check", "#", "acc", L)
-    return m.build(entries[0], "acc")
+    return m.build(entry, "acc")
 
 
 def _exact_pair_gadget(m: _Sketch, prefix: str, done: str, done_dir: Direction) -> str:
@@ -203,25 +212,15 @@ def build_M_M1() -> Automaton:
 def build_M_Mi(i: int) -> Automaton:
     """Deterministic three-way recognizer of M_i, ``i`` upward moves.
 
-    One exact-pair gadget per row pair, joined by the same walk-left and
-    descend-two-rows step the nondeterministic chain uses.
+    One exact-pair gadget per row pair, joined by ``_chain``, the same
+    walk-left and descend-two-rows step the nondeterministic ``build_B_L``
+    uses.
     """
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
     m = _Sketch(f"M_M{i}", "det", THREE_WAY, Budget(i, INF))
-    entries = []
-    for k in range(1, i + 1):
-        if k < i:
-            done, done_dir = f"p{k}_return", L
-        else:
-            done, done_dir = "acc", R
-        entries.append(_exact_pair_gadget(m, f"p{k}_", done, done_dir))
-        if k < i:
-            m.edge(f"p{k}_return", "01", f"p{k}_return", L)
-            m.edge(f"p{k}_return", "#", f"p{k}_down1", D)
-            m.edge(f"p{k}_down1", "#", f"p{k}_down2", D)
-            m.edge(f"p{k}_down2", "#", f"p{k + 1}_count1_0", R)
-    return m.build(entries[0], "acc")
+    entry = _chain(m, i, _exact_pair_gadget, "count1_0", "down", "acc", R)
+    return m.build(entry, "acc")
 
 
 def build_P_N2() -> Automaton:

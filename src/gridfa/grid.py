@@ -52,7 +52,8 @@ class FrameError(IndexError):
 class Picture:
     """Immutable rectangular array of one-character symbols.
 
-    ``cells`` is a tuple of rows, each a tuple of single characters.
+    ``cells`` is a tuple of rows, each a tuple of single characters; rows
+    given as lists or strings are stored as tuples once they are checked.
     Degenerate (zero-row or zero-column) pictures are rejected, and the
     boundary marker ``#`` may never appear in a cell, nor may ``\r`` or
     ``\n``, which picture text could not hold.
@@ -80,6 +81,7 @@ class Picture:
                     raise AlphabetError(
                         f"cell ({r},{c}) uses the reserved boundary marker {BOUNDARY!r}"
                     )
+        object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "Picture":

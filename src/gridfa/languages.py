@@ -7,9 +7,9 @@ row count and a predicate that every disjoint row pair (rows 1-2, 3-4,
 ...) must pass:
 
 * ``L_i``  -- exactly 2i rows; each disjoint row pair has >= 2 stacked columns.
-* ``M_i``  -- exactly 2i rows; in each disjoint row pair both rows carry
-  1s in exactly the same two columns (so the pair has exactly two stacked
-  columns and nothing else in it is a 1).
+* ``M_i``  -- exactly 2i rows; each disjoint row pair has exactly two
+  stacked columns and no other 1 (both rows carry exactly two 1s, so
+  they carry them in the same two columns).
 * ``N_1`` / ``N_2`` -- 2 rows (resp. 4 rows) with >= 1 stacked column per pair.
 * ``K_i``  -- 2 rows with >= 2i stacked columns; ``K_1`` coincides with ``L_1``.
 * ``S_i``  -- the single 2 x i all-ones word (an i-column pair, all stacked).
@@ -50,25 +50,20 @@ def stacked_count(p: Picture, top_row: int) -> int:
     return _stacked(p.cells[top_row - 1], p.cells[top_row])
 
 
-def _exact_pair(upper: tuple[str, ...], lower: tuple[str, ...]) -> bool:
-    # Both rows hold exactly two 1s, and the lower row holds 1s in the
-    # upper row's two columns.  Rows that merely agree on their 1s may
-    # still differ elsewhere, in symbols other than 0 and 1.
-    if upper.count("1") != 2 or lower.count("1") != 2:
-        return False
-    first = upper.index("1")
-    return lower[first] == "1" == lower[upper.index("1", first + 1)]
-
-
 def _pair_form(kind: str, index: int) -> tuple[int, Callable[[tuple, tuple], bool]]:
     """The language of ``kind`` and ``index`` as its row count and the
-    predicate each disjoint row pair (upper row, lower row) must pass."""
+    predicate each disjoint row pair (upper row, lower row) must pass.
+
+    M's pair holds exactly two 1s per row, both stacked; rows that agree
+    on their 1s may still differ elsewhere, in symbols other than 0 and 1."""
     if index < 1:
         raise ValueError(f"language index must be >= 1, got {index}")
     if kind == "L":
         return 2 * index, lambda upper, lower: _stacked(upper, lower) >= 2
     if kind == "M":
-        return 2 * index, _exact_pair
+        return 2 * index, lambda upper, lower: (
+            upper.count("1") == lower.count("1") == 2 == _stacked(upper, lower)
+        )
     if kind == "N":
         return 2 * index, lambda upper, lower: _stacked(upper, lower) >= 1
     if kind == "K":

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import gridfa as g
@@ -39,6 +41,35 @@ class TestClassTags:
         machine = factory(param) if param is not None else factory()
         assert g.validate(machine) == []
         assert str(g.classify(machine)) == expected
+
+    @pytest.mark.parametrize(
+        "builder, param, digest",
+        [
+            ("A_L1", None, "53666ad45d62ba57"),
+            ("C_L1_2W", None, "b57f87ed03c33c5f"),
+            ("FLAWED_L1_3W0", None, "25a544e38c329daf"),
+            ("M_M1", None, "0867d8f70448b80f"),
+            ("P_N2", None, "586d670a159559ee"),
+            ("B_L", 1, "70d3207f41d2ab58"),
+            ("B_L", 2, "2b19e06575e098f5"),
+            ("B_L", 3, "16344d72d499a19e"),
+            ("D_K", 1, "3fac9964bf63b41b"),
+            ("D_K", 2, "4d2b33673c03597d"),
+            ("D_K", 3, "15d96d6881a032f6"),
+            ("M_Mi", 1, "3f62501d9ddfc8e1"),
+            ("M_Mi", 2, "add2cb80f3e3ae73"),
+            ("M_Mi", 3, "04a4d3fe292414da"),
+            ("S_rec", 0, "fb978257fb5a5857"),
+            ("S_rec", 1, "a98482ccdd66b5c5"),
+            ("S_rec", 2, "534242a4e8cc5106"),
+            ("S_rec", 3, "f397cba966826abc"),
+        ],
+    )
+    def test_serialized_text_is_pinned(self, builder, param, digest):
+        """State names, state order and edge order show in traces and in
+        machine files, so the builders' text stays byte for byte."""
+        text = g.serialize_machine(g.make_machine(builder, param))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_bad_parameters_rejected(self):
         for factory in (g.build_B_L, g.build_M_Mi, g.build_D_K):

@@ -361,6 +361,41 @@ class TestCheckedConstruction:
         with pytest.raises(error):
             g.Picture.from_rows(rows)
 
+    @pytest.mark.parametrize(
+        "cells",
+        [[["0", "1"], ["1", "1"]], [("0", "1"), ("1", "1")], ("01", "11"), ["01", "11"]],
+        ids=["list rows", "list of tuples", "string rows", "list of strings"],
+    )
+    def test_rows_are_stored_as_tuples(self, cells):
+        p = g.Picture(cells)
+        expected = g.Picture.from_rows(["01", "11"])
+        assert p == expected and hash(p) == hash(expected)
+        assert type(p.cells) is tuple and all(type(row) is tuple for row in p.cells)
+
+    def test_a_checked_picture_does_not_share_the_given_rows(self):
+        rows = [["0", "1"]]
+        p = g.Picture(rows)
+        rows[0][0] = "#"
+        assert p.cells == (("0", "1"),)
+        assert g.accepts(g.build_A_L1(), p) is False
+
+    @pytest.mark.parametrize(
+        "cells, error, message",
+        [
+            (None, g.PictureFormatError, "picture must have at least one row and one column"),
+            ([], g.PictureFormatError, "picture must have at least one row and one column"),
+            ([[]], g.PictureFormatError, "picture must have at least one row and one column"),
+            ([["0"], ["0", "1"]], g.PictureFormatError, "row 2 has 2 cells, expected 1"),
+            ([["0", "ab"]], g.PictureFormatError, "cell (1,2) is not a single character: 'ab'"),
+            ([["0"], ["\n"]], g.PictureFormatError, "cell (2,1) is a line break: '\\n'"),
+            (["0#"], g.AlphabetError, "cell (1,2) uses the reserved boundary marker '#'"),
+        ],
+    )
+    def test_refusals_name_the_fault(self, cells, error, message):
+        with pytest.raises(error) as info:
+            g.Picture(cells)
+        assert str(info.value) == message
+
 
 def assert_checked(q: g.Picture) -> None:
     """``q`` equals, and hashes like, a picture rebuilt from its cells

@@ -555,6 +555,8 @@ class TestExactConstructions:
             ("budget up", "line 1: expected 'budget up|left <n|inf>'"),
             ("budget down 1", "line 1: expected 'budget up|left <n|inf>'"),
             ("budget up 1 2", "line 1: expected 'budget up|left <n|inf>'"),
+            ("trans s 1 -> t", "line 1: expected 'trans <state> <sym> -> <state> <dir>'"),
+            ("trans s 1 => t D", "line 1: expected 'trans <state> <sym> -> <state> <dir>'"),
         ],
     )
     def test_one_value_directive_usage_errors(self, line, message):

@@ -26,6 +26,7 @@ of L_1: it is the fixture the splice experiment breaks.
 
 from __future__ import annotations
 
+from .languages import ALPHABET_01
 from .machine import (
     INF,
     Automaton,
@@ -37,8 +38,6 @@ from .machine import (
     TWO_WAY,
     Transition,
 )
-
-ALPHABET = ("0", "1")
 
 U, D, L, R = Direction.U, Direction.D, Direction.L, Direction.R
 
@@ -75,7 +74,7 @@ class _Sketch:
         self.state(initial, accepting)
         return Automaton(
             self.name,
-            ALPHABET,
+            ALPHABET_01,
             tuple(self.states),
             initial,
             accepting,

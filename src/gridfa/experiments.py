@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .grid import Picture, _picture_at
-from .languages import _member_rank, in_L, make_w, parse_language_id, splice_words
+from .languages import _member_rank, in_L, make_w, natural_rows, parse_language_id, splice_words
 from .machine import Automaton, Budget, Direction, classify, ensure_valid, fmt_budget
 from .simulator import Trace, _decide_shape, _resolve_budget, accepting_trace, accepts
 from .constructions import build_M_Mi, build_S_rec
@@ -208,9 +209,12 @@ def find_crossing_match(
     """First pair of distinct words whose canonical traces cross ``boundary``
     downward in the same column and state.
 
-    A trace that ever crosses the boundary upward is left out of the
-    matching, which is the stronger condition the multi-pair splice
-    argument needs.
+    Rows change by one per move, so a run's crossings of one boundary
+    alternate in direction, and a run that never crosses upward crosses
+    at most once, downward.  That one crossing is a word's signature; a
+    run that crosses upward has none, which is the stronger condition the
+    multi-pair splice argument needs.  Two signatures at one boundary,
+    both downward, are equal exactly when column and state agree.
 
     Pairs are tried first-major, and a word is traced when the first pair
     that holds it is tried.  So the first word is always traced, a match
@@ -219,31 +223,26 @@ def find_crossing_match(
     first rejected word traced, which is the first in list order, raises
     ValueError.  A rejected word after the match is never traced.
     """
-    signatures: dict[int, list[CrossingEvent]] = {}
 
-    def signature(index: int) -> list[CrossingEvent]:
-        if index not in signatures:
-            trace = accepting_trace(machine, words[index])
-            if trace is None:
-                raise ValueError(
-                    f"machine {machine.name!r} rejects a supplied word:\n{words[index]}"
-                )
-            events = [e for e in crossing_events(trace) if e.boundary == boundary]
-            if any(e.direction is Direction.U for e in events):
-                signatures[index] = []
-            else:
-                signatures[index] = [e for e in events if e.direction is Direction.D]
-        return signatures[index]
+    @cache
+    def signature(index: int) -> CrossingEvent | None:
+        trace = accepting_trace(machine, words[index])
+        if trace is None:
+            raise ValueError(
+                f"machine {machine.name!r} rejects a supplied word:\n{words[index]}"
+            )
+        crossings = [e for e in crossing_events(trace) if e.boundary == boundary]
+        if len(crossings) == 1 and crossings[0].direction is Direction.D:
+            return crossings[0]
+        return None
 
     for first in range(len(words)):
-        events = signature(first)
+        event = signature(first)
         for second in range(first + 1, len(words)):
-            if words[first] == words[second]:
-                continue
-            keys = {(e.col, e.state) for e in signature(second)}
-            for event in events:
-                if (event.col, event.state) in keys:
-                    return words[first], words[second], event
+            # The second word is traced even when the first has no
+            # signature, so words are traced, and rejected, in pair order.
+            if words[first] != words[second] and signature(second) == event is not None:
+                return words[first], words[second], event
     return None
 
 
@@ -393,14 +392,14 @@ def hierarchy_report(i_max: int, cols_max: int) -> HierarchyReport:
         raise ValueError(f"need cols_max >= 1, got {cols_max}")
     rows: list[HierarchyRow] = []
     for i in range(1, i_max + 1):
-        for machine, lang_id, word_rows in (
-            (build_M_Mi(i), f"M{i}", 2 * i),
-            (build_S_rec(i - 1), f"S{2 * i}", 2),
+        for machine, lang_id in (
+            (build_M_Mi(i), f"M{i}"),
+            (build_S_rec(i - 1), f"S{2 * i}"),
         ):
             full = machine.budget
             starved = Budget(full.up - 1, full.left)
             report = budget_sweep(
-                machine, lang_id, word_rows, cols_max, [starved, full]
+                machine, lang_id, natural_rows(lang_id), cols_max, [starved, full]
             )
             low, high = report.per_budget
             if report.member_total == 0:

@@ -147,8 +147,7 @@ def make_u(i: int, j: int, z: int) -> Picture:
 
 def make_w(i: int, j: int, z: int) -> Picture:
     """Two-row word whose rows are both ``make_u(i, j, z)``; always in L_1."""
-    row = make_u(i, j, z).cells[0]
-    return Picture._trusted((row, row))
+    return Picture._trusted(make_u(i, j, z).cells * 2)
 
 
 def make_v(j: int, k: int, z: int, i: int) -> Picture:
@@ -157,9 +156,7 @@ def make_v(j: int, k: int, z: int, i: int) -> Picture:
         raise ValueError(f"need i >= 0, got {i}")
     if not 1 <= j < k <= z:
         raise ValueError(f"need 1 <= j < k <= z, got j={j}, k={k}, z={z}")
-    row = ["0"] * z
-    row[j - 1] = row[k - 1] = "1"
-    return Picture._trusted((tuple(row),) * (2 * i + 2))
+    return Picture._trusted(make_u(j, k, z).cells * (2 * i + 2))
 
 
 def splice_words(top_source: Picture, bottom_source: Picture, boundary_row: int) -> Picture:

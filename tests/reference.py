@@ -15,6 +15,11 @@ built by a plain loop over each move, against which the rows
 The oracles are one hand-written scan per witness language, with no
 shared pair form, against which ``gridfa.languages`` (its oracles and
 its member counts) is checked.
+
+``find_crossing_match`` is the splice matcher written for any number of
+downward crossings per run, with a key set per pair, over the reference
+traces.  The matcher of ``gridfa.experiments``, which keeps one crossing
+per run, must return the same pair and event, or raise the same error.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from __future__ import annotations
 from collections import deque
 
 import gridfa as g
-from gridfa.machine import DELTAS
+from gridfa.experiments import CrossingEvent, crossing_events
+from gridfa.machine import DELTAS, Direction
 from gridfa.simulator import _CODES, _RING
 
 _DIRECTION_OF = {delta: direction for direction, delta in DELTAS.items()}
@@ -152,6 +158,53 @@ def run_deterministic(a, p, budget=None) -> tuple[g.RunOutcome, g.Trace]:
     return g.RunOutcome.LOOP, g.Trace(
         steps + (_move(last, again),), again, g.RunOutcome.LOOP
     )
+
+
+def find_crossing_match(
+    machine: Automaton,
+    words: Sequence[Picture],
+    boundary: int,
+) -> tuple[Picture, Picture, CrossingEvent] | None:
+    """First pair of distinct words whose canonical traces cross ``boundary``
+    downward in the same column and state.
+
+    A trace that ever crosses the boundary upward is left out of the
+    matching, which is the stronger condition the multi-pair splice
+    argument needs.
+
+    Pairs are tried first-major, and a word is traced when the first pair
+    that holds it is tried.  So the first word is always traced, a match
+    with it traces the words up to its partner and no more, and a later
+    match, or none, traces them all.  The words must be accepted: the
+    first rejected word traced, which is the first in list order, raises
+    ValueError.  A rejected word after the match is never traced.
+    """
+    signatures: dict[int, list[CrossingEvent]] = {}
+
+    def signature(index: int) -> list[CrossingEvent]:
+        if index not in signatures:
+            trace = accepting_trace(machine, words[index])
+            if trace is None:
+                raise ValueError(
+                    f"machine {machine.name!r} rejects a supplied word:\n{words[index]}"
+                )
+            events = [e for e in crossing_events(trace) if e.boundary == boundary]
+            if any(e.direction is Direction.U for e in events):
+                signatures[index] = []
+            else:
+                signatures[index] = [e for e in events if e.direction is Direction.D]
+        return signatures[index]
+
+    for first in range(len(words)):
+        events = signature(first)
+        for second in range(first + 1, len(words)):
+            if words[first] == words[second]:
+                continue
+            keys = {(e.col, e.state) for e in signature(second)}
+            for event in events:
+                if (event.col, event.state) in keys:
+                    return words[first], words[second], event
+    return None
 
 
 def table_row(tables, low: int) -> dict:

@@ -1,8 +1,9 @@
+import random
 import tracemalloc
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import gridfa as g
@@ -55,6 +56,57 @@ class TestCrossingEvents:
         assert [e.direction for e in events] == [D, U]
         assert [e.col for e in events] == [1, 3]
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_crossings_of_a_boundary_alternate_in_direction(self, data):
+        # Rows change by one per move, so a run that never crosses a
+        # boundary upward crosses it at most once: the matcher's premise.
+        # Steered toward runs that cross one boundary many times.
+        machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+        rows = data.draw(st.integers(1, 3))
+        most = 0
+        for p in all_pictures(rows, 3 if rows < 3 else 2):
+            trace = g.accepting_trace(machine, p)
+            if trace is None:
+                continue
+            events = g.crossing_events(trace)
+            for boundary in {e.boundary for e in events}:
+                directions = [e.direction for e in events if e.boundary == boundary]
+                assert all(a != b for a, b in zip(directions, directions[1:]))
+                most = max(most, len(directions))
+        target(float(most))
+
+
+def match_outcome(find, machine, words, boundary):
+    """The pair and event ``find`` returns, or the text it raises."""
+    try:
+        return find(machine, words, boundary)
+    except ValueError as exc:
+        return str(exc)
+
+
+SPLICE_MACHINES = [
+    ("A_L1", None), ("B_L", 1), ("B_L", 2), ("M_M1", None), ("M_Mi", 1), ("M_Mi", 2),
+    ("P_N2", None), ("C_L1_2W", None), ("D_K", 1), ("D_K", 2), ("S_rec", 1), ("S_rec", 2),
+    ("FLAWED_L1_3W0", None),
+]
+
+
+def lookback() -> g.Automaton:
+    """Steps right and back, then goes down column 1 in ``dp`` if it read
+    ``10`` and in ``dq`` if it read ``11``; a first 0 accepts at once,
+    with no crossing, and ``dq`` on a 1 is stuck."""
+    return g.Automaton(
+        "lookback", ("0", "1"), ("s", "r", "p", "q", "dp", "dq", "t"), "s", "t", "det",
+        g.THREE_WAY_NO_UP, g.Budget(0, g.INF),
+        {
+            ("s", "0"): (("t", R),), ("s", "1"): (("r", R),),
+            ("r", "0"): (("p", L),), ("r", "1"): (("q", L),),
+            ("p", "1"): (("dp", D),), ("q", "1"): (("dq", D),),
+            ("dp", "0"): (("t", R),), ("dp", "1"): (("t", R),), ("dq", "0"): (("t", R),),
+        },
+    )
+
 
 class TestFindCrossingMatch:
     def test_flawed_fixture_has_guaranteed_match(self):
@@ -81,6 +133,34 @@ class TestFindCrossingMatch:
         with pytest.raises(ValueError):
             g.find_crossing_match(a, [g.Picture.from_rows(["00", "00"])], 2)
 
+    def test_a_match_needs_the_same_state(self):
+        dp, dq, dp_again = (
+            g.Picture.from_rows(r) for r in (["10", "00"], ["11", "00"], ["10", "11"])
+        )
+        assert g.find_crossing_match(lookback(), [dp, dq], 2) is None
+        assert g.find_crossing_match(lookback(), [dp, dq, dp_again], 2) == (
+            dp, dp_again, g.CrossingEvent(2, 1, "dp", D)
+        )
+
+    def test_a_run_crossing_upward_has_no_signature(self):
+        # Both runs leave row 1 upward in column 1 and stop there: one
+        # crossing each, but not downward.
+        up = g.Automaton(
+            "up", ("0", "1"), ("s", "t"), "s", "t", "det", g.FOUR_WAY, g.Budget(g.INF, g.INF),
+            {("s", "1"): (("t", U),)},
+        )
+        words = [g.Picture.from_rows(["10"]), g.Picture.from_rows(["11"])]
+        assert g.find_crossing_match(up, words, 1) is None
+
+    def test_a_first_word_without_a_crossing_still_traces_the_rest(self):
+        # Its pairs trace words 1-3 before words 1 and 2 are compared, so
+        # the stuck word 3 raises.
+        no_crossing, dp, dp_again, stuck = (
+            g.Picture.from_rows(r) for r in (["01", "11"], ["10", "00"], ["10", "11"], ["11", "10"])
+        )
+        with pytest.raises(ValueError, match="rejects a supplied word:\n11\n10$"):
+            g.find_crossing_match(lookback(), [no_crossing, dp, dp_again, stuck], 2)
+
     def test_a_rejected_word_after_the_match_is_not_traced(self):
         flawed = g.build_flawed_L1_3W0()
         zeros = g.Picture.from_rows(["00000", "00000"])
@@ -102,6 +182,50 @@ class TestFindCrossingMatch:
         )
         assert searched == 3
         assert (reports[0].top, reports[0].bottom) == (g.make_w(1, 2, 30), g.make_w(1, 3, 30))
+
+    def test_with_no_match_each_word_is_traced_once(self, monkeypatch):
+        # No two of the 435 runs of A_L1 at z=30 match: one trace per word,
+        # and no spliced word to decide.
+        reports = []
+        searched = count_searches(
+            monkeypatch, lambda: reports.append(g.splice_counterexample(g.build_A_L1(), 30))
+        )
+        assert not reports[0].conclusive
+        assert searched == comb(30, 2) == 435
+
+    @pytest.mark.parametrize("builder, param", SPLICE_MACHINES)
+    def test_builder_words_match_as_the_reference_matcher(self, builder, param):
+        # Every make_w list at z = 2..10, in order and as two shuffled prefixes,
+        # at boundaries 1-3; the machines that reject the words raise.
+        machine = g.make_machine(builder, param)
+        rng = random.Random(f"{builder}-{param}")
+        for z in range(2, 11):
+            words = [g.make_w(i, j, z) for i in range(1, z + 1) for j in range(i + 1, z + 1)]
+            prefixes = [rng.sample(words, rng.randint(1, len(words))) for _ in range(2)]
+            for boundary in (1, 2, 3):
+                for listed in (words, *prefixes):
+                    assert match_outcome(
+                        g.find_crossing_match, machine, listed, boundary
+                    ) == match_outcome(reference.find_crossing_match, machine, listed, boundary)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_machines_match_as_the_reference_matcher(self, data):
+        # A shape's accepted pictures in a drawn order, or a short list of
+        # any pictures, repeats included, so that some raise.  Steered
+        # toward lists that match.
+        machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+        rows = data.draw(st.integers(1, 3))
+        pictures = list(g.enumerate_pictures(machine.alphabet, rows, data.draw(st.integers(1, 3))))
+        accepted = [p for p in pictures if g.accepts(machine, p)]
+        if accepted and data.draw(st.booleans()):
+            words = data.draw(st.permutations(accepted))
+        else:
+            words = data.draw(st.lists(st.sampled_from(pictures), max_size=8))
+        boundary = data.draw(st.integers(1, rows + 1))
+        found = match_outcome(g.find_crossing_match, machine, words, boundary)
+        assert found == match_outcome(reference.find_crossing_match, machine, words, boundary)
+        target(float(isinstance(found, tuple)))
 
 
 class TestSpliceCounterexample:

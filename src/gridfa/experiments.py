@@ -12,7 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .grid import Picture, _picture_at
 from .languages import _member_rank, in_L, make_w, natural_rows, parse_language_id, splice_words
@@ -203,7 +204,7 @@ def crossing_events(trace: Trace) -> list[CrossingEvent]:
 
 def find_crossing_match(
     machine: Automaton,
-    words: Sequence[Picture],
+    words: Iterable[Picture],
     boundary: int,
 ) -> tuple[Picture, Picture, CrossingEvent] | None:
     """First pair of distinct words whose canonical traces cross ``boundary``
@@ -221,28 +222,42 @@ def find_crossing_match(
     with it traces the words up to its partner and no more, and a later
     match, or none, traces them all.  The words must be accepted: the
     first rejected word traced, which is the first in list order, raises
-    ValueError.  A rejected word after the match is never traced.
+    ValueError.  A rejected word after the match is never traced.  The
+    words are read from ``words`` as the pairs reach them, so a match with
+    the first word reads none past its partner.
     """
+
+    source = iter(words)
+    made = list(islice(source, 1))
+
+    def after(first: int) -> Iterator[tuple[int, Picture]]:
+        """The words after word ``first``, with their indices.  The pairs
+        of the first word read them from ``words``; later pairs find them
+        all in ``made``."""
+        yield from enumerate(made[first + 1 :], first + 1)
+        for word in source:
+            made.append(word)
+            yield len(made) - 1, word
 
     @cache
     def signature(index: int) -> CrossingEvent | None:
-        trace = accepting_trace(machine, words[index])
+        trace = accepting_trace(machine, made[index])
         if trace is None:
             raise ValueError(
-                f"machine {machine.name!r} rejects a supplied word:\n{words[index]}"
+                f"machine {machine.name!r} rejects a supplied word:\n{made[index]}"
             )
         crossings = [e for e in crossing_events(trace) if e.boundary == boundary]
         if len(crossings) == 1 and crossings[0].direction is Direction.D:
             return crossings[0]
         return None
 
-    for first in range(len(words)):
+    for first, top in enumerate(made):  # ``made`` grows while the first word's pairs run
         event = signature(first)
-        for second in range(first + 1, len(words)):
+        for second, bottom in after(first):
             # The second word is traced even when the first has no
             # signature, so words are traced, and rejected, in pair order.
-            if words[first] != words[second] and signature(second) == event is not None:
-                return words[first], words[second], event
+            if top != bottom and signature(second) == event is not None:
+                return top, bottom, event
     return None
 
 
@@ -316,7 +331,7 @@ def splice_counterexample(machine: Automaton, z: int) -> SpliceReport:
     splice and whether the splice is still in L_1.
     """
     ensure_valid(machine)
-    words = [make_w(i, j, z) for i in range(1, z + 1) for j in range(i + 1, z + 1)]
+    words = (make_w(i, j, z) for i in range(1, z + 1) for j in range(i + 1, z + 1))
     match = find_crossing_match(machine, words, boundary=2)
     if match is None:
         return SpliceReport(machine.name, z, conclusive=False)

@@ -3,18 +3,21 @@ over the alphabet {0, 1}.
 
 Every language is built from the "stacked 1s" notion: a column whose two
 cells in a designated row pair both hold 1.  Each is defined once, as a
-row count and a predicate that every disjoint row pair (rows 1-2, 3-4,
-...) must pass:
+row count and a rule that every disjoint row pair (rows 1-2, 3-4, ...)
+must pass.  The rule reads the pair's upper and lower rows as 1-masks
+``u`` and ``l`` (an int with bit k set where column k holds "1"; every
+other symbol reads as 0) and the width ``w``, so the pair's stacked
+columns number ``(u & l).bit_count()``:
 
-* ``L_i``  -- exactly 2i rows; each disjoint row pair has >= 2 stacked columns.
-* ``M_i``  -- exactly 2i rows; each disjoint row pair has exactly two
-  stacked columns and no other 1 (both rows carry exactly two 1s, so
-  they carry them in the same two columns).
+* ``L_i``  -- exactly 2i rows; each pair has >= 2 stacked columns.
+* ``M_i``  -- exactly 2i rows; each pair has exactly two stacked columns
+  and no other 1: ``u == l and u.bit_count() == 2``.
 * ``N_1`` / ``N_2`` -- 2 rows (resp. 4 rows) with >= 1 stacked column per pair.
 * ``K_i``  -- 2 rows with >= 2i stacked columns; ``K_1`` coincides with ``L_1``.
-* ``S_i``  -- the single 2 x i all-ones word (an i-column pair, all stacked).
+* ``S_i``  -- the single 2 x i all-ones word: ``w == i and u == l == (1 << w) - 1``.
 
-The oracles and the member counts of ``_member_rank`` are built from it.
+The oracles and the member counts of ``_member_rank`` are built from it;
+the counts read each row of a shape as a mask once.
 
 Oracles return False (never raise) on pictures of the wrong shape: a
 language is a set of pictures and a non-member is simply a non-member.
@@ -32,9 +35,15 @@ from .grid import Picture, ShapeError
 ALPHABET_01: tuple[str, ...] = ("0", "1")
 
 
-def _stacked(upper: tuple[str, ...], lower: tuple[str, ...]) -> int:
-    """Number of columns carrying 1 in both rows."""
-    return sum(1 for a, b in zip(upper, lower) if a == "1" and b == "1")
+#: ``bytes.translate`` table: "1" stays, every other byte becomes "0", so
+#: ``int`` reads no other digit and skips no "_" or space.
+_ONES = bytes(ord("1") if b == ord("1") else ord("0") for b in range(256))
+
+
+def _mask(row: Sequence[str]) -> int:
+    """The row's 1-mask: bit k set where column k (from 0) holds "1".  A
+    symbol outside ASCII encodes as one "?", so it reads 0 like the rest."""
+    return int("".join(row)[::-1].encode("ascii", "replace").translate(_ONES), 2)
 
 
 def stacked_count(p: Picture, top_row: int) -> int:
@@ -47,34 +56,37 @@ def stacked_count(p: Picture, top_row: int) -> int:
         raise ValueError(
             f"top_row {top_row} needs rows {top_row + 1}, picture has {p.rows}"
         )
-    return _stacked(p.cells[top_row - 1], p.cells[top_row])
+    return (_mask(p.cells[top_row - 1]) & _mask(p.cells[top_row])).bit_count()
 
 
-def _pair_form(kind: str, index: int) -> tuple[int, Callable[[tuple, tuple], bool]]:
+def _pair_form(kind: str, index: int) -> tuple[int, Callable[[int, int, int], bool]]:
     """The language of ``kind`` and ``index`` as its row count and the
-    predicate each disjoint row pair (upper row, lower row) must pass.
+    rule ``rule(u, l, w)`` each disjoint row pair must pass: ``u`` and
+    ``l`` are the upper and lower row's 1-masks, ``w`` the width.
 
-    M's pair holds exactly two 1s per row, both stacked; rows that agree
-    on their 1s may still differ elsewhere, in symbols other than 0 and 1."""
+    M's rows carry the same two 1s; rows that agree on their 1s may still
+    differ elsewhere, in symbols other than 1.  Only S reads the width:
+    a row whose every column holds 1 has the mask ``(1 << w) - 1``."""
     if index < 1:
         raise ValueError(f"language index must be >= 1, got {index}")
     if kind == "L":
-        return 2 * index, lambda upper, lower: _stacked(upper, lower) >= 2
+        return 2 * index, lambda u, l, w: (u & l).bit_count() >= 2
     if kind == "M":
-        return 2 * index, lambda upper, lower: (
-            upper.count("1") == lower.count("1") == 2 == _stacked(upper, lower)
-        )
+        return 2 * index, lambda u, l, w: u == l and u.bit_count() == 2
     if kind == "N":
-        return 2 * index, lambda upper, lower: _stacked(upper, lower) >= 1
+        return 2 * index, lambda u, l, w: (u & l).bit_count() >= 1
     if kind == "K":
-        return 2, lambda upper, lower: _stacked(upper, lower) >= 2 * index
-    return 2, lambda upper, lower: len(upper) == index == _stacked(upper, lower)
+        return 2, lambda u, l, w: (u & l).bit_count() >= 2 * index
+    return 2, lambda u, l, w: w == index and u == l == (1 << w) - 1
 
 
 @cache  # built once per language, so ``in_L`` and the rest pay one lookup
 def _membership(kind: str, index: int) -> Callable[[Picture], bool]:
-    rows, pair = _pair_form(kind, index)
-    return lambda p: len(p.cells) == rows and all(map(pair, p.cells[::2], p.cells[1::2]))
+    rows, rule = _pair_form(kind, index)
+    return lambda p: len(p.cells) == rows and all(
+        rule(_mask(upper), _mask(lower), len(upper))
+        for upper, lower in zip(p.cells[::2], p.cells[1::2])
+    )
 
 
 def in_L(i: int, p: Picture) -> bool:
@@ -113,11 +125,15 @@ def _member_rank(lang_id: str, shape_rows: Sequence[tuple], rows: int) -> Callab
     pictures of the ``rows``-row shape whose rows ``grid._shape_rows`` gave.
     An index has the row pairs as digits, top pair first.  A member below
     ``x`` shares some passing leading pairs with it, then has a passing pair
-    below ``x``'s next one (``below`` counts them), then any passing pairs."""
-    want, pair = _pair_form(*parse_language_id(lang_id))
+    below ``x``'s next one (``below`` counts them), then any passing pairs.
+    ``below`` reads each of the shape's rows as a 1-mask once and sums the
+    rule over every (upper, lower) pair of masks, in index order."""
+    want, rule = _pair_form(*parse_language_id(lang_id))
     if rows != want:
         return lambda x: 0
-    below = [0, *accumulate(pair(upper, lower) for upper in shape_rows for lower in shape_rows)]
+    masks = list(map(_mask, shape_rows))
+    width = len(shape_rows[0]) if shape_rows else 0  # an empty alphabet has no rows
+    below = [0, *accumulate(rule(upper, lower, width) for upper in masks for lower in masks)]
     size, passing, pairs = len(below) - 1, below[-1], rows // 2
     if pairs == 1:  # the index is the pair's value
         return below.__getitem__

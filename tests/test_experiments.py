@@ -183,6 +183,21 @@ class TestFindCrossingMatch:
         assert searched == 3
         assert (reports[0].top, reports[0].bottom) == (g.make_w(1, 2, 30), g.make_w(1, 3, 30))
 
+    def test_words_are_read_as_the_pairs_reach_them(self, monkeypatch):
+        # The splice at z=30 makes words 0 and 1 of the 435 and no more; a
+        # one-shot iterator serves a match that is not with the first word.
+        made = []
+        make_w = g.experiments.make_w
+        monkeypatch.setattr(g.experiments, "make_w", lambda *a: made.append(a) or make_w(*a))
+        assert g.splice_counterexample(g.build_flawed_L1_3W0(), 30).demonstrates
+        assert made == [(1, 2, 30), (1, 3, 30)]
+        dq, dp, dp_again = (
+            g.Picture.from_rows(r) for r in (["11", "00"], ["10", "00"], ["10", "11"])
+        )
+        assert g.find_crossing_match(lookback(), iter([dq, dp, dp_again]), 2) == (
+            dp, dp_again, g.CrossingEvent(2, 1, "dp", D)
+        )
+
     def test_with_no_match_each_word_is_traced_once(self, monkeypatch):
         # No two of the 435 runs of A_L1 at z=30 match: one trace per word,
         # and no spliced word to decide.

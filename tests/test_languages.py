@@ -177,6 +177,10 @@ def test_exact_pair_rows_may_differ_outside_their_ones():
     # Both rows carry 1s in exactly the same two columns, and differ in a 2.
     assert g.in_M(1, g.Picture.from_rows(["1210", "1012"]))
     assert not g.in_M(1, g.Picture.from_rows(["1210", "1011"]))
+    assert g.in_M(1, g.Picture.from_rows(["1a1", "1b1"]))
+    # Over {1, a, b} at 2 x 3, each of the 3 column pairs takes an a or b
+    # in its third column, in each row: 3 * 2 * 2 members.
+    assert _member_rank("M1", _shape_rows("1ab", 2, 3), 2)(27**2) == 12
 
 
 class TestInS:
@@ -185,6 +189,12 @@ class TestInS:
         assert not g.in_S(3, g.Picture.from_rows(["111", "101"]))
         assert not g.in_S(3, g.Picture.from_rows(["111", "111", "111"]))
         assert not g.in_S(2, g.Picture.from_rows(["111", "111"]))
+        assert not g.in_S(4, g.Picture.from_rows(["111", "111"]))
+
+    def test_member_counts_hold_one_word_at_width_i(self):
+        for cols in range(1, 5):
+            rank = _member_rank("S2", _shape_rows("1a", 2, cols), 2)
+            assert rank(4**cols) == (cols == 2)
 
     def test_s_implies_k_halved(self):
         for i in range(2, 7):
@@ -287,21 +297,38 @@ LANGUAGE_IDS = ["L1", "L2", "M1", "M2", "N1", "N2", "K1", "K2", "K3", "S1", "S2"
     "rows, cols", [(r, c) for r in range(1, 5) for c in range(1, 4)] + [(2, 4), (2, 5)]
 )
 def test_pair_form_matches_the_reference_on_every_picture_over_012(rows, cols):
-    """Each language's row count and pair predicate against the
-    hand-written reference scans, picture by picture: as the member counts
-    the sweeps take (rank(n + 1) - rank(n) for picture n), and as the
-    exported oracle.  At 4 x 3 (531,441 pictures) only the counts are
-    checked, and at 4 rows only the 4-row languages; the others are empty
-    there by their row count, as the shapes of fewer rows check."""
+    """Each language's row count and pair rule against the hand-written
+    reference scans, picture by picture: as the member counts the sweeps
+    take (rank(n + 1) - rank(n) for picture n), and as the exported
+    oracle.  At 4 x 3 (531,441 pictures) only the counts are checked, and
+    at 4 rows only the 4-row languages; the others are empty there by
+    their row count, as the shapes of fewer rows check."""
+    _check_pair_forms("012", rows, cols)
+
+
+@pytest.mark.parametrize(
+    "alphabet, rows, cols",
+    [(a, r, c) for a in ("1a0", "10", "ab") for r, c in [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2)]]
+    + [("1\u0661_ \u00e9", 2, 2), ("1\u0661_ \u00e9", 4, 1)],
+)
+def test_pair_form_matches_the_reference_over_other_alphabets(alphabet, rows, cols):
+    """As over {0, 1, 2}, where "1" comes first or is missing and beside
+    symbols that are not digits.  A mask reads every symbol but "1" as 0,
+    also those ``int`` would read as a digit or skip: the Arabic-Indic
+    one, "_" and a space."""
+    _check_pair_forms(alphabet, rows, cols)
+
+
+def _check_pair_forms(alphabet: str, rows: int, cols: int) -> None:
     langs = [lang for lang in LANGUAGE_IDS if rows < 4 or natural_rows(lang) == 4]
     oracles = [(reference.oracle(lang), g.oracle_for(lang)) for lang in langs]
     members: list[list[bool]] = [[] for _ in langs]
-    for p in g.enumerate_pictures("012", rows, cols):
+    for p in g.enumerate_pictures(alphabet, rows, cols):
         for (expected, oracle), found in zip(oracles, members):
             found.append(expected(p))
             assert rows * cols > 10 or oracle(p) == found[-1], p
-    shape_rows = _shape_rows("012", rows, cols)
-    indices = range(3 ** (rows * cols) + 1)
+    shape_rows = _shape_rows(alphabet, rows, cols)
+    indices = range(len(alphabet) ** (rows * cols) + 1)
     for lang, found in zip(langs, members):
         rank = _member_rank(lang, shape_rows, rows)
         assert list(map(rank, indices)) == [0, *accumulate(found)], lang

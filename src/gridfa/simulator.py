@@ -3,15 +3,24 @@
 The run state of a machine is a :class:`Configuration`: control state,
 head position in frame coordinates, and the remaining budgets.  The
 configuration space is finite (an infinite budget is represented as a
-single non-decrementing layer), so one breadth-first search of the
-configuration graph terminates and decides everything here.  It is read
-three ways:
+single non-decrementing layer), so its reachability terminates, and one
+breadth-first search of the configuration graph (``_Tables.explore``)
+gives everything here.  It is read three ways:
 
 * acceptance: whether the search reaches the accepting state,
 * canonical shortest accepting traces, with ties broken by transition
   declaration order, so repeated calls return bit-identical traces, and
 * deterministic runs, whose run graph is a path, so the search ends on
   the accepting state, a stuck configuration or a repeated one.
+
+A picture whose long side reaches ``_BITSET_MIN`` is decided on bitsets
+first (``_Tables.bitsets``): one int per low part and frame line holds
+every position along the long side where the head can stand, so one move
+applies to all of them at once.  That decides ``accepts`` and the
+outcome of ``run_deterministic`` (a run that does not accept halts iff it
+reaches a cell with no move), and lets ``accepting_trace`` skip the search
+on a rejected picture.  Traces still come from the search, and a cycle
+that gains one cell per round sends the picture back to it.
 
 It is also read for a whole shape at once: ``_decide_shape`` decides
 every picture of one shape under a list of budgets, for the sweeps and
@@ -22,15 +31,15 @@ reads one, so the pictures that agree on the cells a branch read share it.
 The search runs over the compiled form of the machine under the
 resolved budget (``_Tables``), not over :class:`Configuration` values.
 That one object holds the integer tables, the start of every run and the
-search itself, and it is cached on the machine, so a sweep sets it up
-once per budget for all its pictures.  The picture is laid out once per
+searches themselves, and it is cached on the machine, so a sweep sets it
+up once per budget for all its pictures.  The picture is laid out once per
 search as one flat frame, and each configuration is one int packing the
 frame index of the head with the state and the budget layers.  One move
 is no search: ``step``, and ``run_deterministic`` telling a halt from a
 loop, read it off one table row.  Only what a caller reads is decoded:
-the trace of ``run_deterministic`` holds the run's path of ints until the
-first read of its steps or final configuration, since many callers read
-only the outcome.
+the trace of ``run_deterministic`` holds the run's path of ints, or on a
+wide picture nothing, until the first read of its steps or final
+configuration, since many callers read only the outcome.
 
 All functions are pure in (machine, picture, budget override) and safe to
 call concurrently: the tables they cache on a machine are filled
@@ -41,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .grid import BOUNDARY, AlphabetError, Picture, _picture_at, _shape_rows, cell_at
 from .machine import INF, Automaton, Budget, Direction, ensure_valid, fmt_budget
@@ -83,10 +92,10 @@ class TraceStep(NamedTuple):
 class Trace:
     """A run: the steps taken (configuration, direction) and where it ended.
 
-    A trace from ``run_deterministic`` holds only its path of configuration
-    codes until ``steps`` or ``final`` is first read, and then decodes
-    both.  It equals, hashes like and prints like the trace built from the
-    decoded fields.
+    A trace from ``run_deterministic`` holds only how to decode its path
+    (or, on a wide picture, to search it) until ``steps`` or ``final`` is
+    first read, and then decodes both.  It equals, hashes like and prints
+    like the trace built from the decoded fields.
     """
 
     steps: tuple[TraceStep, ...]
@@ -94,22 +103,23 @@ class Trace:
     outcome: RunOutcome
 
     @classmethod
-    def _lazy(cls, tables: _Tables, path: list[int], width: int, outcome: RunOutcome) -> Trace:
-        """The trace along ``path`` (codes of ``tables`` in a frame
-        ``width`` columns wide), decoded on the first read."""
+    def _lazy(
+        cls, decode: Callable[[], tuple[tuple[TraceStep, ...], Configuration]], outcome: RunOutcome
+    ) -> Trace:
+        """The trace whose steps and final configuration ``decode()``
+        gives, called on the first read of either."""
         trace = object.__new__(cls)
         object.__setattr__(trace, "outcome", outcome)
-        object.__setattr__(trace, "_pending", (tables, path, width))
+        object.__setattr__(trace, "_pending", decode)
         return trace
 
     def __getattr__(self, name: str):
         # Called only for an attribute the instance lacks: on a lazy trace,
         # ``steps`` and ``final`` until the first read of either sets both.
-        pending = self.__dict__.get("_pending") if name in ("steps", "final") else None
-        if pending is None:
+        decode = self.__dict__.get("_pending") if name in ("steps", "final") else None
+        if decode is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        tables, path, width = pending
-        steps, final = tables.steps(path, width)
+        steps, final = decode()
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "final", final)
         self.__dict__.pop("_pending", None)  # another thread may have decoded too
@@ -231,6 +241,51 @@ def _layout(a: Automaton, p: Picture) -> list[str]:
             f"picture uses symbols {sorted(missing)} outside machine alphabet"
         )
     return frame
+
+
+class _Ones(dict):
+    """``str.translate`` table of one symbol of an alphabet: it writes that
+    symbol as "1", the alphabet's others as "0" and any other character
+    as "x", which ``int`` refuses."""
+
+    def __missing__(self, key: int) -> str:
+        return "x"
+
+
+@lru_cache(maxsize=64)
+def _ones(alphabet: tuple[str, ...]) -> tuple[tuple[str, _Ones], ...]:
+    """The ``_Ones`` table of each symbol of ``alphabet``."""
+    return tuple((s, _Ones({ord(x): "1" if x == s else "0" for x in alphabet})) for s in alphabet)
+
+
+def _lines(a: Automaton, p: Picture) -> tuple[list[dict[str, int]], bool]:
+    """The frame of ``p`` as lines along its long side (its columns if it
+    is tall, else its rows), ring lines included, each as a mask per cell
+    key present: bit k is set where position k of the line holds that key.
+    Also whether ``p`` is tall.  Raises AlphabetError as ``_layout`` does."""
+    tall = p.rows > p.cols
+    # The ring keys of the first line, of the inner lines' ends, and of the last line.
+    wide = ((_UL, _U, _UR), (_L, _R), (_DL, _D, _DR))
+    first, ends, last = ((_UL, _L, _DL), (_U, _D), (_UR, _R, _DR)) if tall else wide
+    ones = _ones(a.alphabet)
+    if not ones:
+        _layout(a, p)  # raises: no symbol is in an empty alphabet
+    top = 1 << max(p.rows, p.cols) + 1
+    lines = [dict(zip(first, (1, top - 2, top)))]
+    for cells in zip(*p.cells) if tall else p.cells:
+        text = "".join(cells)[::-1]
+        line, rest = {ends[0]: 1, ends[1]: top}, top - 2
+        try:  # the last symbol holds the cells no other one does
+            for symbol, table in ones[:-1] or ones:
+                line[symbol] = mask = int(text.translate(table), 2) << 1
+                rest ^= mask
+        except ValueError:
+            _layout(a, p)  # raises, naming the symbols outside the alphabet
+        if len(ones) > 1:
+            line[ones[-1][0]] = rest
+        lines.append(line)
+    lines.append(dict(zip(last, (1, top - 2, top))))
+    return lines, tall
 
 
 #: Builds a NamedTuple from a tuple of its fields as ``_make`` does, minus
@@ -383,6 +438,76 @@ class _Tables(dict):
                 forks.append([c >> shift, 0, len(queue), index])
                 frame[c >> shift] = self.symbols[0]
 
+    def bitsets(self, lines: list[dict[str, int]], tall: bool) -> tuple[bool, bool] | None:
+        """Reachability from the initial configuration over the frame lines
+        of ``_lines``, on bitsets.  A node ``line << shift | low`` holds one
+        int with bit k set where configurations of that low part stand at
+        position k of that line.  A move along the line shifts the bits of
+        the cells it is enabled on; a move across goes to the next or the
+        previous line's node.  Self-loops along a line close at once: up by
+        one carry through the run, down by a Kogge-Stone fill.
+
+        Returns whether an accepting configuration is reached and whether
+        some reached configuration has no move, or None once the node
+        expansions pass 8 per node reached plus 64: a cycle through several
+        nodes gains a cell per round, which ``explore`` pays once per cell."""
+        shift, low_mask, accepting = self.shift, self.mask, self.accepting
+        hop = 1 << shift
+        # Per direction code (U, D, L, R as in ``_CODES``), the change of
+        # node and the shift of the bits: +1 up the line, -1 down it.
+        across, along = ((-hop, 0), (hop, 0)), ((0, -1), (0, 1))
+        moves = along + across if tall else across + along
+        if self.start >= accepting:
+            return True, False
+        node = hop | self.start  # on position 1 of line 1: cell (1,1)
+        reach, done, queue = {node: 2}, {}, [node]
+        halts, expansions = False, 0
+        for node in queue:  # the queue grows while it is read
+            bits = reach[node]
+            if bits == done.get(node):
+                continue
+            row, masks = self[node & low_mask], lines[node >> shift]
+            loops = [0, 0, 0]  # by shift: the cells of the self-loops along the line
+            for key, mask in masks.items():
+                for delta, code in row[key]:
+                    if not delta and not moves[code][0]:
+                        loops[moves[code][1]] |= mask
+            up, down = loops[1], loops[-1]
+            expansions += 1
+            while up or down:  # a round closes both; each may feed the other
+                closed = bits | ((up + (bits & up)) ^ up)
+                fill, run, span = closed & down, down, 1
+                while run and fill:
+                    fill |= run & (fill >> span)
+                    run &= run >> span
+                    span <<= 1
+                closed |= fill >> 1
+                if closed == bits or not (up and down):
+                    bits = closed
+                    break
+                bits = closed
+                expansions += 1
+            front = bits ^ done.get(node, 0)
+            reach[node] = done[node] = bits
+            for key, mask in masks.items():
+                here = front & mask
+                if not here:
+                    continue
+                halts |= not row[key]
+                for delta, code in row[key]:
+                    step, shifted = moves[code]
+                    target = node + delta + step
+                    if target & low_mask >= accepting:
+                        return True, halts
+                    old = reach.get(target, 0)
+                    new = old | (here << 1 if shifted > 0 else here >> 1 if shifted else here)
+                    if new != old:
+                        reach[target] = new
+                        queue.append(target)
+            if expansions > 8 * len(reach) + 64:
+                return None
+        return False, halts
+
     def successors(self, code: int, key: str, width: int) -> list[int]:
         """The codes one move from configuration ``code`` on a cell keyed
         ``key``, in declaration order, read off its row as ``explore``
@@ -434,14 +559,60 @@ def _tables(a: Automaton, up: int | float, left: int | float) -> _Tables:
 def _search(
     a: Automaton, p: Picture, budget: Budget | None
 ) -> tuple[_Tables, list[str], int, dict[int, int | None], int | None]:
-    """The one search behind every decision: validate the machine, lay out
-    the picture and check its symbols, resolve the budget, and explore
-    from the initial configuration.  Returns the tables, the frame and its
-    width, and what ``_Tables.explore`` returns."""
+    """The one search behind every trace and every decision not made on
+    bitsets: validate the machine, lay out the picture and check its
+    symbols, resolve the budget, and explore from the initial
+    configuration.  Returns the tables, the frame and its width, and what
+    ``_Tables.explore`` returns."""
     ensure_valid(a)
     frame = _layout(a, p)  # a bad picture is reported before a bad budget
     tables, width = _tables(a, *_resolve_budget(a, budget)), p.cols + 2
     return (tables, frame, width, *tables.explore(frame, width))
+
+
+#: Pictures whose long side has at least this many cells are decided on
+#: bitsets first (``_decide_on_bits``); on smaller ones ``explore`` is as
+#: fast or faster.
+_BITSET_MIN = 64
+
+
+def _decide_on_bits(a: Automaton, p: Picture, budget: Budget | None) -> tuple[bool, bool] | None:
+    """For a picture whose long side reaches ``_BITSET_MIN``, what
+    ``_Tables.bitsets`` gives: whether ``a`` accepts ``p`` and whether some
+    reached configuration has no move, or None where the bitsets give up.
+    None for a smaller picture, which ``explore`` decides.  Checks the
+    machine, the picture and the budget in the order ``_search`` does."""
+    if len(p.cells) < _BITSET_MIN and len(p.cells[0]) < _BITSET_MIN:  # paid by every decision
+        return None
+    ensure_valid(a)
+    lines, tall = _lines(a, p)
+    return _tables(a, *_resolve_budget(a, budget)).bitsets(lines, tall)
+
+
+def _searched_run(
+    a: Automaton, p: Picture, budget: Budget | None
+) -> tuple[RunOutcome, Callable[[], tuple[tuple[TraceStep, ...], Configuration]]]:
+    """The deterministic run of ``a`` on ``p``, by search: its outcome and
+    the decoding of its path.  The run graph is a path, so the search
+    discovers exactly the run; when it finds no accepting configuration,
+    the row of the last one discovered tells whether it has no successor
+    (halt-reject) or re-enters one seen before (loop)."""
+    tables, frame, width, parents, goal = _search(a, p, budget)
+    path = list(parents)  # discovery order is the run's order
+    if goal is not None:
+        outcome = RunOutcome.ACCEPT
+    else:
+        successors = tables.successors(path[-1], frame[path[-1] >> tables.shift], width)
+        outcome = RunOutcome.LOOP if successors else RunOutcome.REJECT_HALT
+        path += successors
+    return outcome, partial(tables.steps, path, width)
+
+
+def _searched_steps(
+    a: Automaton, p: Picture, budget: Budget | None
+) -> tuple[tuple[TraceStep, ...], Configuration]:
+    """The steps and the final configuration of the deterministic run."""
+    return _searched_run(a, p, budget)[1]()
 
 
 def _path_to(parents: dict[int, int | None], end: int | None) -> list[int]:
@@ -476,37 +647,41 @@ def run_deterministic(
     """Run a deterministic machine to its unique outcome.
 
     Accept on entering the accepting state, halt-reject on a stuck
-    configuration, and loop as soon as a configuration repeats.  The run
-    graph of a deterministic machine is a path, so the search discovers
-    exactly the run; when it finds no accepting configuration, the row of
-    the last one discovered tells whether it has no successor (halt-reject)
-    or re-enters one seen before (loop).  The trace records the path up to
-    the outcome (for a loop, up to and including the first re-entry).  It
-    is decoded on the first read of its steps or final configuration, so a
-    caller that reads only the outcome pays for no decoding.
+    configuration, and loop as soon as a configuration repeats.  The trace
+    records the path up to the outcome (for a loop, up to and including
+    the first re-entry).  It is decoded on the first read of its steps or
+    final configuration, so a caller that reads only the outcome pays for
+    no decoding.  On a wide picture the outcome is read off the bitsets:
+    the run is a path, so it halts iff some configuration it reaches has
+    no move, and the trace searches on its first read.
     """
     ensure_valid(a)
     if a.mode != "det":
         raise ModeError(f"machine {a.name!r} is nondeterministic")
-    tables, frame, width, parents, goal = _search(a, p, budget)
-    path = list(parents)  # discovery order is the run's order
-    if goal is not None:
-        outcome = RunOutcome.ACCEPT
+    decided = _decide_on_bits(a, p, budget)
+    if decided is None:
+        outcome, decode = _searched_run(a, p, budget)
     else:
-        successors = tables.successors(path[-1], frame[path[-1] >> tables.shift], width)
-        outcome = RunOutcome.LOOP if successors else RunOutcome.REJECT_HALT
-        path += successors
-    return outcome, Trace._lazy(tables, path, width, outcome)
+        accepted, halts = decided
+        outcome = (
+            RunOutcome.ACCEPT if accepted else RunOutcome.REJECT_HALT if halts else RunOutcome.LOOP
+        )
+        decode = partial(_searched_steps, a, p, budget)
+    return outcome, Trace._lazy(decode, outcome)
 
 
 def accepts(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:
     """True iff some run reaches the accepting state.
 
-    Breadth-first reachability over the finite configuration graph; exact
-    and terminating for deterministic and nondeterministic machines alike,
+    Reachability over the finite configuration graph, on bitsets for a
+    wide picture and by breadth-first search otherwise; exact and
+    terminating for deterministic and nondeterministic machines alike,
     looping runs included.
     """
-    return _search(a, p, budget)[4] is not None
+    decided = _decide_on_bits(a, p, budget)
+    if decided is None:
+        return _search(a, p, budget)[4] is not None
+    return decided[0]
 
 
 def accepting_trace(
@@ -516,8 +691,12 @@ def accepting_trace(
 
     Shortest under breadth-first order; among equal-length runs the one
     whose moves come first in transition declaration order wins, so the
-    result is stable across calls.
+    result is stable across calls.  A wide picture is searched only if
+    the bitsets do not reject it.
     """
+    decided = _decide_on_bits(a, p, budget)
+    if decided is not None and not decided[0]:
+        return None
     tables, _, width, parents, goal = _search(a, p, budget)
     if goal is None:
         return None
@@ -548,7 +727,9 @@ def _decide_shape(
     Each budget takes one search over a frame whose cells start unread,
     which forks where it first dequeues a configuration on an unread cell
     (``_Tables.explore``): it goes on from there once per symbol, and
-    deletes what one branch discovered before the next.  A branch ends at
+    deletes what one branch discovered before the next.  A repeated budget
+    takes a copy of its first search's runs (a copy: ``budget_sweep``
+    tells the last budget's runs by identity).  A branch ends at
     an accepting configuration or an empty queue and decides the pictures
     that agree on the cells it read: for each value of the unread cells
     before its last read one, an aligned run of indices (cells count in
@@ -571,7 +752,11 @@ def _decide_shape(
         for pos, cell in enumerate(frame)
     ]
     decided = []
+    searched: dict[tuple[int | float, int | float], list[tuple[int, bool]]] = {}
     for up, left in budgets:
+        if (up, left) in searched:
+            decided.append(list(searched[up, left]))
+            continue
         tables = _tables(a, up, left)
         start = (width + 1) << tables.shift | tables.start
         parents, queue, index, forks = {start: None}, [start], 0, []
@@ -624,6 +809,7 @@ def _decide_shape(
             n = end
         if n < total:
             column.append((total, False))
+        searched[up, left] = column
         decided.append(column)
     return shape_rows, decided
 

@@ -4,13 +4,17 @@ Verdicts, canonical traces (compared as values and as text), deterministic
 outcomes and single steps must agree exactly.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gridfa as g
+from gridfa.languages import natural_rows
+from gridfa.simulator import _BITSET_MIN, _lines, _resolve_budget, _search, _searched_run, _tables
 import reference
-from conftest import all_pictures, random_machines
+from conftest import all_pictures, count_searches, random_machines
 
 BUILDER_MACHINES = {
     f"{builder}({param})" if parametric else builder: factory(param) if parametric else factory()
@@ -137,3 +141,94 @@ def test_errors_match_reference():
     for state, col in (("scan1", 3), ("ghost", 1)):
         c = g.Configuration(state, 1, col, 1, g.INF)
         assert g.step(a, stray, c) == reference.step(a, stray, c) == ()
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_bitsets_decide_as_the_search_does(data):
+    # Called below the threshold, on small pictures of both orientations.
+    machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    p = data.draw(pictures())
+    if data.draw(st.booleans()):
+        p = g.transpose(p)
+    budget = data.draw(budgets_within(machine.budget))
+    decided = _tables(machine, *_resolve_budget(machine, budget)).bitsets(*_lines(machine, p))
+    assume(decided is not None)  # the bitsets gave up; ``explore`` decides
+    assert decided[0] == (_search(machine, p, budget)[4] is not None)
+    if machine.mode == "det":
+        outcome = _searched_run(machine, p, budget)[0]
+        accepted, halts = decided
+        assert (outcome is g.RunOutcome.ACCEPT) == accepted
+        if not accepted:
+            assert (outcome is g.RunOutcome.REJECT_HALT) == halts
+
+
+#: The language each builder recognizes (None for the splice fixture).
+LANGUAGES = {
+    "A_L1": "L1", "B_L(1)": "L1", "B_L(2)": "L2", "C_L1_2W": "L1", "D_K(1)": "K1",
+    "D_K(2)": "K2", "FLAWED_L1_3W0": None, "M_M1": "M1", "M_Mi(1)": "M1", "M_Mi(2)": "M2",
+    "P_N2": "N2", "S_rec(1)": "S4", "S_rec(2)": "S6",
+}
+
+
+def planted(rng, lang, cols, member):
+    """A picture of ``lang``'s natural row count, ``cols`` wide: per row
+    pair, the stacked columns a member needs (planted 1 above 1) over
+    single 1s that stack with nothing, or for M none.  A near miss has one
+    planted cell of its last pair flipped back to 0.  S has no wide
+    member: its all-ones picture stands in."""
+    kind, index = lang[0], int(lang[1:])
+    if kind == "S":
+        rows = [["1"] * cols, ["1"] * cols]
+        if not member:
+            rows[1][rng.randrange(cols)] = "0"
+        return g.Picture.from_rows(["".join(row) for row in rows])
+    plant = {"L": 2, "M": 2, "N": 1, "K": 2 * index}[kind]
+    rows = []
+    for pair in range(natural_rows(lang) // 2):
+        top, bottom = ["0"] * cols, ["0"] * cols
+        if kind != "M":
+            for c in range(cols):
+                if rng.random() < 0.3:
+                    (top if rng.random() < 0.5 else bottom)[c] = "1"
+        columns = rng.sample(range(cols), plant)
+        for c in columns:
+            top[c] = bottom[c] = "1"
+        if not member and 2 * pair + 2 == natural_rows(lang):
+            (top if rng.random() < 0.5 else bottom)[rng.choice(columns)] = "0"
+        rows += ["".join(top), "".join(bottom)]
+    return g.Picture.from_rows(rows)
+
+
+@pytest.mark.parametrize("builder", BUILDER_MACHINES)
+def test_builders_match_reference_on_wide_pictures_and_their_transposes(builder):
+    # Above the threshold every decision but the traces is made on bitsets,
+    # along the rows of a wide picture and the columns of a tall one.
+    machine, lang = BUILDER_MACHINES[builder], LANGUAGES[builder] or "L1"
+    transposed = g.transpose_machine(machine)
+    rng = random.Random(builder)
+    for member in (True, False):
+        p = planted(rng, lang, _BITSET_MIN + rng.randrange(16), member)
+        expected = g.oracle_for(lang)(p) if LANGUAGES[builder] else reference.accepts(machine, p)
+        assert reference.oracle(lang)(p) == (member and lang[0] != "S")
+        for a, q in ((machine, p), (transposed, g.transpose(p))):
+            assert g.accepts(a, q) == expected
+            assert_matches_reference(a, q)
+
+
+@pytest.mark.parametrize("builder", BUILDER_MACHINES)
+def test_builders_decide_8192_wide_pictures_on_bitsets_alone(builder, monkeypatch):
+    # Scans along the row are self-loops, which close in one step: the
+    # bitsets stay within their bound on rounds and never hand over to the
+    # search, even across 8192 columns.
+    machine, lang = BUILDER_MACHINES[builder], LANGUAGES[builder] or "L1"
+    transposed = g.transpose_machine(machine)
+    rng = random.Random(builder)
+    for member in (True, False):
+        p = planted(rng, lang, 8192, member)
+        searched = _search(machine, p, None)[4] is not None
+        assert searched == g.oracle_for(lang)(p) or not LANGUAGES[builder]
+        for a, q in ((machine, p), (transposed, g.transpose(p))):
+            verdicts = []
+            assert count_searches(monkeypatch, lambda: verdicts.append(g.accepts(a, q))) == 0
+            assert verdicts == [searched]

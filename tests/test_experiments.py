@@ -618,6 +618,23 @@ class TestSharedSearches:
         assert runs == [(65536, True)]
         assert peak < 2**20
 
+    def test_a_repeated_budget_takes_the_earlier_budgets_runs(self, monkeypatch):
+        # Starved, every member is a mismatch, recorded once for the last
+        # budget even when an earlier one repeats it.
+        machine = g.build_M_Mi(1)
+        for budget, searches in ((machine.budget, 110), (g.Budget(0, g.INF), None)):
+            reports, counts = [], []
+            for budgets in ([budget], [budget, budget], [budget, g.Budget(1, 0), budget]):
+                counts.append(count_searches(
+                    monkeypatch,
+                    lambda: reports.append(g.budget_sweep(machine, "M1", 2, 5, budgets)),
+                ))
+            once, twice, around = reports
+            assert counts[0] == counts[1] == (searches or counts[0])
+            assert twice.per_budget == once.per_budget * 2
+            assert around.per_budget[::2] == once.per_budget * 2
+            assert twice.mismatches == around.mismatches == once.mismatches
+
     def test_language_sample_shares_searches(self, monkeypatch):
         # (1..4)x(1..4) is 74,954 pictures; M_M2 halts early on most of them.
         machine = g.build_M_Mi(2)

@@ -226,13 +226,17 @@ class TestMachinesAreValues:
             assert [g.accepts(twin, p) for p in pictures] == verdicts
 
     def test_an_unread_deterministic_trace_pickles_and_deep_copies(self):
-        machine, p = g.build_M_M1(), g.Picture.from_rows(["0110", "0110"])
-        expected = reference.run_deterministic(machine, p)[1]
-        for duplicate in (lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy):
-            trace = g.run_deterministic(machine, p)[1]
-            assert "_pending" in trace.__dict__  # nothing has read the steps
-            twin = duplicate(trace)
-            assert twin == expected and trace == expected
+        # On 80 columns the outcome is read off bitsets and the trace is
+        # searched on its first read.
+        machine = g.build_M_M1()
+        for cols in (4, 80):
+            p = g.Picture.from_rows(["0110" + "0" * (cols - 4)] * 2)
+            expected = reference.run_deterministic(machine, p)[1]
+            for duplicate in (lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy):
+                trace = g.run_deterministic(machine, p)[1]
+                assert "_pending" in trace.__dict__  # nothing has read the steps
+                twin = duplicate(trace)
+                assert twin == expected and trace == expected
 
 
 class TestPolicy:

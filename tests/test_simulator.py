@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 import gridfa as g
 from gridfa.machine import DELTAS
-from gridfa.simulator import _Tables, _layout, _tables
+from gridfa.simulator import _BITSET_MIN, _Tables, _decide_on_bits, _layout, _search, _tables
 
 import reference
 from conftest import all_pictures, count_searches, random_machines
@@ -82,6 +83,24 @@ class TestInitialConfiguration:
                 ask(invalid, stray, above)
             with pytest.raises(g.AlphabetError):
                 ask(a, stray, above)
+        # Above the threshold the bitsets check the same, in the same order
+        # and with the same text, wide or tall, for every decision.
+        stray = g.Picture.from_rows(["0" * _BITSET_MIN + "2x", "1" * (_BITSET_MIN + 2)])
+        with pytest.raises(g.AlphabetError) as searched:
+            _layout(a, stray)
+        fine = g.Picture.from_rows(["1" * _BITSET_MIN] * 2)
+        det = g.build_M_M1()
+        for machine, ask in (
+            (a, g.accepts), (a, g.accepting_trace), (det, g.run_deterministic),
+        ):
+            for p in (stray, g.transpose(stray)):
+                with pytest.raises(g.MachineInvalidError):
+                    ask(dataclasses.replace(machine, initial="nope"), p, above)
+                with pytest.raises(g.AlphabetError) as err:
+                    ask(machine, p, above)
+                assert str(err.value) == str(searched.value)
+            with pytest.raises(g.BudgetOverrideError):
+                ask(machine, fine, above)
 
 
 class TestLayout:
@@ -221,11 +240,26 @@ def _brancher() -> g.Automaton:
     )
 
 
-#: One run per outcome: (machine builder, picture rows, outcome).
+#: The width of the wide runs: their outcomes are read off bitsets.
+WIDE = _BITSET_MIN + 6
+
+#: One run per outcome, on a small picture and on a wide one: (machine
+#: builder, picture rows, outcome).
 RUNS = [
     (g.build_M_M1, ["0110", "0110"], g.RunOutcome.ACCEPT),
     (g.build_M_M1, ["101", "100"], g.RunOutcome.REJECT_HALT),
     (_brancher, ["0"], g.RunOutcome.LOOP),
+    pytest.param(
+        lambda: g.build_M_Mi(2), [f"{'0' * 60}1001{'0' * (WIDE - 64)}"] * 4, g.RunOutcome.ACCEPT,
+        id="wide-M_M2-ACCEPT",
+    ),
+    pytest.param(
+        lambda: g.build_M_Mi(2),
+        [f"{'0' * 60}1001{'0' * (WIDE - 64)}"] * 3 + [f"{'0' * 60}1000{'0' * (WIDE - 64)}"],
+        g.RunOutcome.REJECT_HALT,
+        id="wide-M_M2-REJECT_HALT",
+    ),
+    pytest.param(_brancher, ["0" * WIDE], g.RunOutcome.LOOP, id="wide-brancher-LOOP"),
 ]
 
 
@@ -275,11 +309,14 @@ class TestDeterministicTraceOnFirstRead:
 @pytest.mark.parametrize("build, rows, outcome", RUNS)
 def test_a_deterministic_run_is_one_search_and_a_step_none(build, rows, outcome, monkeypatch):
     # The last configuration's row tells a halt from a loop, and ``step``
-    # reads one row: neither searches again.
+    # reads one row: neither searches again.  A wide run's outcome is read
+    # off bitsets, and its trace searches on its first read.
     machine, p = build(), g.Picture.from_rows(rows)
     runs = []
-    assert count_searches(monkeypatch, lambda: runs.append(g.run_deterministic(machine, p))) == 1
+    searched = count_searches(monkeypatch, lambda: runs.append(g.run_deterministic(machine, p)))
     (run, trace), = runs
+    read = count_searches(monkeypatch, lambda: trace.final)
+    assert (searched, read) == ((0, 1) if p.cols >= _BITSET_MIN else (1, 0))
     assert run is outcome and trace == reference.run_deterministic(machine, p)[1]
     configs = trace.configurations()
     steps = []
@@ -291,6 +328,32 @@ def test_a_deterministic_run_is_one_search_and_a_step_none(build, rows, outcome,
         assert steps[-1] == (configs[configs.index(configs[-1]) + 1],)
     else:
         assert steps[-1] == ()
+
+
+def test_a_same_row_cycle_gives_up_the_bitsets_for_one_search(monkeypatch):
+    # p and q pass the head right in turn, so the bitsets gain one cell per
+    # expansion: past their bound they give up, and ``explore`` decides at
+    # about its own cost.
+    machine = g.Automaton(
+        "cycle", ("0", "1"), ("p", "q", "acc"), "p", "acc", "det", g.THREE_WAY,
+        g.Budget(1, g.INF),
+        {("p", "0"): (("q", R),), ("q", "0"): (("p", R),), ("p", "#"): (("acc", L),)},
+    )
+    p = g.Picture.from_rows(["0" * 8192] * 2)
+    assert _decide_on_bits(machine, p, None) is None
+    verdicts = []
+    assert count_searches(monkeypatch, lambda: verdicts.append(g.accepts(machine, p))) == 1
+    assert verdicts == [True] and g.run_deterministic(machine, p)[0] is g.RunOutcome.ACCEPT
+
+    def best(call):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    assert best(lambda: g.accepts(machine, p)) < 2 * best(lambda: _search(machine, p, None))
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,9 @@ every picture of one shape under a list of budgets, for the sweeps and
 ``language_sample``, in one search per budget.  That search starts with
 every cell of the frame unread and forks, once per symbol, where it first
 reads one, so the pictures that agree on the cells a branch read share it.
+It forks only where some filling of the unread cells may still accept
+(``_Tables.viable``), so a budget whose start is not such a configuration
+rejects the whole shape with no search.
 
 The search runs over the compiled form of the machine under the
 resolved budget (``_Tables``), not over :class:`Configuration` values.
@@ -390,7 +393,8 @@ class _Tables(dict):
 
     def explore(
         self, frame: list[str | None], width: int,
-        resume: tuple[dict[int, int | None], list[int], int, list[list[int]]] | None = None,
+        resume: tuple[dict[int, int | None], list[int], int, list[list[int]], dict[int, int]]
+        | None = None,
     ) -> tuple[dict[int, int | None], int | None]:
         """Breadth-first search over the laid-out ``frame``, ``width``
         columns wide, from the initial configuration on cell (1,1), in move
@@ -404,10 +408,12 @@ class _Tables(dict):
 
         ``resume`` goes on with a search whose frame may hold unread cells
         (None): its discovery map and queue, which grow in place, the queue
-        index to dequeue next, and its list of forks.  Dequeuing a
-        configuration on an unread cell forks the search there: it appends
-        ``[frame index, 0, queue length, queue index]`` to the forks and
-        reads the cell as the first symbol of the alphabet.
+        index to dequeue next, its list of forks and the frame's ``viable``
+        bitsets.  Dequeuing a configuration on an unread cell forks the
+        search there: it appends ``[frame index, 0, queue length, queue
+        index]`` to the forks and reads the cell as the first symbol of the
+        alphabet, unless its ``viable`` bit is clear: no filling lets it
+        accept, so it is skipped and the cell stays unread.
         """
         mask, shift, accepting = self.mask, self.shift, self.accepting
         if resume is None:  # separate stores: a tuple here slows short searches
@@ -416,7 +422,7 @@ class _Tables(dict):
             queue = [start]
             index = 0
         else:
-            parents, queue, index, forks = resume
+            parents, queue, index, forks, viable = resume
         # A move adds its low delta and the frame-index delta of its direction.
         step = (-width << shift, width << shift, -1 << shift, 1 << shift)
         while True:
@@ -435,8 +441,51 @@ class _Tables(dict):
                 if frame[c >> shift] is not None:
                     raise
                 index = queue.index(c, index)  # dequeue ``c`` again, reading the symbol
-                forks.append([c >> shift, 0, len(queue), index])
-                frame[c >> shift] = self.symbols[0]
+                if viable[c & mask] >> (c >> shift) & 1:
+                    forks.append([c >> shift, 0, len(queue), index])
+                    frame[c >> shift] = self.symbols[0]
+                else:  # or go on past it, leaving the cell unread
+                    index += 1
+
+    def viable(self, frame: list[str | None], width: int) -> dict[int, int]:
+        """Per low part below ``accepting`` that the start may reach, one int
+        with bit k set where the configuration at frame index k can still
+        reach an accepting one, closed backwards over the move rows with an
+        unread cell (None) read as every symbol.  That over-approximates each
+        filling, so a configuration whose bit is clear accepts on none."""
+        masks: dict[str, int] = {}
+        for pos, cell in enumerate(frame):
+            for key in self.symbols[:-1] if cell is None else (cell,):
+                masks[key] = masks.get(key, 0) | 1 << pos
+        step, accepting = (-width, width, -1, 1), self.accepting
+        # Per low part reached, the cells of its moves by (target, frame-index
+        # delta); per target, the low parts with a move to it.
+        moves: dict[int, dict[tuple[int, int], int]] = {}
+        sources: dict[int, set[int]] = {}
+        todo = [self.start]
+        for low in todo:  # the list grows while it is read
+            if low not in moves:
+                out = moves[low] = {}
+                row = self[low]
+                for key, mask in masks.items():
+                    for delta, code in row[key]:
+                        edge = (low + delta, step[code])
+                        out[edge] = out.get(edge, 0) | mask
+                        if edge[0] < accepting:
+                            sources.setdefault(edge[0], set()).add(low)
+                            todo.append(edge[0])
+        viable = dict.fromkeys(moves, 0)
+        todo = list(moves)
+        while todo:
+            low = todo.pop()
+            bits = 0
+            for (target, move), mask in moves[low].items():
+                landed = viable.get(target, -1)  # accepting: every cell (no move leaves the frame)
+                bits |= mask & (landed >> move if move > 0 else landed << -move)
+            if bits != viable[low]:
+                viable[low] = bits
+                todo += sources.get(low, ())
+        return viable
 
     def bitsets(self, lines: list[dict[str, int]], tall: bool) -> tuple[bool, bool] | None:
         """Reachability from the initial configuration over the frame lines
@@ -727,7 +776,10 @@ def _decide_shape(
     Each budget takes one search over a frame whose cells start unread,
     which forks where it first dequeues a configuration on an unread cell
     (``_Tables.explore``): it goes on from there once per symbol, and
-    deletes what one branch discovered before the next.  A repeated budget
+    deletes what one branch discovered before the next.  It skips, leaving
+    the cell unread, a configuration no filling lets accept (``viable``):
+    a start that is one rejects, and an accepting start accepts, the whole
+    shape with no search.  A repeated budget
     takes a copy of its first search's runs (a copy: ``budget_sweep``
     tells the last budget's runs by identity).  A branch ends at
     an accepting configuration or an empty queue and decides the pictures
@@ -758,48 +810,52 @@ def _decide_shape(
             decided.append(list(searched[up, left]))
             continue
         tables = _tables(a, up, left)
-        start = (width + 1) << tables.shift | tables.start
-        parents, queue, index, forks = {start: None}, [start], 0, []
-        base = 0  # the index of the branch's first picture
         # The maximal runs of the pictures accepted so far: each one's end
         # by its begin, and its begin by its end.
         ends: dict[int, int] = {}
         begins: dict[int, int] = {}
-        while True:
-            if tables.explore(frame, width, resume=(parents, queue, index, forks))[1] is not None:
-                last = max(forks)[0] if forks else 0
-                starts = [base]
-                for weight, cell in zip(weights, frame[:last]):
-                    if cell is None:  # unread before the last cell read
-                        starts = [n + v * weight for n in starts for v in range(len(symbols))]
-                span = weights[last] if forks else total
-                for n in starts:
-                    # Branches decide disjoint runs, so [n, n + span) joins at
-                    # most a run that ends at n and one that begins at n + span.
-                    begin, end = begins.pop(n, n), ends.pop(n + span, n + span)
-                    ends[begin], begins[end] = end, begin
-            # Undo the branch and go on with the next symbol of the last fork
-            # that has one.  A symbol on which the forking configuration has
-            # no move, with nothing queued behind it, rejects without a search.
-            while forks:
-                pos, old, length, index = fork = forks[-1]
-                value = old + 1
-                if index + 1 == length:
-                    moves = tables[queue[index] & tables.mask]
-                    while value < len(symbols) and not moves[symbols[value]]:
-                        value += 1
-                if value < len(symbols):
+        if tables.start >= tables.accepting:
+            ends[0] = total  # the start accepts, whatever the cells hold
+        elif (viable := tables.viable(frame, width))[tables.start] >> width + 1 & 1:
+            start = (width + 1) << tables.shift | tables.start
+            parents, queue, index, forks = {start: None}, [start], 0, []
+            base = 0  # the index of the branch's first picture
+            while True:
+                resume = (parents, queue, index, forks, viable)
+                if tables.explore(frame, width, resume=resume)[1] is not None:
+                    last = max(forks)[0] if forks else 0
+                    starts = [base]
+                    for weight, cell in zip(weights, frame[:last]):
+                        if cell is None:  # unread before the last cell read
+                            starts = [n + v * weight for n in starts for v in range(len(symbols))]
+                    span = weights[last] if forks else total
+                    for n in starts:
+                        # Branches decide disjoint runs, so [n, n + span) joins at
+                        # most a run that ends at n and one that begins at n + span.
+                        begin, end = begins.pop(n, n), ends.pop(n + span, n + span)
+                        ends[begin], begins[end] = end, begin
+                # Undo the branch and go on with the next symbol of the last fork
+                # that has one.  A symbol on which the forking configuration has
+                # no move, with nothing queued behind it, rejects without a search.
+                while forks:
+                    pos, old, length, index = fork = forks[-1]
+                    value = old + 1
+                    if index + 1 == length:
+                        moves = tables[queue[index] & tables.mask]
+                        while value < len(symbols) and not moves[symbols[value]]:
+                            value += 1
+                    if value < len(symbols):
+                        break
+                    base -= old * weights[pos]
+                    frame[pos] = None
+                    forks.pop()
+                else:
                     break
-                base -= old * weights[pos]
-                frame[pos] = None
-                forks.pop()
-            else:
-                break
-            for c in islice(queue, length, None):
-                del parents[c]
-            del queue[length:]
-            base += (value - old) * weights[pos]
-            fork[1], frame[pos] = value, symbols[value]
+                for c in islice(queue, length, None):
+                    del parents[c]
+                del queue[length:]
+                base += (value - old) * weights[pos]
+                fork[1], frame[pos] = value, symbols[value]
         column: list[tuple[int, bool]] = []
         n = 0
         for begin, end in sorted(ends.items()):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gridfa as g
 import reference
-from gridfa.simulator import _decide_shape
+from gridfa.simulator import _decide_shape, _layout, _resolve_budget, _Tables, _tables
 from conftest import all_pictures, count_searches, random_machines, starve_the_chain
 
 U, D, L, R = g.Direction.U, g.Direction.D, g.Direction.L, g.Direction.R
@@ -517,6 +517,32 @@ def test_decide_shape_matches_per_picture_decisions(data):
         ]
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_every_accepting_run_stays_on_viable_configurations(data):
+    # The viable bitsets of a shape's unread frame hold every configuration
+    # of every accepting run, under the declared, the empty and drawn
+    # budgets, so a shape whose start is not viable accepts no picture.
+    machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    rows = data.draw(st.integers(1, 3))
+    cols = data.draw(st.integers(1, 4))
+    pictures = list(g.enumerate_pictures(machine.alphabet, rows, cols))
+    width = cols + 2
+    frame = _layout(machine, pictures[0])
+    for row in range(1, rows + 1):
+        frame[row * width + 1 : row * width + cols + 1] = [None] * cols
+    for budget in [machine.budget, g.Budget(0, 0), *data.draw(budget_lists(machine.budget))]:
+        tables = _tables(machine, *_resolve_budget(machine, budget))
+        viable = tables.viable(frame, width)
+        accepted = [t for t in (g.accepting_trace(machine, p, budget) for p in pictures) if t]
+        for trace in accepted:
+            for c in trace.configurations()[:-1]:
+                low = tables.low(tables.ids[c.state], c.up_left, c.left_left)
+                assert viable[low] >> c.row * width + c.col & 1
+        if not viable[tables.start] >> width + 1 & 1:
+            assert not accepted
+
+
 def farthest(machine, p):
     """The farthest (row, col) of the deterministic run on ``p``: the
     farthest position its search discovers."""
@@ -538,16 +564,31 @@ class TestSharedSearches:
             monkeypatch, lambda: g.budget_sweep(machine, "L1", 2, 4, budgets)
         )
         decided = 2 * sum(4**cols for cols in range(1, 5))
-        # Each explore call ends one branch of the shape's search.  At either
-        # budget a 2 x c shape takes one for the pictures starting 0 (read at
-        # (1,1), where s has no move) and one for those starting 1 with a 0
-        # at (2,1).  At the full budget a third accepts those starting 1 with
-        # a 1 at (2,1); starved, t has no move on that 1 and nothing else is
-        # queued, so that branch rejects without a search.  No other cell is
-        # read, whatever c is: 3 + 2 per shape.
-        assert searched == 4 * (3 + 2) == 20
+        # Each explore call ends one branch of the shape's search.  At the
+        # full budget a 2 x c shape takes one for the pictures starting 0
+        # (read at (1,1), where s has no move), one for those starting 1
+        # with a 0 at (2,1), and one that accepts those starting 1 with a 1
+        # at (2,1).  No other cell is read, whatever c is: 3 per shape.
+        # Starved, t's only move is an unaffordable U, so no filling of the
+        # shape accepts, its start is not viable, and it takes no search.
+        assert searched == 4 * (3 + 0) == 12
         assert searched * 10 < decided
         assert_sweep_matches_decisions(machine, 2, 4, budgets)
+
+    def test_an_accepting_start_decides_the_shape_with_no_search(self, monkeypatch):
+        # The initial state accepts: every picture is accepted on cell (1,1).
+        machine = g.Automaton(
+            "at_once", ("0", "1"), ("acc",), "acc", "acc", "det",
+            g.THREE_WAY, g.Budget(1, g.INF), {},
+        )
+        budgets = [machine.budget, g.Budget(0, 0)]
+        decided = []
+        searched = count_searches(
+            monkeypatch, lambda: decided.append(_decide_shape(machine, 2, 3, budgets))
+        )
+        assert searched == 0
+        assert decided[0][1] == [[(64, True)], [(64, True)]]
+        assert_sweep_matches_decisions(machine, 2, 3, budgets)
 
     def test_a_run_searched_mid_way_ends_at_its_aligned_boundary(self):
         # On a 0 at (1,1) it needs the up budget at once; on a 1 it accepts.
@@ -620,9 +661,15 @@ class TestSharedSearches:
 
     def test_a_repeated_budget_takes_the_earlier_budgets_runs(self, monkeypatch):
         # Starved, every member is a mismatch, recorded once for the last
-        # budget even when an earlier one repeats it.
+        # budget even when an earlier one repeats it.  At the full budget
+        # the 2 x (1..5) shapes take 2, 6, 15, 31 and 56 branches, less
+        # what viability skips: at 2 x 1 the start cannot see two 1s in its
+        # row, so the shape takes no search, and at 2 x (2..5) count1_0 on
+        # the last cell of row 1, with no 1 read, is skipped: the search
+        # that reaches it ends there, where its two branches took two.
+        # 110 - 2 - 4 = 104.
         machine = g.build_M_Mi(1)
-        for budget, searches in ((machine.budget, 110), (g.Budget(0, g.INF), None)):
+        for budget, searches in ((machine.budget, 104), (g.Budget(0, g.INF), None)):
             reports, counts = [], []
             for budgets in ([budget], [budget, budget], [budget, g.Budget(1, 0), budget]):
                 counts.append(count_searches(
@@ -778,3 +825,34 @@ class TestHierarchyReport:
         # The chains' recognizers are deterministic and most pictures stop
         # them after a few cells: about 71,000 decisions, under 1,000 searches.
         assert count_searches(monkeypatch, lambda: g.hierarchy_report(2, 4)) < 1000
+
+    def test_starved_budgets_take_no_search_at_2_by_4(self, monkeypatch):
+        # Searching every budget in full takes 746 explore calls, 369 of
+        # them under the starved budgets.  No shape under those has a viable
+        # start, and the full budgets skip the configurations that no
+        # filling lets accept: 329 calls.
+        assert count_searches(monkeypatch, lambda: g.hierarchy_report(2, 4)) == 329
+
+    def test_no_starved_chain_budget_is_searched(self, monkeypatch):
+        # At one unit below the full budget, no filling of any shape up to
+        # 6 columns lets a chain machine accept, and its viable bitsets
+        # show it at the start: only the full budgets' tables are searched.
+        built, searched = [], []
+        for name in ("build_M_Mi", "build_S_rec"):
+            build = getattr(g.experiments, name)
+            monkeypatch.setattr(
+                g.experiments, name, lambda i, build=build: built.append(build(i)) or built[-1]
+            )
+        explore = _Tables.explore
+
+        def recording(self, *args, **kwargs):
+            searched.append(id(self))
+            return explore(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Tables, "explore", recording)
+        assert g.hierarchy_report(3, 6).ok
+        assert len(built) == 6
+        for machine in built:
+            full, tables = machine.budget, machine.__dict__["_tables"]
+            assert id(tables[full.up - 1, full.left]) not in searched
+            assert id(tables[full]) in searched

@@ -137,7 +137,8 @@ def budget_sweep(
     machine with L free as if L were budgeted at 0, which starves it of
     every L move (its class, read off the declaration, is unchanged).
     ``cols_max`` below 1 raises ValueError before anything else is
-    checked.  Mismatches are recorded against the last budget in the list.
+    checked.  Mismatches are recorded against the last budget in the list,
+    told by its position: a budget listed twice shares its runs.
 
     The simulator decides each shape as runs of enumeration indices
     (``_decide_shape``, which joins each accepted run to its neighbours as
@@ -161,7 +162,7 @@ def budget_sweep(
         shape_rows, verdicts = _decide_shape(a, rows, cols, resolved)
         rank = _member_rank(lang_id, shape_rows, rows)
         member_total += rank(len(shape_rows) ** rows)
-        for count, runs in zip(counts, verdicts):
+        for position, (count, runs) in enumerate(zip(counts, verdicts)):
             start = before = 0  # ``before`` is rank(start)
             for end, verdict in runs:
                 members = rank(end) - before
@@ -169,7 +170,7 @@ def budget_sweep(
                     count[0] += end - start
                     count[1] += members
                 misses = end - start - members if verdict else members
-                if misses and runs is verdicts[-1]:
+                if misses and position == len(verdicts) - 1:
                     # wrong(n): the pictures below index n that the oracle
                     # places against the verdict.  The k-th miss of the run is
                     # n - 1 for the least n with wrong(n) = wrong(start) + k.

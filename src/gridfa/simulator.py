@@ -24,9 +24,10 @@ that gains one cell per round sends the picture back to it.
 
 It is also read for a whole shape at once: ``_decide_shape`` decides
 every picture of one shape under a list of budgets, for the sweeps and
-``language_sample``, in one search per budget.  That search starts with
-every cell of the frame unread and forks, once per symbol, where it first
-reads one, so the pictures that agree on the cells a branch read share it.
+``language_sample``, in one search per distinct budget.  That search
+starts with every cell of the frame unread and forks, once per symbol,
+where it first reads one, so the pictures that agree on the cells a
+branch read share it.
 It forks only where some filling of the unread cells may still accept
 (``_Tables.viable``), so a budget whose start is not such a configuration
 rejects the whole shape with no search.
@@ -409,20 +410,17 @@ class _Tables(dict):
         ``resume`` goes on with a search whose frame may hold unread cells
         (None): its discovery map and queue, which grow in place, the queue
         index to dequeue next, its list of forks and the frame's ``viable``
-        bitsets.  Dequeuing a configuration on an unread cell forks the
-        search there: it appends ``[frame index, 0, queue length, queue
-        index]`` to the forks and reads the cell as the first symbol of the
-        alphabet, unless its ``viable`` bit is clear: no filling lets it
-        accept, so it is skipped and the cell stays unread.
+        bitsets.  Without it the search starts afresh, with no forks and no
+        bitsets, on a frame whose every cell is read.  Dequeuing a
+        configuration on an unread cell forks the search there: it appends
+        ``[frame index, 0, queue length, queue index]`` to the forks and
+        reads the cell as the first symbol of the alphabet, unless its
+        ``viable`` bit is clear: no filling lets it accept, so it is skipped
+        and the cell stays unread.
         """
         mask, shift, accepting = self.mask, self.shift, self.accepting
-        if resume is None:  # separate stores: a tuple here slows short searches
-            start = (width + 1) << shift | self.start
-            parents = {start: None}
-            queue = [start]
-            index = 0
-        else:
-            parents, queue, index, forks, viable = resume
+        start = (width + 1) << shift | self.start
+        parents, queue, index, forks, viable = resume or ({start: None}, [start], 0, None, None)
         # A move adds its low delta and the frame-index delta of its direction.
         step = (-width << shift, width << shift, -1 << shift, 1 << shift)
         while True:
@@ -452,16 +450,21 @@ class _Tables(dict):
         with bit k set where the configuration at frame index k can still
         reach an accepting one, closed backwards over the move rows with an
         unread cell (None) read as every symbol.  That over-approximates each
-        filling, so a configuration whose bit is clear accepts on none."""
+        filling, so a configuration whose bit is clear accepts on none.
+
+        A walk forward over the move rows finds the low parts the start
+        reaches; then sweeps over them, in reverse order of discovery,
+        recompute each one's bits from its targets' (and its own, again
+        while they grow) until a sweep changes none.  The bits only grow,
+        so that is the least fixed point."""
         masks: dict[str, int] = {}
         for pos, cell in enumerate(frame):
             for key in self.symbols[:-1] if cell is None else (cell,):
                 masks[key] = masks.get(key, 0) | 1 << pos
         step, accepting = (-width, width, -1, 1), self.accepting
-        # Per low part reached, the cells of its moves by (target, frame-index
-        # delta); per target, the low parts with a move to it.
+        # Per low part reached, in discovery order, the cells of its moves by
+        # (target, frame-index delta).
         moves: dict[int, dict[tuple[int, int], int]] = {}
-        sources: dict[int, set[int]] = {}
         todo = [self.start]
         for low in todo:  # the list grows while it is read
             if low not in moves:
@@ -472,19 +475,21 @@ class _Tables(dict):
                         edge = (low + delta, step[code])
                         out[edge] = out.get(edge, 0) | mask
                         if edge[0] < accepting:
-                            sources.setdefault(edge[0], set()).add(low)
                             todo.append(edge[0])
         viable = dict.fromkeys(moves, 0)
-        todo = list(moves)
-        while todo:
-            low = todo.pop()
-            bits = 0
-            for (target, move), mask in moves[low].items():
-                landed = viable.get(target, -1)  # accepting: every cell (no move leaves the frame)
-                bits |= mask & (landed >> move if move > 0 else landed << -move)
-            if bits != viable[low]:
-                viable[low] = bits
-                todo += sources.get(low, ())
+        grew = True
+        while grew:
+            grew = False
+            for low in reversed(moves):  # the low parts found late lie nearer acceptance
+                while True:  # again while it grows, so a self-loop closes in one sweep
+                    bits = 0
+                    for (target, move), mask in moves[low].items():
+                        # An accepting target holds every cell: no move leaves the frame.
+                        landed = viable.get(target, -1)
+                        bits |= mask & (landed >> move if move > 0 else landed << -move)
+                    if bits == viable[low]:
+                        break
+                    viable[low], grew = bits, True
         return viable
 
     def bitsets(self, lines: list[dict[str, int]], tall: bool) -> tuple[bool, bool] | None:
@@ -493,8 +498,11 @@ class _Tables(dict):
         int with bit k set where configurations of that low part stand at
         position k of that line.  A move along the line shifts the bits of
         the cells it is enabled on; a move across goes to the next or the
-        previous line's node.  Self-loops along a line close at once: up by
-        one carry through the run, down by a Kogge-Stone fill.
+        previous line's node.  Each expansion closes the self-loops along
+        the line once: up by one carry through the run, down by a
+        Kogge-Stone fill.  A cell that one pass misses (one the down fill
+        reached that leads further up) is added by the self-loop moves
+        themselves, which queue the node again.
 
         Returns whether an accepting configuration is reached and whether
         some reached configuration has no move, or None once the node
@@ -523,19 +531,13 @@ class _Tables(dict):
                         loops[moves[code][1]] |= mask
             up, down = loops[1], loops[-1]
             expansions += 1
-            while up or down:  # a round closes both; each may feed the other
-                closed = bits | ((up + (bits & up)) ^ up)
-                fill, run, span = closed & down, down, 1
-                while run and fill:
-                    fill |= run & (fill >> span)
-                    run &= run >> span
-                    span <<= 1
-                closed |= fill >> 1
-                if closed == bits or not (up and down):
-                    bits = closed
-                    break
-                bits = closed
-                expansions += 1
+            bits |= (up + (bits & up)) ^ up
+            fill, run, span = bits & down, down, 1
+            while run and fill:
+                fill |= run & (fill >> span)
+                run &= run >> span
+                span <<= 1
+            bits |= fill >> 1
             front = bits ^ done.get(node, 0)
             reach[node] = done[node] = bits
             for key, mask in masks.items():
@@ -773,16 +775,15 @@ def _decide_shape(
     starting where the one before it ends, the first at 0, and no two
     neighbours alike.  The machine must be valid.
 
-    Each budget takes one search over a frame whose cells start unread,
-    which forks where it first dequeues a configuration on an unread cell
-    (``_Tables.explore``): it goes on from there once per symbol, and
-    deletes what one branch discovered before the next.  It skips, leaving
+    Each distinct budget takes one search over a frame whose cells start
+    unread, which forks where it first dequeues a configuration on an
+    unread cell (``_Tables.explore``): it goes on from there once per
+    symbol, and deletes what one branch discovered before the next.  It skips, leaving
     the cell unread, a configuration no filling lets accept (``viable``):
     a start that is one rejects, and an accepting start accepts, the whole
-    shape with no search.  A repeated budget
-    takes a copy of its first search's runs (a copy: ``budget_sweep``
-    tells the last budget's runs by identity).  A branch ends at
-    an accepting configuration or an empty queue and decides the pictures
+    shape with no search.  A budget listed twice is searched once, and
+    both places hold the same list of runs.  A branch ends at an
+    accepting configuration or an empty queue and decides the pictures
     that agree on the cells it read: for each value of the unread cells
     before its last read one, an aligned run of indices (cells count in
     row-major order, the last fastest).  Each accepted run is joined, as it
@@ -803,12 +804,8 @@ def _decide_shape(
         if cell is None else 0
         for pos, cell in enumerate(frame)
     ]
-    decided = []
     searched: dict[tuple[int | float, int | float], list[tuple[int, bool]]] = {}
-    for up, left in budgets:
-        if (up, left) in searched:
-            decided.append(list(searched[up, left]))
-            continue
+    for up, left in dict.fromkeys(budgets):
         tables = _tables(a, up, left)
         # The maximal runs of the pictures accepted so far: each one's end
         # by its begin, and its begin by its end.
@@ -866,8 +863,7 @@ def _decide_shape(
         if n < total:
             column.append((total, False))
         searched[up, left] = column
-        decided.append(column)
-    return shape_rows, decided
+    return shape_rows, [searched[budget] for budget in budgets]
 
 
 def language_sample(a: Automaton, rows_max: int, cols_max: int) -> list[Picture]:

@@ -4,6 +4,7 @@ Verdicts, canonical traces (compared as values and as text), deterministic
 outcomes and single steps must agree exactly.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -161,6 +162,73 @@ def test_bitsets_decide_as_the_search_does(data):
         assert (outcome is g.RunOutcome.ACCEPT) == accepted
         if not accepted:
             assert (outcome is g.RunOutcome.REJECT_HALT) == halts
+
+
+@st.composite
+def wide_pictures(draw):
+    """1-3 rows by ``_BITSET_MIN``-100 columns over {0, 1}, or the
+    transpose: pictures every decision but a trace takes to the bitsets."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(_BITSET_MIN, 100))
+    p = g.Picture.from_rows(
+        [format(draw(st.integers(0, 2**cols - 1)), f"0{cols}b") for _ in range(rows)]
+    )
+    return g.transpose(p) if draw(st.booleans()) else p
+
+
+@st.composite
+def looping_machines(draw, tall):
+    """``random_machines()`` of either mode, and half of them with one state
+    that loops along the long side of a picture (tall or not) both ways
+    where its policy allows: forward on one symbol, back on the other."""
+    machine = draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    if draw(st.booleans()):
+        return machine
+    back, forward = (g.Direction.U, g.Direction.D) if tall else (g.Direction.L, g.Direction.R)
+    state, table = draw(st.sampled_from(machine.states[:-1])), dict(machine.transitions)
+    for symbol, direction in zip(draw(st.permutations("01")), (forward, back)):
+        if direction in machine.policy.allowed:
+            edges = () if machine.mode == "det" else table.get((state, symbol), ())
+            loop = (state, direction)
+            table[state, symbol] = (loop, *[edge for edge in edges if edge != loop])
+    return dataclasses.replace(machine, transitions=table)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_random_machines_match_reference_at_bitset_widths(data):
+    # Self-loops along a line both ways, which the bitsets close once per
+    # expansion and repair by the loop moves themselves.
+    p = data.draw(wide_pictures())
+    machine = data.draw(looping_machines(p.rows > p.cols))
+    budget = data.draw(budgets_within(machine.budget))
+    assert g.accepts(machine, p, budget) == reference.accepts(machine, p, budget)
+    if machine.mode == "det":
+        outcome = g.run_deterministic(machine, p, budget)[0]
+        assert outcome is reference.run_deterministic(machine, p, budget)[0]
+
+
+def test_a_loop_back_along_the_row_stops_at_the_first_cell_without_it():
+    # Right on every symbol to the ring, then left over 1s to the other
+    # ring, which accepts: only a row of 1s is accepted.  The walk back is
+    # a self-loop on 1 that the bitsets close by a fill, which must stop
+    # at the last 0 and not reach the ring past it.
+    R, L, D = g.Direction.R, g.Direction.L, g.Direction.D
+    machine = g.Automaton(
+        "all_ones", ("0", "1"), ("s", "t", "acc"), "s", "acc", "det",
+        g.THREE_WAY_NO_UP, g.Budget(0, g.INF),
+        {
+            ("s", "0"): (("s", R),), ("s", "1"): (("s", R),), ("s", "#"): (("t", L),),
+            ("t", "1"): (("t", L),), ("t", "#"): (("acc", D),),
+        },
+    )
+    transposed = g.transpose_machine(machine)
+    cols = _BITSET_MIN + 16
+    for zero in (None, 0, 1, 2, 3, 5, 8, 40, cols - 2, cols - 1):
+        row = "".join("0" if c == zero else "1" for c in range(cols))
+        p = g.Picture.from_rows([row])
+        for a, q in ((machine, p), (transposed, g.transpose(p))):
+            assert g.accepts(a, q) == (zero is None) == reference.accepts(a, q)
+            assert g.run_deterministic(a, q)[0] is reference.run_deterministic(a, q)[0]
 
 
 #: The language each builder recognizes (None for the splice fixture).

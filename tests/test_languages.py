@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -117,6 +118,20 @@ class TestInK:
     def test_k1_equals_l1_exhaustively(self):
         for p in all_pictures(2, 4):
             assert g.in_K(1, p) == g.in_L(1, p)
+
+    def test_member_table_at_2x8_holds_8_bytes_per_row_pair(self):
+        # 65,536 row pairs: about 0.5 MB as an int64 array, over 2 MB as a
+        # list of ints.  The 2 x 8 pictures with at least 4 stacked columns
+        # number 4^8 - sum_{s<4} C(8,s) 3^(8-s) = 7,459.
+        shape_rows = _shape_rows("01", 2, 8)
+        tracemalloc.start()
+        try:
+            rank = _member_rank("K2", shape_rows, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank(4**8) == 7459
+        assert peak < 2**20
 
 
 def _joined_stacked(p, top_row):

@@ -321,21 +321,11 @@ def classify(a: Automaton) -> ClassTag:
     return ClassTag(family, up, left, a.mode)
 
 
-def _map_table(
-    table: TransitionTable,
-    directions: dict[Direction, Direction],
-    states: dict[str, str] | None = None,
-) -> TransitionTable:
-    """``table`` with every move's direction sent through ``directions``
-    and, if ``states`` is given, every state (source and target) renamed
-    through it.  Keys and each key's edges keep their order, the tie-break
-    of canonical traces."""
-    if states is None:  # the keys stay: the cheap path transpose and rotate take
-        return {key: tuple((t, directions[d]) for t, d in edges) for key, edges in table.items()}
-    return {
-        (states[state], symbol): tuple((states[t], directions[d]) for t, d in edges)
-        for (state, symbol), edges in table.items()
-    }
+def _map_table(table: TransitionTable, directions: dict[Direction, Direction]) -> TransitionTable:
+    """``table`` with every move's direction sent through ``directions``,
+    for transpose and rotate.  Keys and each key's edges keep their order,
+    the tie-break of canonical traces."""
+    return {key: tuple((t, directions[d]) for t, d in edges) for key, edges in table.items()}
 
 
 def _map_policy(
@@ -394,7 +384,6 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
                     f"{fmt_budget(joined)}"
                 )
     init, acc = "init", "accept"
-    unturned = dict(zip(Direction, Direction))
     states = [init]
     starts = []
     transitions: TransitionTable = {}
@@ -403,8 +392,12 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
         rename[machine.accepting] = acc
         states += [rename[s] for s in machine.states if s != machine.accepting]
         starts.append(rename[machine.initial])
-        # The prefixes keep the two halves' keys apart.
-        transitions.update(_map_table(machine.transitions, unturned, rename))
+        # The prefixes keep the two halves' keys apart; keys and each key's
+        # edges keep their order, the tie-break of canonical traces.
+        transitions.update(
+            ((rename[state], symbol), tuple((rename[t], d) for t, d in edges))
+            for (state, symbol), edges in machine.transitions.items()
+        )
     states.append(acc)
     for symbol in a.alphabet + ("#",):
         # Both accepting states become ``acc``, so the halves can share an edge.

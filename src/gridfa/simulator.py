@@ -312,10 +312,8 @@ class _Tables(dict):
 
     The dict maps a low part to its row: every cell key (each symbol and
     each ring key) to the enabled moves as ``(low delta, direction code)``
-    pairs in declaration order.  A row is built on first use, since a
-    search over a small picture reaches few.  It depends on the budget left
-    only through which of U and L are still affordable, so the low parts
-    of one state share at most four rows.
+    pairs in declaration order.  Each low part's row is built on first
+    use, since a search over a small picture reaches few.
 
     Nothing here depends on a picture, so one instance serves every
     picture searched under its budget.  The picture comes in per call as
@@ -344,13 +342,9 @@ class _Tables(dict):
         """Build the row of ``low``: a U (resp. L) move needs up (resp.
         left) budget and steps down one layer of a finite one; a ring key
         gets the ``#`` moves minus those that leave the frame."""
-        per_state, left_layers = self.per_state, self.left_layers
-        state, rest = divmod(low, per_state)
+        left_layers = self.left_layers
+        state, rest = divmod(low, self.per_state)
         up, left = divmod(rest, left_layers)
-        shared = low - rest + min(up, 1) * left_layers + min(left, 1)
-        if shared != low:
-            row = self[low] = self[shared]
-            return row
         # Per direction code (U, D, L, R as in ``_CODES``), the low delta of
         # a move besides its change of state, or None where the budget left
         # cannot pay for it.
@@ -666,16 +660,6 @@ def _searched_steps(
     return _searched_run(a, p, budget)[1]()
 
 
-def _path_to(parents: dict[int, int | None], end: int | None) -> list[int]:
-    """The discovery path from the start to ``end``."""
-    path = []
-    while end is not None:
-        path.append(end)
-        end = parents[end]
-    path.reverse()
-    return path
-
-
 def step(a: Automaton, p: Picture, c: Configuration) -> tuple[Configuration, ...]:
     """Successor configurations of ``c`` in transition declaration order;
     empty means stuck (halt-reject).  The machine must be well-formed
@@ -751,9 +735,11 @@ def accepting_trace(
     tables, _, width, parents, goal = _search(a, p, budget)
     if goal is None:
         return None
-    path = _path_to(parents, goal)
+    path = [goal]  # walked back along the discovery map to the start
+    while (goal := parents[goal]) is not None:
+        path.append(goal)
     del parents  # decode the path without the discovery map alive
-    return Trace(*tables.steps(path, width), RunOutcome.ACCEPT)
+    return Trace(*tables.steps(path[::-1], width), RunOutcome.ACCEPT)
 
 
 def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:

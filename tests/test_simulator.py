@@ -356,6 +356,35 @@ def test_a_same_row_cycle_gives_up_the_bitsets_for_one_search(monkeypatch):
     assert best(lambda: g.accepts(machine, p)) < 2 * best(lambda: _search(machine, p, None))
 
 
+@pytest.mark.parametrize("rows", [["0" * _BITSET_MIN] * 2, ["00"] * _BITSET_MIN, ["000"] * 2])
+def test_a_start_state_that_accepts_accepts_before_any_move(rows):
+    # The run accepts where it starts, on bitsets as in the search: no step,
+    # and the final configuration is the initial one on cell (1,1).
+    machine = g.Automaton(
+        "done", ("0", "1"), ("s",), "s", "s", "det", g.THREE_WAY_NO_UP, g.Budget(0, g.INF), {},
+    )
+    p = g.Picture.from_rows(rows)
+    assert g.accepts(machine, p) is True
+    outcome, trace = g.run_deterministic(machine, p)
+    assert outcome is g.RunOutcome.ACCEPT
+    assert trace.steps == () and trace.final == g.Configuration("s", 1, 1, 0, g.INF)
+    assert g.accepting_trace(machine, p).steps == ()
+
+
+@pytest.mark.parametrize("rows", [["000"] * 2, ["0" * 70] * 2, ["00"] * 70])
+def test_an_empty_alphabet_refuses_every_picture(rows):
+    # No symbol is in an empty alphabet, so every decision names the
+    # picture's symbols, on bitsets as in the search.
+    machine = g.Automaton(
+        "blank", (), ("s", "t"), "s", "t", "det", g.THREE_WAY_NO_UP, g.Budget(0, g.INF), {},
+    )
+    p = g.Picture.from_rows(rows)
+    for ask in (g.accepts, g.run_deterministic, g.accepting_trace):
+        with pytest.raises(g.AlphabetError) as err:
+            ask(machine, p)
+        assert str(err.value) == "picture uses symbols ['0'] outside machine alphabet"
+
+
 @pytest.mark.parametrize(
     "rows, outcome",
     [(["1"], g.RunOutcome.ACCEPT), (["1", "0"], g.RunOutcome.REJECT_HALT), (["0"], g.RunOutcome.LOOP)],

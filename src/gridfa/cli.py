@@ -134,11 +134,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     first = next(pictures, None)
     if first is None:  # only an empty alphabet has no pictures of a valid shape
         raise ValueError("alphabet must not be empty")
-    separator = tuple(STREAM_SEPARATOR)
-    if args.cols == len(separator) and set(separator) <= set(args.alphabet):
+    if args.cols == len(STREAM_SEPARATOR) and set(STREAM_SEPARATOR) <= set(args.alphabet):
         # The separator is row n of the shape's rows, so picture n (from 0)
         # is the first to hold it: as its last row, or as every row if n is 0.
-        n = _shape_rows(args.alphabet, 1, args.cols).index(separator)
+        n = _shape_rows(args.alphabet, 1, args.cols).index(STREAM_SEPARATOR)
         raise _separator_row(n + 1, args.rows if n else 1)
     write = sys.stdout.write
     write(f"{first.to_text()}\n")

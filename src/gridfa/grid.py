@@ -1,11 +1,12 @@
 """Rectangular pictures and their boundary frame.
 
 A picture is the two-dimensional analogue of a word: a ``rows x cols``
-array of single-character symbols.  Machines never index the array
-directly; they read cells through *frame coordinates*, where the interior
-is 1-based and a ring of ``#`` boundary cells occupies row 0, row
-``rows+1``, column 0 and column ``cols+1``.  This keeps "head standing on
-a boundary marker" representable with nonnegative coordinates.
+array of single-character symbols, held as one string per row.  Machines
+never index the array directly; they read cells through *frame
+coordinates*, where the interior is 1-based and a ring of ``#`` boundary
+cells occupies row 0, row ``rows+1``, column 0 and column ``cols+1``.
+This keeps "head standing on a boundary marker" representable with
+nonnegative coordinates.
 
 Pictures are immutable values: simulation, enumeration and tests share
 them freely.
@@ -52,14 +53,16 @@ class FrameError(IndexError):
 class Picture:
     """Immutable rectangular array of one-character symbols.
 
-    ``cells`` is a tuple of rows, each a tuple of single characters; rows
-    given as lists or strings are stored as tuples once they are checked.
+    ``cells`` is a tuple of rows, each a string of one character per cell;
+    rows given as lists or tuples of characters are joined into strings
+    once every cell is checked, so pictures of the same cells are equal
+    and hash alike whatever form the rows came in.
     Degenerate (zero-row or zero-column) pictures are rejected, and the
     boundary marker ``#`` may never appear in a cell, nor may ``\r`` or
     ``\n``, which picture text could not hold.
     """
 
-    cells: tuple[tuple[str, ...], ...]
+    cells: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.cells or not self.cells[0]:
@@ -81,14 +84,14 @@ class Picture:
                     raise AlphabetError(
                         f"cell ({r},{c}) uses the reserved boundary marker {BOUNDARY!r}"
                     )
-        object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
+        object.__setattr__(self, "cells", tuple(map("".join, self.cells)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "Picture":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(tuple(rows))
 
     @classmethod
-    def _trusted(cls, cells: tuple[tuple[str, ...], ...]) -> "Picture":
+    def _trusted(cls, cells: tuple[str, ...]) -> "Picture":
         """A picture of cells known to be valid, made without checking
         them again: equal and hash-equal to ``Picture(cells)``."""
         p = object.__new__(cls)
@@ -107,14 +110,14 @@ class Picture:
         """Row ``r`` (1-based) as a string."""
         if not 1 <= r <= self.rows:
             raise FrameError(f"row {r} outside interior 1..{self.rows}")
-        return "".join(self.cells[r - 1])
+        return self.cells[r - 1]
 
     def symbols(self) -> frozenset[str]:
         """Set of symbols actually used in the cells."""
-        return frozenset(sym for row in self.cells for sym in row)
+        return frozenset().union(*self.cells)
 
     def to_text(self) -> str:
-        return "\n".join("".join(row) for row in self.cells)
+        return "\n".join(self.cells)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -170,7 +173,7 @@ def _parse_lines(lines: list[str], allowed: frozenset[str], first: int = 1) -> P
                     raise AlphabetError(f"line {n}: reserved boundary marker {BOUNDARY!r}")
                 if ch not in allowed:
                     raise AlphabetError(f"line {n}: symbol {ch!r} not in alphabet")
-    return Picture._trusted(tuple(tuple(line) for line in lines))
+    return Picture._trusted(tuple(lines))
 
 
 def parse_picture_stream(text: str, alphabet: Iterable[str]) -> list[Picture]:
@@ -212,9 +215,8 @@ def format_picture_stream(pictures: Sequence[Picture]) -> str:
     with a row ``--`` would read back as two, so it raises
     PictureFormatError naming the picture (1-based) and the row."""
     for n, p in enumerate(pictures, start=1):
-        for r, row in enumerate(p.cells, start=1):
-            if "".join(row) == STREAM_SEPARATOR:
-                raise _separator_row(n, r)
+        if STREAM_SEPARATOR in p.cells:
+            raise _separator_row(n, p.cells.index(STREAM_SEPARATOR) + 1)
     return f"\n{STREAM_SEPARATOR}\n".join(p.to_text() for p in pictures) + "\n"
 
 
@@ -255,12 +257,12 @@ def row_concat(top: Picture, bottom: Picture) -> Picture:
 
 def transpose(p: Picture) -> Picture:
     """Reflect about the main diagonal: output cell (r,c) = input cell (c,r)."""
-    return Picture._trusted(tuple(zip(*p.cells)))
+    return Picture._trusted(tuple(map("".join, zip(*p.cells))))
 
 
 def rotate90_cw(p: Picture) -> Picture:
     """Rotate a quarter turn clockwise: output (r,c) = input (rows+1-c, r)."""
-    return Picture._trusted(tuple(zip(*reversed(p.cells))))
+    return Picture._trusted(tuple(map("".join, zip(*reversed(p.cells)))))
 
 
 def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterator[Picture]:
@@ -291,13 +293,13 @@ def enumerate_pictures(alphabet: Sequence[str], rows: int, cols: int) -> Iterato
             yield trusted(cells)
 
 
-def _shape_rows(alphabet: Sequence[str], rows: int, cols: int) -> list[tuple[str, ...]]:
-    """The rows of the ``rows x cols`` shape in enumeration order, after
-    checking the shape and the alphabet as ``enumerate_pictures`` does."""
+def _shape_rows(alphabet: Sequence[str], rows: int, cols: int) -> list[str]:
+    """The rows of the ``rows x cols`` shape, as text, in enumeration order,
+    after checking the shape and the alphabet as ``enumerate_pictures`` does."""
     return list(_row_stream(alphabet, rows, cols))
 
 
-def _row_stream(alphabet: Sequence[str], rows: int, cols: int) -> Iterator[tuple[str, ...]]:
+def _row_stream(alphabet: Sequence[str], rows: int, cols: int) -> Iterator[str]:
     """``_shape_rows``, made one row at a time (the checks come first)."""
     if rows < 1 or cols < 1:
         raise PictureFormatError("enumeration needs rows >= 1 and cols >= 1")
@@ -311,10 +313,10 @@ def _row_stream(alphabet: Sequence[str], rows: int, cols: int) -> Iterator[tuple
             raise AlphabetError(f"alphabet may not contain the boundary marker {BOUNDARY!r}")
         if sym in symbols[:n]:
             raise AlphabetError(f"alphabet declares symbol {sym!r} twice")
-    return itertools.product(symbols, repeat=cols)
+    return map("".join, itertools.product(symbols, repeat=cols))
 
 
-def _picture_at(shape_rows: Sequence[tuple[str, ...]], rows: int, index: int) -> Picture:
+def _picture_at(shape_rows: Sequence[str], rows: int, index: int) -> Picture:
     """Picture ``index`` (from 0) of the enumeration of the shape whose
     rows ``_shape_rows`` gave, for the rows the digits of ``index``."""
     base = len(shape_rows)

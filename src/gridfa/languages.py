@@ -41,10 +41,11 @@ ALPHABET_01: tuple[str, ...] = ("0", "1")
 _ONES = bytes(ord("1") if b == ord("1") else ord("0") for b in range(256))
 
 
-def _mask(row: Sequence[str]) -> int:
-    """The row's 1-mask: bit k set where column k (from 0) holds "1".  A
-    symbol outside ASCII encodes as one "?", so it reads 0 like the rest."""
-    return int("".join(row)[::-1].encode("ascii", "replace").translate(_ONES), 2)
+def _mask(row: str) -> int:
+    """The 1-mask of a row's text: bit k set where column k (from 0) holds
+    "1".  A symbol outside ASCII encodes as one "?", so it reads 0 like the
+    rest."""
+    return int(row[::-1].encode("ascii", "replace").translate(_ONES), 2)
 
 
 def stacked_count(p: Picture, top_row: int) -> int:
@@ -121,7 +122,7 @@ def in_S(i: int, p: Picture) -> bool:
     return _membership("S", i)(p)
 
 
-def _member_rank(lang_id: str, shape_rows: Sequence[tuple], rows: int) -> Callable[[int], int]:
+def _member_rank(lang_id: str, shape_rows: Sequence[str], rows: int) -> Callable[[int], int]:
     """``rank(x)``: the members of ``lang_id`` among the first ``x``
     pictures of the ``rows``-row shape whose rows ``grid._shape_rows`` gave.
     An index has the row pairs as digits, top pair first.  A member below
@@ -161,7 +162,7 @@ def make_u(i: int, j: int, z: int) -> Picture:
         raise ValueError(f"need 1 <= i < j <= z, got i={i}, j={j}, z={z}")
     row = ["0"] * z
     row[i - 1] = row[j - 1] = "1"
-    return Picture._trusted((tuple(row),))
+    return Picture._trusted(("".join(row),))
 
 
 def make_w(i: int, j: int, z: int) -> Picture:

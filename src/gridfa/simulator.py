@@ -266,7 +266,9 @@ def _lines(a: Automaton, p: Picture) -> tuple[list[dict[str, int]], bool]:
     """The frame of ``p`` as lines along its long side (its columns if it
     is tall, else its rows), ring lines included, each as a mask per cell
     key present: bit k is set where position k of the line holds that key.
-    Also whether ``p`` is tall.  Raises AlphabetError as ``_layout`` does."""
+    An inner line is read from text: a row as the picture holds it, a
+    column as a stride slice of all rows joined.  Also whether ``p`` is
+    tall.  Raises AlphabetError as ``_layout`` does."""
     tall = p.rows > p.cols
     # The ring keys of the first line, of the inner lines' ends, and of the last line.
     wide = ((_UL, _U, _UR), (_L, _R), (_DL, _D, _DR))
@@ -276,8 +278,9 @@ def _lines(a: Automaton, p: Picture) -> tuple[list[dict[str, int]], bool]:
         _layout(a, p)  # raises: no symbol is in an empty alphabet
     top = 1 << max(p.rows, p.cols) + 1
     lines = [dict(zip(first, (1, top - 2, top)))]
-    for cells in zip(*p.cells) if tall else p.cells:
-        text = "".join(cells)[::-1]
+    joined = "".join(p.cells) if tall else ""
+    for text in (joined[c :: p.cols] for c in range(p.cols)) if tall else p.cells:
+        text = text[::-1]
         line, rest = {ends[0]: 1, ends[1]: top}, top - 2
         try:  # the last symbol holds the cells no other one does
             for symbol, table in ones[:-1] or ones:
@@ -656,7 +659,9 @@ def _searched_run(
 def _searched_steps(
     a: Automaton, p: Picture, budget: Budget | None
 ) -> tuple[tuple[TraceStep, ...], Configuration]:
-    """The steps and the final configuration of the deterministic run."""
+    """The steps and the final configuration of the deterministic run.  It
+    is a module-level function, not a lambda, so that the ``partial`` an
+    unread deterministic trace holds still pickles and deep-copies."""
     return _searched_run(a, p, budget)[1]()
 
 
@@ -754,7 +759,7 @@ def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) ->
 
 def _decide_shape(
     a: Automaton, rows: int, cols: int, budgets: Sequence[Budget]
-) -> tuple[list[tuple[str, ...]], list[list[tuple[int, bool]]]]:
+) -> tuple[list[str], list[list[tuple[int, bool]]]]:
     """The rows of the ``rows x cols`` shape (``_shape_rows``) and, per
     budget (resolved, in list order), the verdicts of one ``accepts`` call
     per picture as runs ``(end, verdict)`` of enumeration indices, each

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -162,6 +163,19 @@ class TestParsePicture:
             g.parse_picture_stream("\n--\n01\n", "0#")
         with pytest.raises(g.AlphabetError, match="^alphabet may not contain"):
             g.parse_picture_stream("01\n--\n\n", "0#")
+
+    def test_a_wide_picture_holds_its_rows_as_text(self):
+        # 4 x 8192 cells: about 32 KB as four strings, 256 KB as tuples of
+        # one-character strings (a pointer per cell).
+        text = "\n".join(("0110", "1001", "0011", "1100")[r] * 2048 for r in range(4))
+        tracemalloc.start()
+        try:
+            (p,) = g.parse_picture_stream(text, "01")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (p.rows, p.cols) == (4, 8192)
+        assert held < 64 * 1024
 
     @pytest.mark.parametrize(
         "text, message",
@@ -366,17 +380,17 @@ class TestCheckedConstruction:
         [[["0", "1"], ["1", "1"]], [("0", "1"), ("1", "1")], ("01", "11"), ["01", "11"]],
         ids=["list rows", "list of tuples", "string rows", "list of strings"],
     )
-    def test_rows_are_stored_as_tuples(self, cells):
+    def test_rows_are_stored_as_text(self, cells):
         p = g.Picture(cells)
         expected = g.Picture.from_rows(["01", "11"])
         assert p == expected and hash(p) == hash(expected)
-        assert type(p.cells) is tuple and all(type(row) is tuple for row in p.cells)
+        assert type(p.cells) is tuple and all(type(row) is str for row in p.cells)
 
     def test_a_checked_picture_does_not_share_the_given_rows(self):
         rows = [["0", "1"]]
         p = g.Picture(rows)
         rows[0][0] = "#"
-        assert p.cells == (("0", "1"),)
+        assert p.cells == ("01",)
         assert g.accepts(g.build_A_L1(), p) is False
 
     @pytest.mark.parametrize(

@@ -1,24 +1,28 @@
 """Desk-scale experiment harness: oracle sweeps, budget starvation, and
 the crossing-point splice counterexample.
 
-Everything here composes the simulator with the brute-force oracles and
-reports results both as aligned text tables and as ``key=value`` record
-lines.  All outputs are reproducible bit for bit: enumeration order is
-fixed and traces are canonical.
+Everything here composes the simulator with the oracles (for a machine
+that never moves left, with the languages' column automata) and reports
+results both as aligned text tables and as ``key=value`` record lines.
+All outputs are reproducible bit for bit: enumeration order is fixed and
+traces are canonical.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .grid import Picture, _picture_at
-from .languages import _member_rank, in_L, make_w, natural_rows, parse_language_id, splice_words
+from .grid import Picture, _picture_at, _shape_rows
+from .languages import (
+    _column_form, _member_rank, in_L, make_w, natural_rows, parse_language_id, splice_words,
+)
 from .machine import Automaton, Budget, Direction, classify, ensure_valid, fmt_budget
-from .simulator import Trace, _decide_shape, _resolve_budget, accepting_trace, accepts
+from .simulator import Trace, _decide_shape, _resolve_budget, _tables, accepting_trace, accepts
 from .constructions import build_M_Mi, build_S_rec
 
 
@@ -121,6 +125,80 @@ def oracle_equivalence(a: Automaton, lang_id: str, rows: int, cols_max: int) -> 
     return budget_sweep(a, lang_id, rows, cols_max, [a.budget])
 
 
+#: A sweep counts by columns only where a column has at most this many
+#: fillings (|alphabet| ** rows).  The counts step every pair of states
+#: through every filling, and a width they find mismatching is enumerated
+#: anyway.  At 16 fillings, counting every width a sweep can enumerate
+#: (2 x 1..4 over four symbols, 4 x 1..4 over two) took 0.5-1.8 ms against
+#: 45-300 ms of enumeration; at 64 fillings (6 x 1..2) 3-8 ms against 5 ms.
+_COLUMNS_MAX = 16
+
+
+def _column_counts(
+    a: Automaton, lang_id: str, rows: int, cols_max: int, budgets: Sequence[Budget]
+) -> list[tuple[tuple[int, int, int], ...]] | None:
+    """Per width 1..cols_max and per resolved budget in list order, the
+    member total and the pictures and members accepted, counted without
+    making a picture.  None unless ``rows`` is the language's natural row
+    count, the machine never moves left (it has no L transition, or no
+    budget leaves it L moves) and a column has at most ``_COLUMNS_MAX``
+    fillings.
+
+    Such a machine crosses the frame's columns left to right, so the
+    configurations that enter a column and that column's cells decide
+    those that enter the next (``_Tables.across``): its verdicts form a
+    subset construction over columns (Rabin & Scott, 1959).  Run as a
+    product with the language's column automaton (``_column_form``),
+    counting the pictures that reach each pair of states, it gives every
+    width's counts in one pass.  Each entering set is closed once per
+    column filling and once on the right ring column, whatever the width."""
+    moves_left = any(d == Direction.L for moves in a.transitions.values() for _, d in moves)
+    form = _column_form(lang_id, rows)
+    if form is None or moves_left and any(b.left for b in budgets):
+        return None
+    if len(a.alphabet) ** rows > _COLUMNS_MAX:
+        return None
+    columns = _shape_rows(a.alphabet, 1, rows)  # each filling of a column, top to bottom
+    start, step, member = form
+    language: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    by_budget: dict[Budget, list[tuple[int, int, int]]] = {}
+    for budget in dict.fromkeys(budgets):
+        tables = _tables(a, *budget)
+        # Per entering set: whether the ring column after it accepts, and
+        # the set entering the next column after each filling.  None stands
+        # for an accepted picture, whatever columns follow.
+        after: dict[frozenset[int] | None, tuple[bool, list]] = {
+            None: (True, [None] * len(columns))
+        }
+
+        def follow(entering: frozenset[int]) -> tuple[bool, list]:
+            if entering not in after:
+                after[entering] = (
+                    tables.across(entering, rows, None) is None,
+                    [tables.across(entering, rows, column) for column in columns],
+                )
+            return after[entering]
+
+        paths = Counter({(frozenset([1 << tables.shift | tables.start]), start): 1})
+        widths = by_budget[budget] = []
+        for width in range(1, cols_max + 1):
+            ahead: Counter = Counter()
+            for (entering, state), n in paths.items():
+                if state not in language:
+                    language[state] = [step(state, column) for column in columns]
+                for pair in zip(follow(entering)[1], language[state]):
+                    ahead[pair] += n
+            paths, total, accepted, members = ahead, 0, 0, 0
+            for (entering, state), n in paths.items():
+                hit = member(state, width)
+                total += n * hit
+                if follow(entering)[0]:
+                    accepted += n
+                    members += n * hit
+            widths.append((total, accepted, members))
+    return list(zip(*(by_budget[budget] for budget in budgets)))
+
+
 def budget_sweep(
     a: Automaton,
     lang_id: str,
@@ -140,6 +218,18 @@ def budget_sweep(
     checked.  Mismatches are recorded against the last budget in the list,
     told by its position: a budget listed twice shares its runs.
 
+    A machine that never moves left (no L transition, or left budget 0 in
+    every listed budget) is counted by columns at the language's natural
+    row count, where a column has at most ``_COLUMNS_MAX`` fillings
+    (``_column_counts``; 16, so 2 rows over up to four symbols or 4 rows
+    over two): every width's counts come without making or searching a
+    picture, so the checks of ``A_L1``, ``C_L1_2W`` and ``D_K(3)`` at
+    2 x 40 take 1-2 ms.  Counts
+    say how many pictures disagree but not which, so a width where the
+    last budget's counts disagree is decided picture by picture as below,
+    and its mismatches are listed in enumeration order.  Every other
+    machine and shape takes that path for every width.
+
     The simulator decides each shape as runs of enumeration indices
     (``_decide_shape``, which joins each accepted run to its neighbours as
     it finds it, so it holds the maximal runs, not one per accepting
@@ -158,7 +248,16 @@ def budget_sweep(
     resolved = [_resolve_budget(a, budget) for budget in budgets]
     counts = [[0, 0] for _ in resolved]  # accepted, accepted members
     member_total, mismatches = 0, list[Mismatch]()
+    counted = _column_counts(a, lang_id, rows, cols_max, resolved)
     for cols in range(1, cols_max + 1):
+        if counted:
+            total, accepted, members = counted[cols - 1][-1]
+            if accepted == members == total:  # the last budget has no mismatch here
+                member_total += total
+                for count, (_, accepted, members) in zip(counts, counted[cols - 1]):
+                    count[0] += accepted
+                    count[1] += members
+                continue
         shape_rows, verdicts = _decide_shape(a, rows, cols, resolved)
         rank = _member_rank(lang_id, shape_rows, rows)
         member_total += rank(len(shape_rows) ** rows)

@@ -2,8 +2,9 @@
 over the alphabet {0, 1}.
 
 Every language is built from the "stacked 1s" notion: a column whose two
-cells in a designated row pair both hold 1.  Each is defined once, as a
-row count and a rule that every disjoint row pair (rows 1-2, 3-4, ...)
+cells in a designated row pair both hold 1.  Each is defined once
+(``_pair_form``), as a row count, the number of stacked columns it
+counts to, and a rule that every disjoint row pair (rows 1-2, 3-4, ...)
 must pass.  The rule reads the pair's upper and lower rows as 1-masks
 ``u`` and ``l`` (an int with bit k set where column k holds "1"; every
 other symbol reads as 0) and the width ``w``, so the pair's stacked
@@ -16,8 +17,9 @@ columns number ``(u & l).bit_count()``:
 * ``K_i``  -- 2 rows with >= 2i stacked columns; ``K_1`` coincides with ``L_1``.
 * ``S_i``  -- the single 2 x i all-ones word: ``w == i and u == l == (1 << w) - 1``.
 
-The oracles and the member counts of ``_member_rank`` are built from it;
-the counts read each row of a shape as a mask once.
+The oracles, the member counts of ``_member_rank`` and the column
+automata of ``_column_form`` are built from it; the member counts read
+each row of a shape as a mask once.
 
 Oracles return False (never raise) on pictures of the wrong shape: a
 language is a set of pictures and a non-member is simply a non-member.
@@ -61,30 +63,62 @@ def stacked_count(p: Picture, top_row: int) -> int:
     return (_mask(p.cells[top_row - 1]) & _mask(p.cells[top_row])).bit_count()
 
 
-def _pair_form(kind: str, index: int) -> tuple[int, Callable[[int, int, int], bool]]:
-    """The language of ``kind`` and ``index`` as its row count and the
-    rule ``rule(u, l, w)`` each disjoint row pair must pass: ``u`` and
-    ``l`` are the upper and lower row's 1-masks, ``w`` the width.
+def _pair_form(kind: str, index: int) -> tuple[int, int, Callable[[int, int, int], bool]]:
+    """The language of ``kind`` and ``index`` as its row count, the number
+    ``need`` of stacked columns its rule counts to, and the rule
+    ``rule(u, l, w)`` each disjoint row pair must pass: ``u`` and ``l`` are
+    the upper and lower row's 1-masks, ``w`` the width.
 
     M's rows carry the same two 1s; rows that agree on their 1s may still
     differ elsewhere, in symbols other than 1.  Only S reads the width:
     a row whose every column holds 1 has the mask ``(1 << w) - 1``."""
     if index < 1:
         raise ValueError(f"language index must be >= 1, got {index}")
-    if kind == "L":
-        return 2 * index, lambda u, l, w: (u & l).bit_count() >= 2
+    rows = 2 if kind in "KS" else 2 * index
+    need = {"L": 2, "M": 2, "N": 1, "K": 2 * index, "S": index}[kind]
     if kind == "M":
-        return 2 * index, lambda u, l, w: u == l and u.bit_count() == 2
-    if kind == "N":
-        return 2 * index, lambda u, l, w: (u & l).bit_count() >= 1
-    if kind == "K":
-        return 2, lambda u, l, w: (u & l).bit_count() >= 2 * index
-    return 2, lambda u, l, w: w == index and u == l == (1 << w) - 1
+        return rows, need, lambda u, l, w: u == l and u.bit_count() == need
+    if kind == "S":
+        return rows, need, lambda u, l, w: w == need and u == l == (1 << w) - 1
+    return rows, need, lambda u, l, w: (u & l).bit_count() >= need
+
+
+_Counts = tuple[int, ...]  # a column automaton's state: one count per row pair
+
+
+def _column_form(
+    lang_id: str, rows: int
+) -> tuple[_Counts, Callable[[_Counts, str], _Counts], Callable[[_Counts, int], bool]] | None:
+    """The language as an automaton over columns, read left to right:
+    ``(start, step(state, column), member(state, width))``, where a column
+    is the text of its cells, top to bottom.  A state holds one count per
+    row pair, of its stacked columns up to ``_pair_form``'s ``need``; M's
+    goes one past, where a third stacked column or a lone 1 ends
+    membership.  S's count reaches ``need`` at width ``need`` only if every
+    column is stacked.  None off the natural row count, where the language
+    has no member."""
+    kind, index = parse_language_id(lang_id)
+    want, need, _ = _pair_form(kind, index)
+    if rows != want:
+        return None
+    if kind == "M":
+        pair = lambda c, u, l: need + 1 if u != l else min(c + u, need + 1)
+    else:
+        pair = lambda c, u, l: min(c + (u & l), need)
+
+    def step(state: _Counts, column: str) -> _Counts:
+        ones = [symbol == "1" for symbol in column]
+        return tuple(map(pair, state, ones[::2], ones[1::2]))
+
+    def member(state: _Counts, width: int) -> bool:
+        return all(c == need for c in state) and (kind != "S" or width == need)
+
+    return (0,) * (rows // 2), step, member
 
 
 @cache  # built once per language, so ``in_L`` and the rest pay one lookup
 def _membership(kind: str, index: int) -> Callable[[Picture], bool]:
-    rows, rule = _pair_form(kind, index)
+    rows, _, rule = _pair_form(kind, index)
     return lambda p: len(p.cells) == rows and all(
         rule(_mask(upper), _mask(lower), len(upper))
         for upper, lower in zip(p.cells[::2], p.cells[1::2])
@@ -131,7 +165,7 @@ def _member_rank(lang_id: str, shape_rows: Sequence[str], rows: int) -> Callable
     ``below`` reads each of the shape's rows as a 1-mask once and sums the
     rule over every (upper, lower) pair of masks, in index order, into an
     int64 array: 8 bytes per row pair, where a list of ints took ~36."""
-    want, rule = _pair_form(*parse_language_id(lang_id))
+    want, _, rule = _pair_form(*parse_language_id(lang_id))
     if rows != want:
         return lambda x: 0
     masks = list(map(_mask, shape_rows))

@@ -30,7 +30,9 @@ where it first reads one, so the pictures that agree on the cells a
 branch read share it.
 It forks only where some filling of the unread cells may still accept
 (``_Tables.viable``), so a budget whose start is not such a configuration
-rejects the whole shape with no search.
+rejects the whole shape with no search.  A machine that takes no L move
+crosses the columns left to right, and ``_Tables.across`` steps it over
+one column at a time, for sweeps that count whole widths by columns.
 
 The search runs over the compiled form of the machine under the
 resolved budget (``_Tables``), not over :class:`Configuration` values.
@@ -555,6 +557,32 @@ class _Tables(dict):
             if expansions > 8 * len(reach) + 64:
                 return None
         return False, halts
+
+    def across(
+        self, entering: frozenset[int], rows: int, column: str | None
+    ) -> frozenset[int] | None:
+        """One frame column of a ``rows``-row picture, for a machine that
+        takes no L move: the inner column whose cells, top to bottom,
+        ``column`` holds, or the right ring column if it is None.  Closes
+        the configurations ``entering`` it (ints ``row << shift | low``)
+        under the U and D moves, and returns the targets of the R moves,
+        which enter the next column, or None once an accepting
+        configuration is reached."""
+        keys = (_UR, *[_R] * rows, _DR) if column is None else (_U, *column, _D)
+        mask, shift, accepting = self.mask, self.shift, self.accepting
+        step = (-1 << shift, 1 << shift)
+        reached, queue, right = set(entering), list(entering), set()
+        for c in queue:  # the queue grows while it is read
+            low = c & mask
+            if low >= accepting:
+                return None
+            for delta, direction in self[low][keys[c >> shift]]:
+                if direction == 3:  # R
+                    right.add(c + delta)
+                elif (nxt := c + delta + step[direction]) not in reached:
+                    reached.add(nxt)
+                    queue.append(nxt)
+        return frozenset(right)
 
     def successors(self, code: int, key: str, width: int) -> list[int]:
         """The codes one move from configuration ``code`` on a cell keyed

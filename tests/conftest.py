@@ -85,9 +85,10 @@ def all_pictures(rows: int, cols_max: int, alphabet=("0", "1")):
 
 
 @st.composite
-def random_machines(draw, mode="nondet"):
-    """Small valid machines over {0, 1} under every policy, budgets 0-2
-    on budgeted directions; the last state accepts."""
+def random_machines(draw, mode="nondet", alphabet=("0", "1")):
+    """Small valid machines over ``alphabet`` ({0, 1} unless given) under
+    every policy, budgets 0-2 on budgeted directions; the last state
+    accepts."""
     U, L = g.Direction.U, g.Direction.L
     n_states = draw(st.integers(2, 4))
     states = tuple(f"s{i}" for i in range(n_states))
@@ -105,13 +106,13 @@ def random_machines(draw, mode="nondet"):
     table: dict = {}
     for _ in range(n_edges):
         source = draw(st.sampled_from(states[:-1]))  # last state is accepting
-        symbol = draw(st.sampled_from(["0", "1", "#"]))
+        symbol = draw(st.sampled_from([*alphabet, "#"]))
         target = draw(st.sampled_from(states))
         direction = draw(st.sampled_from(directions))
         edges = table.setdefault((source, symbol), [])
         if (target, direction) not in edges and not (mode == "det" and edges):
             edges.append((target, direction))
     return g.Automaton(
-        "fuzz", ("0", "1"), states, states[0], states[-1], mode,
+        "fuzz", tuple(alphabet), states, states[0], states[-1], mode,
         policy, budget, {k: tuple(v) for k, v in table.items()},
     )

@@ -1,6 +1,9 @@
+import dataclasses
 import random
+import time
 import tracemalloc
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, target
@@ -8,6 +11,8 @@ from hypothesis import strategies as st
 
 import gridfa as g
 import reference
+from gridfa.experiments import _column_counts
+from gridfa.languages import _member_rank, natural_rows
 from gridfa.simulator import _decide_shape, _layout, _resolve_budget, _Tables, _tables
 from conftest import all_pictures, count_searches, random_machines, starve_the_chain
 
@@ -486,6 +491,126 @@ def test_builder_sweeps_match_per_picture_decisions(builder, param, lang_id, row
     assert report.member_total > 0
 
 
+def shape_counts(machine, lang_id, rows, cols, budgets):
+    """Per budget, the member total of the ``rows x cols`` shape and the
+    pictures and members accepted, from ``_decide_shape``'s runs and the
+    language's row-pair table."""
+    shape_rows, verdicts = _decide_shape(machine, rows, cols, budgets)
+    rank = _member_rank(lang_id, shape_rows, rows)
+    per_budget = []
+    for runs in verdicts:
+        accepted = members = start = 0
+        for end, verdict in runs:
+            if verdict:
+                accepted += end - start
+                members += rank(end) - rank(start)
+            start = end
+        per_budget.append((rank(len(shape_rows) ** rows), accepted, members))
+    return tuple(per_budget)
+
+
+def assert_column_counts_match_shapes(machine, lang_id, rows, cols_max, budgets):
+    counted = _column_counts(machine, lang_id, rows, cols_max, budgets)
+    assert counted == [
+        shape_counts(machine, lang_id, rows, cols, budgets) for cols in range(1, cols_max + 1)
+    ]
+    return counted
+
+
+def closed_form_members(stacked, cols):
+    """The 2 x ``cols`` pictures over {0, 1} with at least ``stacked``
+    stacked columns: 4^c - sum_{s<t} C(c,s) 3^(c-s)."""
+    return 4**cols - sum(comb(cols, s) * 3 ** (cols - s) for s in range(min(stacked, cols + 1)))
+
+
+class TestColumnCounts:
+    @pytest.mark.parametrize(
+        "lang_id", ["L1", "L2", "M1", "M2", "N1", "N2", "K1", "K2", "S2", "S4"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_machines_starved_of_left_moves_count_as_their_shapes(self, lang_id, data):
+        # Left budget 0 leaves any machine no L move.  Shapes hold at most
+        # 2**16 pictures; over three symbols "2" reads as 0 to the language.
+        # The bound on column fillings is raised to let 4 rows over three
+        # symbols be counted; off the natural row count nothing is.
+        alphabet = data.draw(st.sampled_from([("0", "1"), ("0", "1", "2")]))
+        mode = data.draw(st.sampled_from(["det", "nondet"]))
+        machine = data.draw(random_machines(mode, alphabet))
+        ups = st.sampled_from([0, 1, 2, g.INF]) if machine.budget.up == g.INF else st.integers(
+            0, machine.budget.up
+        )
+        budgets = data.draw(st.lists(st.builds(g.Budget, ups, st.just(0)), min_size=1, max_size=3))
+        rows = data.draw(st.one_of(st.just(natural_rows(lang_id)), st.integers(1, 4)))
+        cols_max = max(c for c in range(1, 6) if len(alphabet) ** (rows * c) <= 2**16)
+        with mock.patch.object(g.experiments, "_COLUMNS_MAX", len(alphabet) ** 4):
+            if rows == natural_rows(lang_id):
+                assert_column_counts_match_shapes(machine, lang_id, rows, cols_max, budgets)
+            else:
+                assert _column_counts(machine, lang_id, rows, cols_max, budgets) is None
+
+    @pytest.mark.parametrize(
+        "builder, param, lang_id",
+        [
+            ("A_L1", None, "L1"),
+            ("C_L1_2W", None, "L1"),
+            *[("D_K", i, f"K{i}") for i in (1, 2, 3)],
+            *[("S_rec", i, f"S{2 * i + 2}") for i in (0, 1, 2)],
+        ],
+    )
+    def test_builder_sweeps_count_as_their_shapes(self, builder, param, lang_id):
+        machine = g.make_machine(builder, param)
+        full = machine.budget
+        budgets = [g.Budget(full.up - 1, full.left), full]
+        counted = assert_column_counts_match_shapes(machine, lang_id, 2, 8, budgets)
+        for starved, declared in counted:
+            assert starved[1] == 0 and declared[0] == declared[1] == declared[2]
+        assert sum(declared[0] for _, declared in counted) > 0
+
+    @pytest.mark.parametrize("machine, lang_id, stacked", [
+        (g.build_A_L1(), "L1", 2),
+        (g.build_D_K(3), "K3", 6),
+    ])
+    def test_widths_past_brute_force(self, machine, lang_id, stacked):
+        # 2 x 40 holds about 1.6e24 pictures: only the counts can reach it.
+        # They are checked first: a sweep enumerates any width they get wrong.
+        per_width = [closed_form_members(stacked, cols) for cols in range(1, 41)]
+        counted = _column_counts(machine, lang_id, 2, 40, [machine.budget])
+        assert counted == [((n, n, n),) for n in per_width]
+        began = time.perf_counter()
+        report = g.oracle_equivalence(machine, lang_id, 2, 40)
+        assert time.perf_counter() - began < 1
+        members = sum(per_width)
+        assert report.member_total == members
+        assert report.per_budget == ((machine.budget, members, members),)
+        assert report.mismatches == ()
+
+    @pytest.mark.parametrize("lang_id, budgets", [
+        ("K1", [g.Budget(2, 0)]),  # D_K2 needs four stacked columns, K1 two
+        ("K2", [g.Budget(2, 0), g.Budget(1, 0)]),  # starved last
+    ])
+    def test_mismatching_widths_are_decided_picture_by_picture(
+        self, lang_id, budgets, monkeypatch
+    ):
+        machine = g.build_D_K(2)
+        report = assert_sweep_matches_decisions(machine, 2, 6, budgets, lang_id)
+        assert report.mismatches
+        monkeypatch.setattr(g.experiments, "_COLUMNS_MAX", 0)  # every width by its shape
+        assert g.budget_sweep(machine, lang_id, 2, 6, budgets) == report
+
+    def test_which_sweeps_are_counted_by_columns(self):
+        machine = g.build_M_Mi(1)
+        assert _column_counts(machine, "M1", 2, 3, [machine.budget]) is None
+        assert _column_counts(machine, "M1", 2, 3, [g.Budget(1, 0)]) is not None
+        assert _column_counts(machine, "M1", 3, 3, [g.Budget(1, 0)]) is None  # no member
+        # At most 16 fillings of a column: 4 rows over {0, 1}, not over
+        # {0, 1, 2} (81), whose 2 rows have 9.
+        wide = dataclasses.replace(g.build_A_L1(), alphabet=("0", "1", "2"), transitions={})
+        assert _column_counts(g.build_A_L1(), "L2", 4, 1, [wide.budget]) is not None
+        assert _column_counts(wide, "L2", 4, 1, [wide.budget]) is None
+        assert _column_counts(wide, "L1", 2, 1, [wide.budget]) is not None
+
+
 def run_verdicts(runs, total):
     """The verdicts of ``_decide_shape`` runs, one per picture, after
     checking that the runs cover the ``total`` pictures and alternate."""
@@ -830,13 +955,16 @@ class TestHierarchyReport:
         # Searching every budget in full takes 746 explore calls, 369 of
         # them under the starved budgets.  No shape under those has a viable
         # start, and the full budgets skip the configurations that no
-        # filling lets accept: 329 calls.
-        assert count_searches(monkeypatch, lambda: g.hierarchy_report(2, 4)) == 329
+        # filling lets accept: 329 calls.  The S_rec sweeps never move left
+        # and are counted by columns with no search: 315 calls, all M_Mi's.
+        assert count_searches(monkeypatch, lambda: g.hierarchy_report(2, 4)) == 315
 
     def test_no_starved_chain_budget_is_searched(self, monkeypatch):
         # At one unit below the full budget, no filling of any shape up to
         # 6 columns lets a chain machine accept, and its viable bitsets
         # show it at the start: only the full budgets' tables are searched.
+        # S_rec never moves left, so its sweeps count by columns and search
+        # neither budget.
         built, searched = [], []
         for name in ("build_M_Mi", "build_S_rec"):
             build = getattr(g.experiments, name)
@@ -855,4 +983,4 @@ class TestHierarchyReport:
         for machine in built:
             full, tables = machine.budget, machine.__dict__["_tables"]
             assert id(tables[full.up - 1, full.left]) not in searched
-            assert id(tables[full]) in searched
+            assert (id(tables[full]) in searched) == machine.name.startswith("M_M")

@@ -22,9 +22,20 @@ they check, mirroring how the scanning procedures are stated); the
 exhaustive checks in :mod:`gridfa.experiments` therefore sweep at fixed
 row counts.  ``build_flawed_L1_3W0`` is deliberately *not* a recognizer
 of L_1: it is the fixture the splice experiment breaks.
+
+Each builder returns one shared immutable machine per parameter, kept
+for the process, so ``build_M_Mi(2) is make_machine("M_Mi", 2)``.  The
+simulator caches its compiled tables on a machine, so a sweep repeated
+in one process (a second ``hierarchy_report``, or checks of one held
+machine against several languages) finds the tables, the per-shape
+analyses and the column steps of the first one built.  A one-shot
+``gridfa`` call builds and sweeps each machine once and gains nothing
+from this.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .languages import ALPHABET_01
 from .machine import (
@@ -85,6 +96,10 @@ class _Sketch:
         )
 
 
+#: Keeps the machines a builder made, one per parameter, up to a bound.
+_shared = lru_cache(maxsize=32)
+
+
 def _stacked_pair_gadget(m: _Sketch, prefix: str, done: str, done_dir: Direction) -> str:
     """Nondeterministic check that a row pair has >= 2 stacked columns.
 
@@ -108,6 +123,7 @@ def _stacked_pair_gadget(m: _Sketch, prefix: str, done: str, done_dir: Direction
     return scan1
 
 
+@_shared
 def build_A_L1() -> Automaton:
     """Nondeterministic three-way recognizer of L_1, one upward move.
 
@@ -142,6 +158,7 @@ def _chain(
     return f"p1_{entry}"
 
 
+@_shared
 def build_B_L(i: int) -> Automaton:
     """Nondeterministic three-way recognizer of L_i, ``i`` upward moves.
 
@@ -201,6 +218,7 @@ def _exact_pair_gadget(m: _Sketch, prefix: str, done: str, done_dir: Direction) 
     return c10
 
 
+@_shared
 def build_M_M1() -> Automaton:
     """Deterministic three-way recognizer of M_1, one upward move."""
     m = _Sketch("M_M1", "det", THREE_WAY, Budget(1, INF))
@@ -208,6 +226,7 @@ def build_M_M1() -> Automaton:
     return m.build(entry, "acc")
 
 
+@_shared
 def build_M_Mi(i: int) -> Automaton:
     """Deterministic three-way recognizer of M_i, ``i`` upward moves.
 
@@ -222,6 +241,7 @@ def build_M_Mi(i: int) -> Automaton:
     return m.build(entry, "acc")
 
 
+@_shared
 def build_P_N2() -> Automaton:
     """Nondeterministic three-way recognizer of N_2 with no upward moves.
 
@@ -242,6 +262,7 @@ def build_P_N2() -> Automaton:
     return m.build("scan1", "acc")
 
 
+@_shared
 def build_C_L1_2W() -> Automaton:
     """Nondeterministic two-way recognizer of L_1: one up move, no left moves.
 
@@ -253,6 +274,7 @@ def build_C_L1_2W() -> Automaton:
     return m.build(entry, "acc")
 
 
+@_shared
 def build_D_K(i: int) -> Automaton:
     """Nondeterministic two-way recognizer of K_i with budgets (i, 0).
 
@@ -281,6 +303,7 @@ def build_D_K(i: int) -> Automaton:
     return m.build("z1_pick_down", "acc")
 
 
+@_shared
 def build_S_rec(i: int) -> Automaton:
     """Deterministic two-way recognizer of S_{2i+2} with budgets (i+1, 0).
 
@@ -307,6 +330,7 @@ def build_S_rec(i: int) -> Automaton:
     return m.build("c1_top", "acc")
 
 
+@_shared
 def build_flawed_L1_3W0() -> Automaton:
     """Fixture, not a recognizer: a zero-up-budget attempt at L_1.
 
@@ -347,7 +371,8 @@ BUILDERS: dict[str, tuple[object, bool]] = {
 
 
 def make_machine(builder_id: str, param: int | None = None) -> Automaton:
-    """Instantiate a builder by id; parametric builders require ``param``."""
+    """The machine of a builder by id, the one the builder shares;
+    parametric builders require ``param``."""
     if builder_id not in BUILDERS:
         known = ", ".join(sorted(BUILDERS))
         raise ValueError(f"unknown builder {builder_id!r}; known: {known}")

@@ -151,7 +151,9 @@ def _column_counts(
     product with the language's column automaton (``_column_form``),
     counting the pictures that reach each pair of states, it gives every
     width's counts in one pass.  Each entering set is closed once per
-    column filling and once on the right ring column, whatever the width."""
+    column filling and once on the right ring column, whatever the width,
+    and the closures are kept on the tables per row count, for the next
+    sweep of the machine against any language."""
     moves_left = any(d == Direction.L for moves in a.transitions.values() for _, d in moves)
     form = _column_form(lang_id, rows)
     if form is None or moves_left and any(b.left for b in budgets):
@@ -166,10 +168,9 @@ def _column_counts(
         tables = _tables(a, *budget)
         # Per entering set: whether the ring column after it accepts, and
         # the set entering the next column after each filling.  None stands
-        # for an accepted picture, whatever columns follow.
-        after: dict[frozenset[int] | None, tuple[bool, list]] = {
-            None: (True, [None] * len(columns))
-        }
+        # for an accepted picture, whatever columns follow.  They depend on
+        # no language, so the tables keep them per row count.
+        after = tables.columns.setdefault(rows, {None: (True, [None] * len(columns))})
 
         def follow(entering: frozenset[int]) -> tuple[bool, list]:
             if entering not in after:

@@ -30,7 +30,9 @@ where it first reads one, so the pictures that agree on the cells a
 branch read share it.
 It forks only where some filling of the unread cells may still accept
 (``_Tables.viable``), so a budget whose start is not such a configuration
-rejects the whole shape with no search.  A machine that takes no L move
+rejects the whole shape with no search, and one whose start reaches no
+accepting low part over any cells (``_Tables.can_accept``) rejects every shape
+with no frame analysis either.  A machine that takes no L move
 crosses the columns left to right, and ``_Tables.across`` steps it over
 one column at a time, for sweeps that count whole widths by columns.
 
@@ -48,15 +50,16 @@ wide picture nothing, until the first read of its steps or final
 configuration, since many callers read only the outcome.
 
 All functions are pure in (machine, picture, budget override) and safe to
-call concurrently: the tables they cache on a machine are filled
-idempotently.
+call concurrently: the tables they cache on a machine, and what those
+keep per budget, shape and row count, are filled idempotently (two
+threads that fill one entry store equal values).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
@@ -320,9 +323,15 @@ class _Tables(dict):
     pairs in declaration order.  Each low part's row is built on first
     use, since a search over a small picture reaches few.
 
-    Nothing here depends on a picture, so one instance serves every
-    picture searched under its budget.  The picture comes in per call as
-    its laid-out frame and its width in frame columns.
+    Besides the rows it keeps what depends only on the machine, the
+    budget and at most a shape or a row count, each built on first use:
+    the low-part graph (``graph``, ``can_accept``), the ``viable`` bits
+    of each shape's all-unread frame (``shapes``, read by
+    ``_decide_shape``) and the column steps of each row count
+    (``columns``, filled by ``experiments._column_counts``).  It keeps
+    nothing that depends on a picture's cells, so one instance serves
+    every picture searched under its budget.  The picture comes in per
+    call as its laid-out frame and its width in frame columns.
     """
 
     def __init__(self, a: Automaton, up: int | float, left: int | float) -> None:
@@ -342,6 +351,8 @@ class _Tables(dict):
         self.mask = (1 << self.shift) - 1
         self.accepting = (len(states) - 1) * self.per_state
         self.start = self.low(self.ids[a.initial], up, left)
+        self.shapes: dict[tuple[int, int], dict[int, int]] = {}
+        self.columns: dict[int, dict[frozenset[int] | None, tuple[bool, list]]] = {}
 
     def __missing__(self, low: int) -> dict[str, tuple[tuple[int, int], ...]]:
         """Build the row of ``low``: a U (resp. L) move needs up (resp.
@@ -444,37 +455,59 @@ class _Tables(dict):
                 else:  # or go on past it, leaving the cell unread
                     index += 1
 
-    def viable(self, frame: list[str | None], width: int) -> dict[int, int]:
-        """Per low part below ``accepting`` that the start may reach, one int
-        with bit k set where the configuration at frame index k can still
-        reach an accepting one, closed backwards over the move rows with an
-        unread cell (None) read as every symbol.  That over-approximates each
-        filling, so a configuration whose bit is clear accepts on none.
-
-        A walk forward over the move rows finds the low parts the start
-        reaches; then sweeps over them, in reverse order of discovery,
-        recompute each one's bits from its targets' (and its own, again
-        while they grow) until a sweep changes none.  The bits only grow,
-        so that is the least fixed point."""
-        masks: dict[str, int] = {}
-        for pos, cell in enumerate(frame):
-            for key in self.symbols[:-1] if cell is None else (cell,):
-                masks[key] = masks.get(key, 0) | 1 << pos
-        step, accepting = (-width, width, -1, 1), self.accepting
-        # Per low part reached, in discovery order, the cells of its moves by
-        # (target, frame-index delta).
-        moves: dict[int, dict[tuple[int, int], int]] = {}
+    @cached_property
+    def graph(self) -> dict[int, dict[tuple[int, int], tuple[str, ...]]]:
+        """The low-part graph: per low part below ``accepting`` that the
+        start reaches over every cell key, in discovery order, the keys of
+        its moves by (target, direction code)."""
+        keys, accepting = (*self.symbols[:-1], *_RING), self.accepting
+        moves: dict[int, dict[tuple[int, int], tuple[str, ...]]] = {}
         todo = [self.start]
         for low in todo:  # the list grows while it is read
             if low not in moves:
                 out = moves[low] = {}
                 row = self[low]
-                for key, mask in masks.items():
+                for key in keys:
                     for delta, code in row[key]:
-                        edge = (low + delta, step[code])
-                        out[edge] = out.get(edge, 0) | mask
+                        edge = (low + delta, code)
+                        out[edge] = out.get(edge, ()) + (key,)
                         if edge[0] < accepting:
                             todo.append(edge[0])
+        return moves
+
+    @cached_property
+    def can_accept(self) -> bool:
+        """Whether the start, or a move of ``graph``, is accepting.  If
+        not, no picture is accepted under this budget."""
+        return self.start >= self.accepting or any(
+            target >= self.accepting for out in self.graph.values() for target, _ in out
+        )
+
+    def viable(self, frame: list[str | None], width: int) -> dict[int, int]:
+        """Per low part of ``graph``, one int with bit k set where the
+        configuration at frame index k can still reach an accepting one,
+        closed backwards over the move rows with an unread cell (None) read
+        as every symbol.  That over-approximates each filling, so a
+        configuration whose bit is clear accepts on none.
+
+        Sweeps over the low parts, in reverse order of discovery, recompute
+        each one's bits from its targets' (and its own, again while they
+        grow) until a sweep changes none.  The bits only grow, so that is
+        the least fixed point."""
+        masks: dict[str, int] = {}
+        for pos, cell in enumerate(frame):
+            for key in self.symbols[:-1] if cell is None else (cell,):
+                masks[key] = masks.get(key, 0) | 1 << pos
+        step = (-width, width, -1, 1)
+        # Per low part, the cells of its moves by (target, frame-index delta).
+        moves: dict[int, dict[tuple[int, int], int]] = {}
+        for low, out in self.graph.items():
+            edges = moves[low] = {}
+            for (target, code), keys in out.items():
+                mask = 0
+                for key in keys:
+                    mask |= masks.get(key, 0)
+                edges[target, step[code]] = mask
         viable = dict.fromkeys(moves, 0)
         grew = True
         while grew:
@@ -489,6 +522,14 @@ class _Tables(dict):
                     if bits == viable[low]:
                         break
                     viable[low], grew = bits, True
+        return viable
+
+    def unread(self, frame: list[str | None], rows: int, cols: int) -> dict[int, int]:
+        """``viable`` of ``frame``, the all-unread frame of the ``rows x
+        cols`` shape, computed once per shape."""
+        viable = self.shapes.get((rows, cols))
+        if viable is None:
+            viable = self.shapes[rows, cols] = self.viable(frame, cols + 2)
         return viable
 
     def bitsets(self, lines: list[dict[str, int]], tall: bool) -> tuple[bool, bool] | None:
@@ -798,9 +839,11 @@ def _decide_shape(
     unread, which forks where it first dequeues a configuration on an
     unread cell (``_Tables.explore``): it goes on from there once per
     symbol, and deletes what one branch discovered before the next.  It skips, leaving
-    the cell unread, a configuration no filling lets accept (``viable``):
-    a start that is one rejects, and an accepting start accepts, the whole
-    shape with no search.  A budget listed twice is searched once, and
+    the cell unread, a configuration no filling lets accept (``viable``,
+    kept per shape): a start that is one rejects, and an accepting start
+    accepts, the whole shape with no search, and a budget whose start
+    reaches no accepting low part (``can_accept``) rejects it with no
+    ``viable`` either.  A budget listed twice is searched once, and
     both places hold the same list of runs.  A branch ends at an
     accepting configuration or an empty queue and decides the pictures
     that agree on the cells it read: for each value of the unread cells
@@ -832,7 +875,9 @@ def _decide_shape(
         begins: dict[int, int] = {}
         if tables.start >= tables.accepting:
             ends[0] = total  # the start accepts, whatever the cells hold
-        elif (viable := tables.viable(frame, width))[tables.start] >> width + 1 & 1:
+        elif tables.can_accept and (
+            (viable := tables.unread(frame, rows, cols))[tables.start] >> width + 1 & 1
+        ):
             start = (width + 1) << tables.shift | tables.start
             parents, queue, index, forks = {start: None}, [start], 0, []
             base = 0  # the index of the branch's first picture

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
@@ -53,19 +54,25 @@ def reject_all() -> g.Automaton:
     )
 
 
+def count_calls(monkeypatch, call, *names) -> Counter:
+    """The number of calls ``call()`` makes to each named ``_Tables``
+    method (``__init__`` counts the tables built), by name."""
+    calls = Counter(dict.fromkeys(names, 0))
+    with monkeypatch.context() as patch:
+        for name in names:
+
+            def counting(self, *args, name=name, method=getattr(_Tables, name), **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+
+            patch.setattr(_Tables, name, counting)
+        call()
+    return calls
+
+
 def count_searches(monkeypatch, call) -> int:
     """The number of ``_Tables.explore`` calls ``call()`` makes."""
-    calls = []
-    explore = _Tables.explore
-
-    def counting(self, *args, **kwargs):
-        calls.append(None)
-        return explore(self, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_Tables, "explore", counting)
-        call()
-    return len(calls)
+    return count_calls(monkeypatch, call, "explore")["explore"]
 
 
 def starve_the_chain(monkeypatch) -> None:

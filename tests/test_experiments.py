@@ -14,7 +14,7 @@ import reference
 from gridfa.experiments import _column_counts
 from gridfa.languages import _member_rank, natural_rows
 from gridfa.simulator import _decide_shape, _layout, _resolve_budget, _Tables, _tables
-from conftest import all_pictures, count_searches, random_machines, starve_the_chain
+from conftest import all_pictures, count_calls, count_searches, random_machines, starve_the_chain
 
 U, D, L, R = g.Direction.U, g.Direction.D, g.Direction.L, g.Direction.R
 
@@ -598,6 +598,18 @@ class TestColumnCounts:
         monkeypatch.setattr(g.experiments, "_COLUMNS_MAX", 0)  # every width by its shape
         assert g.budget_sweep(machine, lang_id, 2, 6, budgets) == report
 
+    def test_column_steps_are_shared_across_languages(self, monkeypatch):
+        # The steps depend on the machine and the row count, not the language.
+        a = dataclasses.replace(g.build_A_L1())
+        first = count_calls(monkeypatch, lambda: g.oracle_equivalence(a, "L1", 2, 7), "across")
+        reports = []
+        second = count_calls(
+            monkeypatch, lambda: reports.append(g.budget_sweep(a, "K2", 2, 7, [a.budget])), "across"
+        )
+        assert first["across"] > 0 and second["across"] == 0
+        uncached = g.parse_machine(g.serialize_machine(a))
+        assert reports[0] == g.budget_sweep(uncached, "K2", 2, 7, [a.budget])
+
     def test_which_sweeps_are_counted_by_columns(self):
         machine = g.build_M_Mi(1)
         assert _column_counts(machine, "M1", 2, 3, [machine.budget]) is None
@@ -668,6 +680,26 @@ def test_every_accepting_run_stays_on_viable_configurations(data):
             assert not accepted
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_warm_shape_decisions_match_a_fresh_machine(data):
+    # Two passes over the shapes, in drawn orders, on one machine: the
+    # second reads the per-shape viable bits the first kept.  Both match
+    # the runs of a fresh copy, which keeps nothing.
+    machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    budgets = [
+        _resolve_budget(machine, b) for b in data.draw(budget_lists(machine.budget))
+    ]
+    shapes = [(rows, cols) for rows in range(1, 4) for cols in range(1, 5)]
+    expected = {
+        (rows, cols): _decide_shape(dataclasses.replace(machine), rows, cols, budgets)
+        for rows, cols in shapes
+    }
+    for _ in range(2):
+        for rows, cols in data.draw(st.permutations(shapes)):
+            assert _decide_shape(machine, rows, cols, budgets) == expected[rows, cols]
+
+
 def farthest(machine, p):
     """The farthest (row, col) of the deterministic run on ``p``: the
     farthest position its search discovers."""
@@ -675,15 +707,19 @@ def farthest(machine, p):
     return max((c.row, c.col) for c in trace.configurations())
 
 
+def early_halting():
+    """Halts on reading 0 at (1,1); on 1 it reads (2,1) and accepts by
+    moving up if that is a 1 too and the up budget allows it."""
+    return g.Automaton(
+        "early", ("0", "1"), ("s", "t", "acc"), "s", "acc", "det",
+        g.THREE_WAY, g.Budget(1, g.INF),
+        {("s", "1"): (("t", D),), ("t", "1"): (("acc", U),)},
+    )
+
+
 class TestSharedSearches:
     def test_early_halting_machine_is_searched_once_per_run(self, monkeypatch):
-        # Halts on reading 0 at (1,1); on 1 it reads (2,1) and accepts by
-        # moving up if that is a 1 too and the up budget allows it.
-        machine = g.Automaton(
-            "early", ("0", "1"), ("s", "t", "acc"), "s", "acc", "det",
-            g.THREE_WAY, g.Budget(1, g.INF),
-            {("s", "1"): (("t", D),), ("t", "1"): (("acc", U),)},
-        )
+        machine = early_halting()
         budgets = [g.Budget(0, g.INF), g.Budget(1, g.INF)]
         searched = count_searches(
             monkeypatch, lambda: g.budget_sweep(machine, "L1", 2, 4, budgets)
@@ -699,6 +735,28 @@ class TestSharedSearches:
         assert searched == 4 * (3 + 0) == 12
         assert searched * 10 < decided
         assert_sweep_matches_decisions(machine, 2, 4, budgets)
+
+    @pytest.mark.parametrize("machine, budget", [
+        (early_halting(), g.Budget(0, g.INF)),  # t's only move is an unaffordable U
+        (dataclasses.replace(g.build_M_Mi(2)), g.Budget(1, g.INF)),  # one U for two pairs
+    ])
+    def test_a_budget_that_can_never_accept_takes_no_work(self, machine, budget, monkeypatch):
+        # Fresh machines, so no other test's tables are in play.  Their start
+        # reaches no accepting low part over any cells, so every shape is
+        # one rejecting run, with no frame analysis and no search.
+        decided = []
+
+        def decide():
+            for rows in range(1, 5):
+                for cols in range(1, 5):
+                    decided.append(_decide_shape(machine, rows, cols, [budget])[1])
+
+        calls = count_calls(monkeypatch, decide, "viable", "explore")
+        assert calls == {"viable": 0, "explore": 0}
+        assert not _tables(machine, *budget).can_accept
+        assert decided == [
+            [[(2 ** (rows * cols), False)]] for rows in range(1, 5) for cols in range(1, 5)
+        ]
 
     def test_an_accepting_start_decides_the_shape_with_no_search(self, monkeypatch):
         # The initial state accepts: every picture is accepted on cell (1,1).
@@ -950,6 +1008,24 @@ class TestHierarchyReport:
         # The chains' recognizers are deterministic and most pictures stop
         # them after a few cells: about 71,000 decisions, under 1,000 searches.
         assert count_searches(monkeypatch, lambda: g.hierarchy_report(2, 4)) < 1000
+
+    def test_a_warm_call_matches_a_cold_one(self, monkeypatch):
+        # The builders share one machine per parameter, and the tables cached
+        # on it keep every analysis that no picture's cells enter: a second
+        # call builds no tables and repeats only the searches.
+        for build in (g.build_M_Mi, g.build_S_rec):
+            build.cache_clear()  # so that the first call builds its machines
+        names = ("__init__", "explore", "viable", "across")
+        reports = []
+        cold, warm = (
+            count_calls(monkeypatch, lambda: reports.append(g.hierarchy_report(2, 4)), *names)
+            for _ in range(2)
+        )
+        assert reports[0] == reports[1]
+        assert cold["__init__"] == 8 and cold["viable"] > 0 and cold["across"] > 0
+        assert cold["explore"] == warm["explore"] == 315
+        assert warm == {"__init__": 0, "explore": 315, "viable": 0, "across": 0}
+        assert g.make_machine("M_Mi", 2) is g.build_M_Mi(2)
 
     def test_starved_budgets_take_no_search_at_2_by_4(self, monkeypatch):
         # Searching every budget in full takes 746 explore calls, 369 of

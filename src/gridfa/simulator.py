@@ -3,26 +3,35 @@
 The run state of a machine is a :class:`Configuration`: control state,
 head position in frame coordinates, and the remaining budgets.  The
 configuration space is finite (an infinite budget is represented as a
-single non-decrementing layer), so its reachability terminates, and one
-breadth-first search of the configuration graph (``_Tables.explore``)
-gives everything here.  It is read three ways:
+single non-decrementing layer), so its reachability terminates.  Whether
+a machine accepts a picture is one decision (``_decide``), made by one
+of two engines:
 
-* acceptance: whether the search reaches the accepting state,
+* bitsets (``_Tables.bitsets``), for a picture whose long side reaches
+  ``_BITSET_MIN``: one int per low part and frame line holds every
+  position along the long side where the head can stand, so one move
+  applies to all of them at once.  They also tell whether some reached
+  configuration has no move.  A cycle that gains one cell per round makes
+  them give up;
+* otherwise one breadth-first search of the configuration graph
+  (``_Tables.explore``), which leaves its discovery map.
+
+``accepts``, ``run_deterministic`` and ``accepting_trace`` read that
+decision three ways:
+
+* acceptance: whether the accepting state is reached,
 * canonical shortest accepting traces, with ties broken by transition
   declaration order, so repeated calls return bit-identical traces, and
 * deterministic runs, whose run graph is a path, so the search ends on
-  the accepting state, a stuck configuration or a repeated one.
+  the accepting state, a stuck configuration or a repeated one.  A run
+  that does not accept halts iff it reaches a cell with no move.
 
-A picture whose long side reaches ``_BITSET_MIN`` is decided on bitsets
-first (``_Tables.bitsets``): one int per low part and frame line holds
-every position along the long side where the head can stand, so one move
-applies to all of them at once.  That decides ``accepts`` and the
-outcome of ``run_deterministic`` (a run that does not accept halts iff it
-reaches a cell with no move), and lets ``accepting_trace`` skip the search
-on a rejected picture.  Traces still come from the search, and a cycle
-that gains one cell per round sends the picture back to it.
+Every trace is one walk back along a search's discovery map (``_walk``).
+A picture the bitsets decided is searched for its trace with the bitsets
+skipped, so ``accepting_trace`` searches a wide picture only if the
+bitsets accept it.
 
-It is also read for a whole shape at once: ``_decide_shape`` decides
+The search also runs for a whole shape at once: ``_decide_shape`` decides
 every picture of one shape under a list of budgets, for the sweeps and
 ``language_sample``, in one search per distinct budget.  That search
 starts with every cell of the frame unread and forks, once per symbol,
@@ -45,9 +54,9 @@ search as one flat frame, and each configuration is one int packing the
 frame index of the head with the state and the budget layers.  One move
 is no search: ``step``, and ``run_deterministic`` telling a halt from a
 loop, read it off one table row.  Only what a caller reads is decoded:
-the trace of ``run_deterministic`` holds the run's path of ints, or on a
-wide picture nothing, until the first read of its steps or final
-configuration, since many callers read only the outcome.
+the trace of ``run_deterministic`` holds its search, or on a wide picture
+nothing, until the first read of its steps or final configuration, since
+many callers read only the outcome.
 
 All functions are pure in (machine, picture, budget override) and safe to
 call concurrently: the tables they cache on a machine, and what those
@@ -673,65 +682,62 @@ def _tables(a: Automaton, up: int | float, left: int | float) -> _Tables:
     return tables
 
 
-def _search(
-    a: Automaton, p: Picture, budget: Budget | None
-) -> tuple[_Tables, list[str], int, dict[int, int | None], int | None]:
-    """The one search behind every trace and every decision not made on
-    bitsets: validate the machine, lay out the picture and check its
-    symbols, resolve the budget, and explore from the initial
-    configuration.  Returns the tables, the frame and its width, and what
-    ``_Tables.explore`` returns."""
-    ensure_valid(a)
-    frame = _layout(a, p)  # a bad picture is reported before a bad budget
-    tables, width = _tables(a, *_resolve_budget(a, budget)), p.cols + 2
-    return (tables, frame, width, *tables.explore(frame, width))
-
-
 #: Pictures whose long side has at least this many cells are decided on
-#: bitsets first (``_decide_on_bits``); on smaller ones ``explore`` is as
-#: fast or faster.
+#: bitsets first; on smaller ones ``explore`` is as fast or faster.
 _BITSET_MIN = 64
 
 
-def _decide_on_bits(a: Automaton, p: Picture, budget: Budget | None) -> tuple[bool, bool] | None:
-    """For a picture whose long side reaches ``_BITSET_MIN``, what
-    ``_Tables.bitsets`` gives: whether ``a`` accepts ``p`` and whether some
-    reached configuration has no move, or None where the bitsets give up.
-    None for a smaller picture, which ``explore`` decides.  Checks the
-    machine, the picture and the budget in the order ``_search`` does."""
-    if len(p.cells) < _BITSET_MIN and len(p.cells[0]) < _BITSET_MIN:  # paid by every decision
-        return None
+def _decide(
+    a: Automaton, p: Picture, budget: Budget | None, search: bool = False
+) -> tuple[bool, bool | None, tuple | None]:
+    """Whether ``a`` accepts ``p``: the one decision that ``accepts``,
+    ``run_deterministic`` and ``accepting_trace`` read.  Checks the
+    machine, the picture's symbols and the budget, in that order.  A
+    picture whose long side reaches ``_BITSET_MIN`` is decided on bitsets
+    (``_Tables.bitsets``), unless ``search`` is set or they give up, and
+    that gives ``(accepted, halts, None)``: ``halts`` tells whether some
+    reached configuration has no move.  Any other is searched
+    (``_Tables.explore``), and that gives ``(accepted, None, found)``:
+    ``found`` is the tables, the frame and its width, and what ``explore``
+    returns, which ``_walk`` reads."""
     ensure_valid(a)
-    lines, tall = _lines(a, p)
-    return _tables(a, *_resolve_budget(a, budget)).bitsets(lines, tall)
+    wide = not search and (len(p.cells) >= _BITSET_MIN or len(p.cells[0]) >= _BITSET_MIN)
+    # The picture as the engine reads it, its lines or its frame, which checks
+    # its symbols: a bad picture is reported before a bad budget.
+    frame = _lines(a, p) if wide else _layout(a, p)
+    tables, width = _tables(a, *_resolve_budget(a, budget)), p.cols + 2
+    if wide:
+        decided = tables.bitsets(*frame)
+        if decided is not None:
+            return (*decided, None)
+        frame = _layout(a, p)
+    parents, goal = tables.explore(frame, width)
+    return goal is not None, None, (tables, frame, width, parents, goal)
 
 
-def _searched_run(
-    a: Automaton, p: Picture, budget: Budget | None
-) -> tuple[RunOutcome, Callable[[], tuple[tuple[TraceStep, ...], Configuration]]]:
-    """The deterministic run of ``a`` on ``p``, by search: its outcome and
-    the decoding of its path.  The run graph is a path, so the search
-    discovers exactly the run; when it finds no accepting configuration,
-    the row of the last one discovered tells whether it has no successor
-    (halt-reject) or re-enters one seen before (loop)."""
-    tables, frame, width, parents, goal = _search(a, p, budget)
-    path = list(parents)  # discovery order is the run's order
-    if goal is not None:
-        outcome = RunOutcome.ACCEPT
-    else:
-        successors = tables.successors(path[-1], frame[path[-1] >> tables.shift], width)
-        outcome = RunOutcome.LOOP if successors else RunOutcome.REJECT_HALT
-        path += successors
-    return outcome, partial(tables.steps, path, width)
-
-
-def _searched_steps(
-    a: Automaton, p: Picture, budget: Budget | None
+def _walk(
+    a: Automaton, p: Picture, budget: Budget | None, found: tuple | None
 ) -> tuple[tuple[TraceStep, ...], Configuration]:
-    """The steps and the final configuration of the deterministic run.  It
-    is a module-level function, not a lambda, so that the ``partial`` an
-    unread deterministic trace holds still pickles and deep-copies."""
-    return _searched_run(a, p, budget)[1]()
+    """The steps and the final configuration of a searched run: ``found``,
+    what ``_decide`` searched, or else a search of ``p`` made now with the
+    bitsets skipped.  Its path goes back along the discovery map from the
+    accepting configuration, or where there is none from the last one
+    discovered and then on to that one's successors.  So it is the
+    canonical accepting trace, and a deterministic run, whose run graph is
+    a path, in discovery order up to where it accepts, halts (no
+    successor) or loops (the one it re-enters).  It is a module-level
+    function, not a lambda, so that the ``partial`` of it an unread
+    deterministic trace holds pickles and deep-copies."""
+    tables, frame, width, parents, goal = found or _decide(a, p, budget, True)[2]
+    last = next(reversed(parents)) if goal is None else goal
+    path = [last]
+    while (last := parents[last]) is not None:
+        path.append(last)
+    del parents  # decode the path without the discovery map alive
+    path.reverse()
+    if goal is None:
+        path += tables.successors(path[-1], frame[path[-1] >> tables.shift], width)
+    return tables.steps(path, width)
 
 
 def step(a: Automaton, p: Picture, c: Configuration) -> tuple[Configuration, ...]:
@@ -760,23 +766,24 @@ def run_deterministic(
     records the path up to the outcome (for a loop, up to and including
     the first re-entry).  It is decoded on the first read of its steps or
     final configuration, so a caller that reads only the outcome pays for
-    no decoding.  On a wide picture the outcome is read off the bitsets:
-    the run is a path, so it halts iff some configuration it reaches has
-    no move, and the trace searches on its first read.
+    no decoding.  A searched run halts iff the row of the last
+    configuration it discovers has no move there.  On a wide picture the
+    outcome is read off the bitsets: the run is a path, so it halts iff
+    some configuration it reaches has no move, and the trace searches on
+    its first read.
     """
     ensure_valid(a)
     if a.mode != "det":
         raise ModeError(f"machine {a.name!r} is nondeterministic")
-    decided = _decide_on_bits(a, p, budget)
-    if decided is None:
-        outcome, decode = _searched_run(a, p, budget)
-    else:
-        accepted, halts = decided
-        outcome = (
-            RunOutcome.ACCEPT if accepted else RunOutcome.REJECT_HALT if halts else RunOutcome.LOOP
-        )
-        decode = partial(_searched_steps, a, p, budget)
-    return outcome, Trace._lazy(decode, outcome)
+    accepted, halts, found = _decide(a, p, budget)
+    if found is not None and not accepted:
+        tables, frame, _, parents, _ = found
+        last = next(reversed(parents))
+        halts = not tables[last & tables.mask][frame[last >> tables.shift]]
+    outcome = (
+        RunOutcome.ACCEPT if accepted else RunOutcome.REJECT_HALT if halts else RunOutcome.LOOP
+    )
+    return outcome, Trace._lazy(partial(_walk, a, p, budget, found), outcome)
 
 
 def accepts(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:
@@ -787,10 +794,7 @@ def accepts(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:
     terminating for deterministic and nondeterministic machines alike,
     looping runs included.
     """
-    decided = _decide_on_bits(a, p, budget)
-    if decided is None:
-        return _search(a, p, budget)[4] is not None
-    return decided[0]
+    return _decide(a, p, budget)[0]
 
 
 def accepting_trace(
@@ -803,17 +807,8 @@ def accepting_trace(
     result is stable across calls.  A wide picture is searched only if
     the bitsets do not reject it.
     """
-    decided = _decide_on_bits(a, p, budget)
-    if decided is not None and not decided[0]:
-        return None
-    tables, _, width, parents, goal = _search(a, p, budget)
-    if goal is None:
-        return None
-    path = [goal]  # walked back along the discovery map to the start
-    while (goal := parents[goal]) is not None:
-        path.append(goal)
-    del parents  # decode the path without the discovery map alive
-    return Trace(*tables.steps(path[::-1], width), RunOutcome.ACCEPT)
+    accepted, _, found = _decide(a, p, budget)
+    return Trace(*_walk(a, p, budget, found), RunOutcome.ACCEPT) if accepted else None
 
 
 def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) -> bool:

@@ -8,14 +8,14 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import gridfa as g
 from gridfa.languages import natural_rows
-from gridfa.simulator import _BITSET_MIN, _lines, _resolve_budget, _search, _searched_run, _tables
+from gridfa.simulator import _BITSET_MIN, _decide, _lines, _resolve_budget, _tables
 import reference
-from conftest import all_pictures, count_searches, random_machines
+from conftest import all_pictures, count_calls, count_searches, random_machines
 
 BUILDER_MACHINES = {
     f"{builder}({param})" if parametric else builder: factory(param) if parametric else factory()
@@ -110,6 +110,40 @@ def test_random_machines_match_reference(data):
     assert g.step(machine, p, c) == reference.step(machine, p, c)
 
 
+#: The ``_Tables`` methods counted by the tests that ``accepts`` builds no trace.
+TRACE_WORK = ("explore", "successors", "steps", "decode")
+
+
+def test_accepts_on_small_pictures_builds_no_trace(monkeypatch):
+    # One search per picture, and nothing of a run's end or path: no
+    # successors looked up, no path decoded.
+    pictures = [*all_pictures(2, 4), *all_pictures(4, 2)]
+    seen = set()
+    for machine in BUILDER_MACHINES.values():
+        verdicts = []
+        decide = lambda: verdicts.extend(g.accepts(machine, p) for p in pictures)
+        calls = count_calls(monkeypatch, decide, *TRACE_WORK)
+        assert dict(calls) == {"explore": len(pictures), "successors": 0, "steps": 0, "decode": 0}
+        seen.update((machine.mode, verdict) for verdict in verdicts)
+    assert seen == {(mode, verdict) for mode in ("det", "nondet") for verdict in (True, False)}
+
+
+@given(st.data())
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_accepts_on_small_pictures_builds_no_trace_for_random_machines(monkeypatch, data):
+    machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    p = data.draw(pictures())
+    budget = data.draw(budgets_within(machine.budget))
+    verdicts = []
+    calls = count_calls(
+        monkeypatch, lambda: verdicts.append(g.accepts(machine, p, budget)), *TRACE_WORK
+    )
+    assert dict(calls) == {"explore": 1, "successors": 0, "steps": 0, "decode": 0}
+    assert verdicts == [reference.accepts(machine, p, budget)]
+
+
 def test_zero_budget_is_finite_not_infinite():
     # Budget 0 and an infinite budget both have one layer; only the
     # infinite one lets U moves through.
@@ -155,9 +189,9 @@ def test_bitsets_decide_as_the_search_does(data):
     budget = data.draw(budgets_within(machine.budget))
     decided = _tables(machine, *_resolve_budget(machine, budget)).bitsets(*_lines(machine, p))
     assume(decided is not None)  # the bitsets gave up; ``explore`` decides
-    assert decided[0] == (_search(machine, p, budget)[4] is not None)
+    assert decided[0] == _decide(machine, p, budget, True)[0]
     if machine.mode == "det":
-        outcome = _searched_run(machine, p, budget)[0]
+        outcome = g.run_deterministic(machine, p, budget)[0]  # searched: p is small
         accepted, halts = decided
         assert (outcome is g.RunOutcome.ACCEPT) == accepted
         if not accepted:
@@ -201,10 +235,7 @@ def test_random_machines_match_reference_at_bitset_widths(data):
     p = data.draw(wide_pictures())
     machine = data.draw(looping_machines(p.rows > p.cols))
     budget = data.draw(budgets_within(machine.budget))
-    assert g.accepts(machine, p, budget) == reference.accepts(machine, p, budget)
-    if machine.mode == "det":
-        outcome = g.run_deterministic(machine, p, budget)[0]
-        assert outcome is reference.run_deterministic(machine, p, budget)[0]
+    assert_matches_reference(machine, p, budget)
 
 
 def test_a_loop_back_along_the_row_stops_at_the_first_cell_without_it():
@@ -294,7 +325,7 @@ def test_builders_decide_8192_wide_pictures_on_bitsets_alone(builder, monkeypatc
     rng = random.Random(builder)
     for member in (True, False):
         p = planted(rng, lang, 8192, member)
-        searched = _search(machine, p, None)[4] is not None
+        searched = _decide(machine, p, None, True)[0]
         assert searched == g.oracle_for(lang)(p) or not LANGUAGES[builder]
         for a, q in ((machine, p), (transposed, g.transpose(p))):
             verdicts = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gridfa as g
 from gridfa.machine import DELTAS
-from gridfa.simulator import _BITSET_MIN, _Tables, _decide_on_bits, _layout, _search, _tables
+from gridfa.simulator import _BITSET_MIN, _Tables, _decide, _layout, _tables
 
 import reference
 from conftest import all_pictures, count_searches, random_machines
@@ -340,7 +340,7 @@ def test_a_same_row_cycle_gives_up_the_bitsets_for_one_search(monkeypatch):
         {("p", "0"): (("q", R),), ("q", "0"): (("p", R),), ("p", "#"): (("acc", L),)},
     )
     p = g.Picture.from_rows(["0" * 8192] * 2)
-    assert _decide_on_bits(machine, p, None) is None
+    assert _decide(machine, p, None)[2] is not None  # the bitsets gave up for the search
     verdicts = []
     assert count_searches(monkeypatch, lambda: verdicts.append(g.accepts(machine, p))) == 1
     assert verdicts == [True] and g.run_deterministic(machine, p)[0] is g.RunOutcome.ACCEPT
@@ -353,7 +353,7 @@ def test_a_same_row_cycle_gives_up_the_bitsets_for_one_search(monkeypatch):
             times.append(time.perf_counter() - started)
         return min(times)
 
-    assert best(lambda: g.accepts(machine, p)) < 2 * best(lambda: _search(machine, p, None))
+    assert best(lambda: g.accepts(machine, p)) < 2 * best(lambda: _decide(machine, p, None, True))
 
 
 @pytest.mark.parametrize("rows", [["0" * _BITSET_MIN] * 2, ["00"] * _BITSET_MIN, ["000"] * 2])

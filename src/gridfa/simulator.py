@@ -39,9 +39,7 @@ where it first reads one, so the pictures that agree on the cells a
 branch read share it.
 It forks only where some filling of the unread cells may still accept
 (``_Tables.viable``), so a budget whose start is not such a configuration
-rejects the whole shape with no search, and one whose start reaches no
-accepting low part over any cells (``_Tables.can_accept``) rejects every shape
-with no frame analysis either.  A machine that takes no L move
+rejects the whole shape with no search.  A machine that takes no L move
 crosses the columns left to right, and ``_Tables.across`` steps it over
 one column at a time, for sweeps that count whole widths by columns.
 
@@ -68,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
@@ -134,13 +132,13 @@ class Trace:
     def __getattr__(self, name: str):
         # Called only for an attribute the instance lacks: on a lazy trace,
         # ``steps`` and ``final`` until the first read of either sets both.
-        decode = self.__dict__.get("_pending") if name in ("steps", "final") else None
-        if decode is None:
+        if name in ("steps", "final") and (decode := self.__dict__.get("_pending")):
+            steps, final = decode()
+            object.__setattr__(self, "steps", steps)
+            object.__setattr__(self, "final", final)
+            self.__dict__.pop("_pending", None)  # another thread may have decoded too
+        if name not in self.__dict__:  # or set by a thread that decoded since the lookup
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps, final = decode()
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "final", final)
-        self.__dict__.pop("_pending", None)  # another thread may have decoded too
         return self.__dict__[name]
 
     def directions(self) -> tuple[Direction, ...]:
@@ -333,9 +331,8 @@ class _Tables(dict):
     use, since a search over a small picture reaches few.
 
     Besides the rows it keeps what depends only on the machine, the
-    budget and at most a shape or a row count, each built on first use:
-    the low-part graph (``graph``, ``can_accept``), the ``viable`` bits
-    of each shape's all-unread frame (``shapes``, read by
+    budget and a shape or a row count, each built on first use: the
+    ``viable`` bits of each shape's all-unread frame (``shapes``, read by
     ``_decide_shape``) and the column steps of each row count
     (``columns``, filled by ``experiments._column_counts``).  It keeps
     nothing that depends on a picture's cells, so one instance serves
@@ -464,59 +461,38 @@ class _Tables(dict):
                 else:  # or go on past it, leaving the cell unread
                     index += 1
 
-    @cached_property
-    def graph(self) -> dict[int, dict[tuple[int, int], tuple[str, ...]]]:
-        """The low-part graph: per low part below ``accepting`` that the
-        start reaches over every cell key, in discovery order, the keys of
-        its moves by (target, direction code)."""
-        keys, accepting = (*self.symbols[:-1], *_RING), self.accepting
-        moves: dict[int, dict[tuple[int, int], tuple[str, ...]]] = {}
-        todo = [self.start]
-        for low in todo:  # the list grows while it is read
-            if low not in moves:
-                out = moves[low] = {}
-                row = self[low]
-                for key in keys:
-                    for delta, code in row[key]:
-                        edge = (low + delta, code)
-                        out[edge] = out.get(edge, ()) + (key,)
-                        if edge[0] < accepting:
-                            todo.append(edge[0])
-        return moves
-
-    @cached_property
-    def can_accept(self) -> bool:
-        """Whether the start, or a move of ``graph``, is accepting.  If
-        not, no picture is accepted under this budget."""
-        return self.start >= self.accepting or any(
-            target >= self.accepting for out in self.graph.values() for target, _ in out
-        )
-
     def viable(self, frame: list[str | None], width: int) -> dict[int, int]:
-        """Per low part of ``graph``, one int with bit k set where the
+        """Per low part below ``accepting`` that the start reaches over the
+        cell keys of ``frame``, one int with bit k set where the
         configuration at frame index k can still reach an accepting one,
         closed backwards over the move rows with an unread cell (None) read
         as every symbol.  That over-approximates each filling, so a
         configuration whose bit is clear accepts on none.
 
-        Sweeps over the low parts, in reverse order of discovery, recompute
-        each one's bits from its targets' (and its own, again while they
-        grow) until a sweep changes none.  The bits only grow, so that is
-        the least fixed point."""
+        A walk forward over the move rows finds those low parts; then
+        sweeps over them, in reverse order of discovery, recompute each
+        one's bits from its targets' (and its own, again while they grow)
+        until a sweep changes none.  The bits only grow, so that is the
+        least fixed point."""
         masks: dict[str, int] = {}
         for pos, cell in enumerate(frame):
             for key in self.symbols[:-1] if cell is None else (cell,):
                 masks[key] = masks.get(key, 0) | 1 << pos
-        step = (-width, width, -1, 1)
-        # Per low part, the cells of its moves by (target, frame-index delta).
+        step, accepting = (-width, width, -1, 1), self.accepting
+        # Per low part reached, in discovery order, the cells of its moves by
+        # (target, frame-index delta).
         moves: dict[int, dict[tuple[int, int], int]] = {}
-        for low, out in self.graph.items():
-            edges = moves[low] = {}
-            for (target, code), keys in out.items():
-                mask = 0
-                for key in keys:
-                    mask |= masks.get(key, 0)
-                edges[target, step[code]] = mask
+        todo = [self.start]
+        for low in todo:  # the list grows while it is read
+            if low not in moves:
+                out = moves[low] = {}
+                row = self[low]
+                for key, mask in masks.items():
+                    for delta, code in row[key]:
+                        edge = (low + delta, step[code])
+                        out[edge] = out.get(edge, 0) | mask
+                        if edge[0] < accepting:
+                            todo.append(edge[0])
         viable = dict.fromkeys(moves, 0)
         grew = True
         while grew:
@@ -833,13 +809,12 @@ def _decide_shape(
     Each distinct budget takes one search over a frame whose cells start
     unread, which forks where it first dequeues a configuration on an
     unread cell (``_Tables.explore``): it goes on from there once per
-    symbol, and deletes what one branch discovered before the next.  It skips, leaving
-    the cell unread, a configuration no filling lets accept (``viable``,
-    kept per shape): a start that is one rejects, and an accepting start
-    accepts, the whole shape with no search, and a budget whose start
-    reaches no accepting low part (``can_accept``) rejects it with no
-    ``viable`` either.  A budget listed twice is searched once, and
-    both places hold the same list of runs.  A branch ends at an
+    symbol, and deletes what one branch discovered before the next.  It
+    skips, leaving the cell unread, a configuration no filling lets accept
+    (``viable``, kept per shape): a start that is one rejects, and an
+    accepting start accepts, the whole shape with no search.  A budget
+    listed twice is searched once, and both places hold the same list of
+    runs.  A branch ends at an
     accepting configuration or an empty queue and decides the pictures
     that agree on the cells it read: for each value of the unread cells
     before its last read one, an aligned run of indices (cells count in
@@ -870,9 +845,7 @@ def _decide_shape(
         begins: dict[int, int] = {}
         if tables.start >= tables.accepting:
             ends[0] = total  # the start accepts, whatever the cells hold
-        elif tables.can_accept and (
-            (viable := tables.unread(frame, rows, cols))[tables.start] >> width + 1 & 1
-        ):
+        elif (viable := tables.unread(frame, rows, cols))[tables.start] >> width + 1 & 1:
             start = (width + 1) << tables.shift | tables.start
             parents, queue, index, forks = {start: None}, [start], 0, []
             base = 0  # the index of the branch's first picture

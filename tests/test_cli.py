@@ -1,11 +1,12 @@
 import contextlib
 import os
+import sys
 import tracemalloc
 
 import pytest
 
 import gridfa as g
-from gridfa.cli import main
+from gridfa.cli import entry, main
 from gridfa.languages import natural_rows
 
 from conftest import starve_the_chain
@@ -404,3 +405,22 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ([], 2),
+            (["hierarchy", "--i-max", "1", "--cols-max", "2"], 0),
+            (["splice", "A_L1", "--z", "6"], 1),
+        ],
+    )
+    def test_the_console_script_exits_with_the_code_main_returns(
+        self, argv, code, monkeypatch, capsys
+    ):
+        assert main(argv) == code
+        printed = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["gridfa", *argv])
+        with pytest.raises(SystemExit) as exited:
+            entry()
+        assert exited.value.code == code
+        assert capsys.readouterr() == printed

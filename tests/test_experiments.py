@@ -742,8 +742,10 @@ class TestSharedSearches:
     ])
     def test_a_budget_that_can_never_accept_takes_no_work(self, machine, budget, monkeypatch):
         # Fresh machines, so no other test's tables are in play.  Their start
-        # reaches no accepting low part over any cells, so every shape is
-        # one rejecting run, with no frame analysis and no search.
+        # reaches no accepting low part over any cells, so no shape's start
+        # is viable: every shape is one rejecting run, with one frame
+        # analysis and no search.  A second pass reads the bits each shape
+        # kept and does neither.
         decided = []
 
         def decide():
@@ -751,12 +753,13 @@ class TestSharedSearches:
                 for cols in range(1, 5):
                     decided.append(_decide_shape(machine, rows, cols, [budget])[1])
 
-        calls = count_calls(monkeypatch, decide, "viable", "explore")
-        assert calls == {"viable": 0, "explore": 0}
-        assert not _tables(machine, *budget).can_accept
-        assert decided == [
-            [[(2 ** (rows * cols), False)]] for rows in range(1, 5) for cols in range(1, 5)
-        ]
+        for analyses in (16, 0):
+            decided.clear()
+            calls = count_calls(monkeypatch, decide, "viable", "explore")
+            assert calls == {"viable": analyses, "explore": 0}
+            assert decided == [
+                [[(2 ** (rows * cols), False)]] for rows in range(1, 5) for cols in range(1, 5)
+            ]
 
     def test_an_accepting_start_decides_the_shape_with_no_search(self, monkeypatch):
         # The initial state accepts: every picture is accepted on cell (1,1).

@@ -1,5 +1,10 @@
 import dataclasses
+import gc
+import random
+import sys
+import threading
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +12,7 @@ from hypothesis import strategies as st
 
 import gridfa as g
 from gridfa.machine import DELTAS
-from gridfa.simulator import _BITSET_MIN, _Tables, _decide, _layout, _tables
+from gridfa.simulator import _BITSET_MIN, _Tables, _decide, _decide_shape, _layout, _tables
 
 import reference
 from conftest import all_pictures, count_searches, random_machines
@@ -139,6 +144,17 @@ class TestLayout:
             "#L", "1", "0", "#R",
             "#DL", "#D", "#D", "#DR",
         ]
+
+    def test_a_search_raises_on_a_key_that_no_row_has(self):
+        # ``_layout`` refuses a foreign symbol before any search, so only a
+        # frame built by hand holds one: the search raises on reading it,
+        # where an unread cell (None) would fork.
+        a = g.build_A_L1()
+        frame = _layout(a, g.Picture.from_rows(["01", "10"]))
+        frame[5] = "x"  # cell (1,1), where the search starts
+        with pytest.raises(KeyError) as err:
+            _tables(a, *a.budget).explore(frame, 4)
+        assert err.value.args == ("x",)
 
 
 @given(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
@@ -565,3 +581,64 @@ def test_termination_bound_exhaustive_2x4(bits):
     p = g.Picture.from_rows([cells[:4], cells[4:]])
     _, trace = g.run_deterministic(m, p)
     assert len(trace.steps) <= g.config_space_bound(m, p)
+
+
+@given(random_machines())
+@settings(max_examples=20, deadline=None)
+def test_threads_that_share_machines_see_what_a_serial_run_sees(drawn):
+    # The tables cached on a machine, the rows and per-shape bits they
+    # keep, and an unread trace's decoding are filled by whichever thread
+    # gets there first.  Four threads share fresh copies of M_M2 and of a
+    # drawn machine, each deciding every shape under a starved and the
+    # declared budget and reading shared traces, in its own order.  Every
+    # thread gets what a serial run on other fresh copies gets.
+    chain = g.build_M_Mi(2)
+    budgets = [
+        (chain, g.Budget(1, g.INF)), (chain, chain.budget),
+        (drawn, g.Budget(0, 0)), (drawn, drawn.budget),
+    ]
+    shapes = [(rows, cols) for rows in range(1, 4) for cols in range(1, 5)]
+
+    def reads():
+        # Per key, a call that reads fresh copies of the two machines.
+        copies = {machine.name: dataclasses.replace(machine) for machine in (chain, drawn)}
+        calls = {
+            (machine.name, rows, cols, budget): partial(
+                _decide_shape, copies[machine.name], rows, cols, [budget]
+            )
+            for machine, budget in budgets
+            for rows, cols in shapes
+        }
+        for n, p in enumerate(g.enumerate_pictures(chain.alphabet, 3, 2)):
+            trace = g.run_deterministic(copies[chain.name], p)[1]  # unread
+            calls[n] = partial(getattr, trace, "steps")
+        return list(calls.items())
+
+    expected = {key: read() for key, read in reads()}
+    shared, seen = reads(), []
+    barrier = threading.Barrier(4, timeout=30)
+
+    def work(seed):
+        order = random.Random(seed).sample(shared, len(shared))
+        barrier.wait()
+        seen.append({key: read() for key, read in order})
+
+    # Switch threads often, so that the fills interleave.  The collector is
+    # off meanwhile: CPython 3.11 has crashed (SIGSEGV) in a collection run
+    # by one of these threads under Hypothesis, which the caches do not
+    # depend on.
+    interval, collecting = sys.getswitchinterval(), gc.isenabled()
+    sys.setswitchinterval(1e-5)
+    gc.disable()
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+        if collecting:
+            gc.enable()
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [expected] * 4

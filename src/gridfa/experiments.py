@@ -13,9 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .grid import Picture, _picture_at, _shape_rows
 from .languages import (
@@ -216,7 +214,10 @@ def budget_sweep(
     machine with L free as if L were budgeted at 0, which starves it of
     every L move (its class, read off the declaration, is unchanged).
     ``cols_max`` below 1 raises ValueError before anything else is
-    checked.  Mismatches are recorded against the last budget in the list,
+    checked, and then ``rows`` above 4096, before any table or column
+    form is built: the language's column form holds a count per row
+    pair, and a shape has ``|alphabet| ** (rows * cols)`` pictures.
+    Mismatches are recorded against the last budget in the list,
     told by its position: a budget listed twice shares its runs.
 
     A machine that never moves left (no L transition, or left budget 0 in
@@ -242,6 +243,8 @@ def budget_sweep(
     """
     if cols_max < 1:
         raise ValueError(f"need cols_max >= 1, got {cols_max}")
+    if rows > 4096:  # the column forms and the shapes are sized by the row count
+        raise ValueError(f"need rows <= 4096, got {rows}")
     ensure_valid(a)
     if not budgets:
         raise ValueError("budget_sweep needs at least one budget")
@@ -318,46 +321,27 @@ def find_crossing_match(
     multi-pair splice argument needs.  Two signatures at one boundary,
     both downward, are equal exactly when column and state agree.
 
-    Pairs are tried first-major, and a word is traced when the first pair
-    that holds it is tried.  So the first word is always traced, a match
-    with it traces the words up to its partner and no more, and a later
-    match, or none, traces them all.  The words must be accepted: the
-    first rejected word traced, which is the first in list order, raises
-    ValueError.  A rejected word after the match is never traced.  The
-    words are read from ``words`` as the pairs reach them, so a match with
-    the first word reads none past its partner.
+    Each word is traced as it is read from ``words``, a word equal to the
+    first included, and the first one rejected raises ValueError.  A word
+    whose signature matches the first word's (and that differs from it)
+    ends the search at once, so no word past it is read or traced.
+    Failing that, every word is read and traced, and the pairs of later
+    words are tried first-major on their signatures, traced once each.
     """
-
-    source = iter(words)
-    made = list(islice(source, 1))
-
-    def after(first: int) -> Iterator[tuple[int, Picture]]:
-        """The words after word ``first``, with their indices.  The pairs
-        of the first word read them from ``words``; later pairs find them
-        all in ``made``."""
-        yield from enumerate(made[first + 1 :], first + 1)
-        for word in source:
-            made.append(word)
-            yield len(made) - 1, word
-
-    @cache
-    def signature(index: int) -> CrossingEvent | None:
-        trace = accepting_trace(machine, made[index])
+    made: list[tuple[Picture, CrossingEvent | None]] = []  # each word read, with its signature
+    for word in words:
+        trace = accepting_trace(machine, word)
         if trace is None:
-            raise ValueError(
-                f"machine {machine.name!r} rejects a supplied word:\n{made[index]}"
-            )
+            raise ValueError(f"machine {machine.name!r} rejects a supplied word:\n{word}")
         crossings = [e for e in crossing_events(trace) if e.boundary == boundary]
-        if len(crossings) == 1 and crossings[0].direction is Direction.D:
-            return crossings[0]
-        return None
-
-    for first, top in enumerate(made):  # ``made`` grows while the first word's pairs run
-        event = signature(first)
-        for second, bottom in after(first):
-            # The second word is traced even when the first has no
-            # signature, so words are traced, and rejected, in pair order.
-            if top != bottom and signature(second) == event is not None:
+        one_down = len(crossings) == 1 and crossings[0].direction is Direction.D
+        event = crossings[0] if one_down else None
+        if made and word != made[0][0] and event == made[0][1] is not None:
+            return made[0][0], word, event
+        made.append((word, event))
+    for first, (top, event) in enumerate(made[1:], 1):
+        for bottom, other in made[first + 1 :]:
+            if top != bottom and other == event is not None:
                 return top, bottom, event
     return None
 

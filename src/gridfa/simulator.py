@@ -42,6 +42,9 @@ It forks only where some filling of the unread cells may still accept
 rejects the whole shape with no search.  A machine that takes no L move
 crosses the columns left to right, and ``_Tables.across`` steps it over
 one column at a time, for sweeps that count whole widths by columns.
+Each column step is one ``explore`` call too, so ``explore`` is the one
+search of configurations: traces, small pictures, whole shapes and
+column steps all run on it, and only the bitsets search otherwise.
 
 The search runs over the compiled form of the machine under the
 resolved budget (``_Tables``), not over :class:`Configuration` values.
@@ -314,7 +317,9 @@ _new = tuple.__new__
 
 class _Tables(dict):
     """A valid machine under one resolved budget, as integer tables, and
-    the search over them.
+    the searches over them: ``explore``, the one search of configurations
+    (column steps included: ``across`` is one call of it), and the
+    ``bitsets`` of wide pictures.
 
     State ids follow declaration order, except that the accepting state
     takes the last id.  A configuration is the int ``pos << shift | low``:
@@ -430,9 +435,11 @@ class _Tables(dict):
         bitsets, on a frame whose every cell is read.  Dequeuing a
         configuration on an unread cell forks the search there: it appends
         ``[frame index, 0, queue length, queue index]`` to the forks and
-        reads the cell as the first symbol of the alphabet, unless its
-        ``viable`` bit is clear: no filling lets it accept, so it is skipped
-        and the cell stays unread.
+        reads the cell as the first symbol of the alphabet, unless there are
+        no bitsets or its ``viable`` bit is clear (no filling lets it
+        accept): then it is skipped and the cell stays unread.  So with no
+        bitsets nothing forks, and a configuration on an unread cell goes
+        no further: that is where each R move of an ``across`` step stops.
         """
         mask, shift, accepting = self.mask, self.shift, self.accepting
         start = (width + 1) << shift | self.start
@@ -455,7 +462,7 @@ class _Tables(dict):
                 if frame[c >> shift] is not None:
                     raise
                 index = queue.index(c, index)  # dequeue ``c`` again, reading the symbol
-                if viable[c & mask] >> (c >> shift) & 1:
+                if viable and viable[c & mask] >> (c >> shift) & 1:
                     forks.append([c >> shift, 0, len(queue), index])
                     frame[c >> shift] = self.symbols[0]
                 else:  # or go on past it, leaving the cell unread
@@ -593,22 +600,24 @@ class _Tables(dict):
         the configurations ``entering`` it (ints ``row << shift | low``)
         under the U and D moves, and returns the targets of the R moves,
         which enter the next column, or None once an accepting
-        configuration is reached."""
+        configuration is reached.
+
+        The closure is one ``explore`` call, resumed from ``entering`` with
+        no ``viable`` bitsets, over a frame three columns wide: this column
+        in the middle and unread cells (None) on both sides.  No move goes
+        left, and each R move stops on the unread right-hand column, since
+        with no bitsets nothing forks."""
         keys = (_UR, *[_R] * rows, _DR) if column is None else (_U, *column, _D)
-        mask, shift, accepting = self.mask, self.shift, self.accepting
-        step = (-1 << shift, 1 << shift)
-        reached, queue, right = set(entering), list(entering), set()
-        for c in queue:  # the queue grows while it is read
-            low = c & mask
-            if low >= accepting:
-                return None
-            for delta, direction in self[low][keys[c >> shift]]:
-                if direction == 3:  # R
-                    right.add(c + delta)
-                elif (nxt := c + delta + step[direction]) not in reached:
-                    reached.add(nxt)
-                    queue.append(nxt)
-        return frozenset(right)
+        frame = [cell for key in keys for cell in (None, key, None)]
+        shift, mask = self.shift, self.mask
+        codes = [(c >> shift) * 3 + 1 << shift | c & mask for c in entering]
+        parents, goal = self.explore(frame, 3, (dict.fromkeys(codes), codes, 0, None, None))
+        if goal is not None:
+            return None
+        # The R moves stopped on the unread right column; one column back, they enter the next.
+        return frozenset(
+            (c >> shift) // 3 << shift | c & mask for c in parents if (c >> shift) % 3 == 2
+        )
 
     def successors(self, code: int, key: str, width: int) -> list[int]:
         """The codes one move from configuration ``code`` on a cell keyed

@@ -71,8 +71,10 @@ def count_calls(monkeypatch, call, *names) -> Counter:
 
 
 def count_searches(monkeypatch, call) -> int:
-    """The number of ``_Tables.explore`` calls ``call()`` makes."""
-    return count_calls(monkeypatch, call, "explore")["explore"]
+    """The number of ``_Tables.explore`` calls ``call()`` makes, less its
+    column steps: each ``_Tables.across`` call is one ``explore`` call."""
+    calls = count_calls(monkeypatch, call, "explore", "across")
+    return calls["explore"] - calls["across"]
 
 
 def starve_the_chain(monkeypatch) -> None:

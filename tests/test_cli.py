@@ -272,6 +272,13 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: --cols-max must be >= 1\n"
 
+    def test_more_than_4096_rows(self, capsys):
+        # The natural row count of L99999999999999999999 is twice its index.
+        assert main(["check", "A_L1", "L99999999999999999999", "--cols-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need rows <= 4096, got 199999999999999999998\n"
+
 
 class TestSweep:
     def test_starvation_sweep(self, capsys):

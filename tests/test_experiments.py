@@ -319,6 +319,18 @@ class TestSweeps:
         with pytest.raises(ValueError, match=r"^need cols_max >= 1"):
             g.oracle_equivalence(g.build_A_L1(), "L1", 2, cols_max)
 
+    @pytest.mark.parametrize("lang_id", ["L2049", "L99999999999999999999"])
+    def test_more_than_4096_rows_is_error(self, lang_id, monkeypatch):
+        # Refused before any table or column form is built: the form alone
+        # would hold rows // 2 counts.  A fresh copy caches no tables.
+        machine = dataclasses.replace(g.build_A_L1())
+
+        def sweep():
+            with pytest.raises(ValueError, match=r"^need rows <= 4096, got "):
+                g.budget_sweep(machine, lang_id, natural_rows(lang_id), 2, [machine.budget])
+
+        assert count_calls(monkeypatch, sweep, "__init__") == {"__init__": 0}
+
     def test_budget_errors_in_list_order(self):
         budgets = [g.Budget(2, g.INF), g.Budget(3, g.INF)]
         with pytest.raises(g.BudgetOverrideError, match=r"^override \(2,inf\) exceeds"):
@@ -517,6 +529,32 @@ def assert_column_counts_match_shapes(machine, lang_id, rows, cols_max, budgets)
     return counted
 
 
+def column_edges():
+    """Never moves left, and accepts a 2-row picture two ways, both in the
+    right ring column.  The start walks the upper row's 0s and may drop to
+    the lower row.  Dropped onto a 1, it walks right to the next 1 of that
+    row and moves R off it into the accepting state.  Dropped onto a 0, it
+    climbs the next column if both its cells hold 1, up to the top ring
+    row, walks R along that row and down the right ring column into the
+    accepting state; that spends two U moves.  On a column whose top cell
+    is 1 the start has no move."""
+    return g.Automaton(
+        "edges", ("0", "1"), ("a", "b", "d", "e", "c", "top", "v", "acc"), "a", "acc", "nondet",
+        g.TWO_WAY, g.Budget(2, 0),
+        {
+            ("a", "0"): (("a", R), ("b", D)),
+            ("b", "1"): (("d", R),),
+            ("d", "0"): (("d", R),),
+            ("d", "1"): (("acc", R),),
+            ("b", "0"): (("e", R),),
+            ("e", "1"): (("c", U),),
+            ("c", "1"): (("top", U),),
+            ("top", "#"): (("top", R), ("v", D)),
+            ("v", "#"): (("acc", D),),
+        },
+    )
+
+
 def closed_form_members(stacked, cols):
     """The 2 x ``cols`` pictures over {0, 1} with at least ``stacked``
     stacked columns: 4^c - sum_{s<t} C(c,s) 3^(c-s)."""
@@ -609,6 +647,36 @@ class TestColumnCounts:
         assert first["across"] > 0 and second["across"] == 0
         uncached = g.parse_machine(g.serialize_machine(a))
         assert reports[0] == g.budget_sweep(uncached, "K2", 2, 7, [a.budget])
+
+    def test_column_steps_accept_in_the_ring_column_and_die_on_a_filling(self):
+        machine = column_edges()
+        budgets = [g.Budget(0, 0), g.Budget(1, 0), g.Budget(2, 0)]
+        oracle = reference.oracle("L1")
+        by_pictures = []
+        for cols in range(1, 7):
+            pictures = list(g.enumerate_pictures(machine.alphabet, 2, cols))
+            members = [oracle(p) for p in pictures]
+            per_budget = []
+            for budget in budgets:
+                verdicts = [g.accepts(machine, p, budget) for p in pictures]
+                accepted_members = sum(v and m for v, m in zip(verdicts, members))
+                per_budget.append((sum(members), sum(verdicts), accepted_members))
+            by_pictures.append(tuple(per_budget))
+        assert _column_counts(machine, "L1", 2, 6, budgets) == by_pictures
+        # Each way of accepting is the only one on one picture.  An R move
+        # from the last inner column into the accepting state:
+        lower = g.accepting_trace(machine, g.Picture.from_rows(["00", "11"]))
+        assert lower.directions() == (D, R, R)
+        assert lower.final == ("acc", 2, 3, 2, 0)
+        # An R walk along the top ring row, then down the right ring column:
+        ring = g.Picture.from_rows(["011", "010"])
+        assert g.accepting_trace(machine, ring).directions() == (D, R, U, U, R, R, D, D)
+        assert not g.accepts(machine, ring, g.Budget(1, 0))
+        # A column whose top cell is 1 ends every configuration entering it.
+        tables = _tables(machine, 2, 0)
+        start = frozenset([1 << tables.shift | tables.start])
+        assert tables.across(start, 2, "10") == tables.across(start, 2, "11") == frozenset()
+        assert tables.across(start, 2, "01") != frozenset()
 
     def test_which_sweeps_are_counted_by_columns(self):
         machine = g.build_M_Mi(1)
@@ -1026,7 +1094,7 @@ class TestHierarchyReport:
         )
         assert reports[0] == reports[1]
         assert cold["__init__"] == 8 and cold["viable"] > 0 and cold["across"] > 0
-        assert cold["explore"] == warm["explore"] == 315
+        assert cold["explore"] - cold["across"] == warm["explore"] == 315
         assert warm == {"__init__": 0, "explore": 315, "viable": 0, "across": 0}
         assert g.make_machine("M_Mi", 2) is g.build_M_Mi(2)
 
@@ -1052,9 +1120,10 @@ class TestHierarchyReport:
             )
         explore = _Tables.explore
 
-        def recording(self, *args, **kwargs):
-            searched.append(id(self))
-            return explore(self, *args, **kwargs)
+        def recording(self, frame, *args, **kwargs):
+            if frame[0] is not None:  # not a column step, whose side columns are unread
+                searched.append(id(self))
+            return explore(self, frame, *args, **kwargs)
 
         monkeypatch.setattr(_Tables, "explore", recording)
         assert g.hierarchy_report(3, 6).ok

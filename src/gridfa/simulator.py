@@ -33,18 +33,20 @@ bitsets accept it.
 
 The search also runs for a whole shape at once: ``_decide_shape`` decides
 every picture of one shape under a list of budgets, for the sweeps and
-``language_sample``, in one search per distinct budget.  That search
-starts with every cell of the frame unread and forks, once per symbol,
-where it first reads one, so the pictures that agree on the cells a
-branch read share it.
-It forks only where some filling of the unread cells may still accept
-(``_Tables.viable``), so a budget whose start is not such a configuration
-rejects the whole shape with no search.  A machine that takes no L move
-crosses the columns left to right, and ``_Tables.across`` steps it over
-one column at a time, for sweeps that count whole widths by columns.
-Each column step is one ``explore`` call too, so ``explore`` is the one
-search of configurations: traces, small pictures, whole shapes and
-column steps all run on it, and only the bitsets search otherwise.
+``language_sample``, in one ``explore`` call per distinct budget.  That
+search starts with every cell of the frame unread and forks, once per
+symbol, where it first reads one.  It walks the fork tree within the
+call, undoing each branch before the next, so the pictures that agree on
+the cells a branch read share it, and reports each branch's end to its
+caller.  It forks only where some filling of the unread cells may still
+accept (``_Tables.viable``), so a budget whose start is not such a
+configuration rejects the whole shape with no search.  A machine that
+takes no L move crosses the columns left to right, and ``_Tables.across``
+steps it over one column at a time, for sweeps that count whole widths by
+columns.  Each column step is one ``explore`` call too, from the set that
+enters the column, so ``explore`` is the one search of configurations:
+traces, small pictures, whole shapes and column steps all run on it, and
+only the bitsets search otherwise.
 
 The search runs over the compiled form of the machine under the
 resolved budget (``_Tables``), not over :class:`Configuration` values.
@@ -318,8 +320,8 @@ _new = tuple.__new__
 class _Tables(dict):
     """A valid machine under one resolved budget, as integer tables, and
     the searches over them: ``explore``, the one search of configurations
-    (column steps included: ``across`` is one call of it), and the
-    ``bitsets`` of wide pictures.
+    (a whole shape's fork tree and an ``across`` column step are each one
+    call of it), and the ``bitsets`` of wide pictures.
 
     State ids follow declaration order, except that the accepting state
     takes the last id.  A configuration is the int ``pos << shift | low``:
@@ -414,36 +416,49 @@ class _Tables(dict):
         return self.states[state], INF if self.up_inf else up, INF if self.left_inf else left
 
     def explore(
-        self, frame: list[str | None], width: int,
-        resume: tuple[dict[int, int | None], list[int], int, list[list[int]], dict[int, int]]
-        | None = None,
+        self, frame: list[str | None], width: int, queue: list[int] | None = None,
+        viable: dict[int, int] | None = None, weights: list[int] | None = None,
+        report: Callable[[int | None, int, list[list[int]]], object] | None = None,
     ) -> tuple[dict[int, int | None], int | None]:
         """Breadth-first search over the laid-out ``frame``, ``width``
-        columns wide, from the initial configuration on cell (1,1), in move
-        declaration order, until an accepting configuration is dequeued.
+        columns wide, from the initial configuration on cell (1,1), or from
+        ``queue`` if given, in move declaration order, until an accepting
+        configuration is dequeued.
 
         Returns the discovery map (each configuration reached, mapped to
-        the one that first reached it, the start to None, in discovery
+        the one that first reached it, the first ones to None, in discovery
         order) and that accepting configuration, or None.  Discovery order
         is FIFO order, so the accepting configuration dequeued first is the
         one discovered first.
 
-        ``resume`` goes on with a search whose frame may hold unread cells
-        (None): its discovery map and queue, which grow in place, the queue
-        index to dequeue next, its list of forks and the frame's ``viable``
-        bitsets.  Without it the search starts afresh, with no forks and no
-        bitsets, on a frame whose every cell is read.  Dequeuing a
-        configuration on an unread cell forks the search there: it appends
-        ``[frame index, 0, queue length, queue index]`` to the forks and
-        reads the cell as the first symbol of the alphabet, unless there are
-        no bitsets or its ``viable`` bit is clear (no filling lets it
-        accept): then it is skipped and the cell stays unread.  So with no
-        bitsets nothing forks, and a configuration on an unread cell goes
-        no further: that is where each R move of an ``across`` step stops.
+        The frame may hold unread cells (None).  With no ``report``, a
+        configuration dequeued on one goes no further: that is where each R
+        move of an ``across`` step stops.  With one, the search is a fork
+        tree over one shape: dequeuing a configuration on an unread cell
+        whose ``viable`` bit is set (some filling lets it accept) forks the
+        search there, reading the cell as each symbol of the alphabet in
+        turn; one whose bit is clear goes no further.  A branch ends where
+        an accepting configuration is dequeued or the queue runs out, and
+        ``report(goal, base, forks)`` gets that configuration or None, the
+        enumeration index of the branch's first picture (the sum of each
+        read cell's symbol index times its ``weights`` entry) and the forks
+        open, each ``[frame index, symbol index, queue length, queue
+        index]``.  Then the search undoes what the branch discovered and
+        goes on with the next symbol of the last fork that has one.  A
+        symbol on which the forking configuration has no move, with nothing
+        queued behind it, ends a branch that accepts nothing, so it is
+        skipped unreported.  Once every fork is done, every cell it read is
+        unread again, and it returns None; the discovery map it returns with
+        it still holds the last branch's configurations and means nothing.
         """
         mask, shift, accepting = self.mask, self.shift, self.accepting
-        start = (width + 1) << shift | self.start
-        parents, queue, index, forks, viable = resume or ({start: None}, [start], 0, None, None)
+        if queue is None:
+            start = (width + 1) << shift | self.start
+            parents, queue, index = {start: None}, [start], 0
+        else:
+            parents, index = dict.fromkeys(queue), 0
+        if report is not None:
+            symbols, forks, base = self.symbols[:-1], [], 0
         # A move adds its low delta and the frame-index delta of its direction.
         step = (-width << shift, width << shift, -1 << shift, 1 << shift)
         while True:
@@ -451,22 +466,47 @@ class _Tables(dict):
                 for c in islice(queue, index, None):  # the queue grows while it is read
                     low = c & mask
                     if low >= accepting:
-                        return parents, c
+                        break
                     for delta, direction in self[low][frame[c >> shift]]:
                         nxt = c + delta + step[direction]
                         if nxt not in parents:
                             parents[nxt] = c
                             queue.append(nxt)
-                return parents, None
+                else:
+                    c = None
             except KeyError:
                 if frame[c >> shift] is not None:
                     raise
                 index = queue.index(c, index)  # dequeue ``c`` again, reading the symbol
-                if viable and viable[c & mask] >> (c >> shift) & 1:
+                if report is not None and viable[c & mask] >> (c >> shift) & 1:
                     forks.append([c >> shift, 0, len(queue), index])
-                    frame[c >> shift] = self.symbols[0]
+                    frame[c >> shift] = symbols[0]
                 else:  # or go on past it, leaving the cell unread
                     index += 1
+                continue
+            if report is None:
+                return parents, c
+            report(c, base, forks)
+            # Undo the branch and go on with the next symbol of the last fork that has one.
+            while forks:
+                pos, old, length, index = fork = forks[-1]
+                value = old + 1
+                if index + 1 == length:  # nothing queued behind the forking configuration
+                    moves = self[queue[index] & mask]
+                    while value < len(symbols) and not moves[symbols[value]]:
+                        value += 1
+                if value < len(symbols):
+                    break
+                base -= old * weights[pos]
+                frame[pos] = None
+                forks.pop()
+            else:
+                return parents, None
+            for c in islice(queue, length, None):
+                del parents[c]
+            del queue[length:]
+            base += (value - old) * weights[pos]
+            fork[1], frame[pos] = value, symbols[value]
 
     def viable(self, frame: list[str | None], width: int) -> dict[int, int]:
         """Per low part below ``accepting`` that the start reaches over the
@@ -602,16 +642,16 @@ class _Tables(dict):
         which enter the next column, or None once an accepting
         configuration is reached.
 
-        The closure is one ``explore`` call, resumed from ``entering`` with
-        no ``viable`` bitsets, over a frame three columns wide: this column
+        The closure is one ``explore`` call with no fork tree, whose queue
+        starts as ``entering``, over a frame three columns wide: this column
         in the middle and unread cells (None) on both sides.  No move goes
         left, and each R move stops on the unread right-hand column, since
-        with no bitsets nothing forks."""
+        with no fork tree nothing forks."""
         keys = (_UR, *[_R] * rows, _DR) if column is None else (_U, *column, _D)
         frame = [cell for key in keys for cell in (None, key, None)]
         shift, mask = self.shift, self.mask
         codes = [(c >> shift) * 3 + 1 << shift | c & mask for c in entering]
-        parents, goal = self.explore(frame, 3, (dict.fromkeys(codes), codes, 0, None, None))
+        parents, goal = self.explore(frame, 3, codes)
         if goal is not None:
             return None
         # The R moves stopped on the unread right column; one column back, they enter the next.
@@ -815,23 +855,21 @@ def _decide_shape(
     starting where the one before it ends, the first at 0, and no two
     neighbours alike.  The machine must be valid.
 
-    Each distinct budget takes one search over a frame whose cells start
-    unread, which forks where it first dequeues a configuration on an
-    unread cell (``_Tables.explore``): it goes on from there once per
-    symbol, and deletes what one branch discovered before the next.  It
-    skips, leaving the cell unread, a configuration no filling lets accept
-    (``viable``, kept per shape): a start that is one rejects, and an
-    accepting start accepts, the whole shape with no search.  A budget
-    listed twice is searched once, and both places hold the same list of
-    runs.  A branch ends at an
-    accepting configuration or an empty queue and decides the pictures
-    that agree on the cells it read: for each value of the unread cells
-    before its last read one, an aligned run of indices (cells count in
-    row-major order, the last fastest).  Each accepted run is joined, as it
-    is found, to a run found before it that ends where it begins or begins
-    where it ends, so the search holds the maximal runs of the pictures
-    accepted so far, not one run per accepting branch.  Those, sorted,
-    give the verdicts.
+    Each distinct budget takes one fork-tree search (``_Tables.explore``)
+    over a frame whose cells start unread, which forks only where some
+    filling lets the forking configuration accept (``viable``, kept per
+    shape): a start that no filling lets accept rejects, and an accepting
+    start accepts, the whole shape with no search.  A budget listed twice
+    is searched once, and both places hold the same list of runs.  Each
+    branch that ends accepting decides the pictures that agree on the
+    cells it read: for each value of the unread cells before its last read
+    one, an aligned run of indices from the branch's first picture (cells
+    count in row-major order, the last fastest; ``weights`` holds the run
+    one value of each cell spans).  ``join``, the search's report, joins
+    each such run as it is found to a run found before it that ends where
+    it begins or begins where it ends, so the search holds the maximal
+    runs of the pictures accepted so far, not one run per accepting
+    branch.  Those, sorted, give the verdicts.
     """
     shape_rows = _shape_rows(a.alphabet, rows, cols)
     total = len(shape_rows) ** rows
@@ -855,45 +893,22 @@ def _decide_shape(
         if tables.start >= tables.accepting:
             ends[0] = total  # the start accepts, whatever the cells hold
         elif (viable := tables.unread(frame, rows, cols))[tables.start] >> width + 1 & 1:
-            start = (width + 1) << tables.shift | tables.start
-            parents, queue, index, forks = {start: None}, [start], 0, []
-            base = 0  # the index of the branch's first picture
-            while True:
-                resume = (parents, queue, index, forks, viable)
-                if tables.explore(frame, width, resume=resume)[1] is not None:
-                    last = max(forks)[0] if forks else 0
+            def join(goal: int | None, base: int, forks: list[list[int]]) -> None:
+                if goal is not None:  # a branch that rejects decides no run
+                    # Every branch read (1,1) first, where the start stands.
+                    last = max(forks)[0]
                     starts = [base]
                     for weight, cell in zip(weights, frame[:last]):
                         if cell is None:  # unread before the last cell read
                             starts = [n + v * weight for n in starts for v in range(len(symbols))]
-                    span = weights[last] if forks else total
+                    span = weights[last]
                     for n in starts:
                         # Branches decide disjoint runs, so [n, n + span) joins at
                         # most a run that ends at n and one that begins at n + span.
                         begin, end = begins.pop(n, n), ends.pop(n + span, n + span)
                         ends[begin], begins[end] = end, begin
-                # Undo the branch and go on with the next symbol of the last fork
-                # that has one.  A symbol on which the forking configuration has
-                # no move, with nothing queued behind it, rejects without a search.
-                while forks:
-                    pos, old, length, index = fork = forks[-1]
-                    value = old + 1
-                    if index + 1 == length:
-                        moves = tables[queue[index] & tables.mask]
-                        while value < len(symbols) and not moves[symbols[value]]:
-                            value += 1
-                    if value < len(symbols):
-                        break
-                    base -= old * weights[pos]
-                    frame[pos] = None
-                    forks.pop()
-                else:
-                    break
-                for c in islice(queue, length, None):
-                    del parents[c]
-                del queue[length:]
-                base += (value - old) * weights[pos]
-                fork[1], frame[pos] = value, symbols[value]
+
+            tables.explore(frame, width, viable=viable, weights=weights, report=join)
         column: list[tuple[int, bool]] = []
         n = 0
         for begin, end in sorted(ends.items()):

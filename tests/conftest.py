@@ -71,10 +71,30 @@ def count_calls(monkeypatch, call, *names) -> Counter:
 
 
 def count_searches(monkeypatch, call) -> int:
-    """The number of ``_Tables.explore`` calls ``call()`` makes, less its
-    column steps: each ``_Tables.across`` call is one ``explore`` call."""
-    calls = count_calls(monkeypatch, call, "explore", "across")
-    return calls["explore"] - calls["across"]
+    """The number of searches ``call()`` makes: one per ``_Tables.explore``
+    call that runs no fork tree, less its column steps (each
+    ``_Tables.across`` call is one such call), and one per branch end that
+    a fork tree reports, counted by wrapping its ``report``."""
+    searched = 0
+    explore = _Tables.explore
+
+    def counting(self, frame, width, queue=None, viable=None, weights=None, report=None):
+        nonlocal searched
+        if report is None:
+            searched += 1
+            return explore(self, frame, width, queue)
+
+        def counted(*branch):
+            nonlocal searched
+            searched += 1
+            return report(*branch)
+
+        return explore(self, frame, width, queue, viable, weights, counted)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Tables, "explore", counting)
+        steps = count_calls(patch, call, "across")["across"]
+    return searched - steps
 
 
 def starve_the_chain(monkeypatch) -> None:

@@ -793,7 +793,7 @@ class TestSharedSearches:
             monkeypatch, lambda: g.budget_sweep(machine, "L1", 2, 4, budgets)
         )
         decided = 2 * sum(4**cols for cols in range(1, 5))
-        # Each explore call ends one branch of the shape's search.  At the
+        # Each search counted is one branch end of the shape's search.  At the
         # full budget a 2 x c shape takes one for the pictures starting 0
         # (read at (1,1), where s has no move), one for those starting 1
         # with a 0 at (2,1), and one that accepts those starting 1 with a 1
@@ -890,6 +890,99 @@ class TestSharedSearches:
             verdicts = run_verdicts(runs, len(pictures))
             assert verdicts == [p.cells[0][1] == "1" for p in pictures]
 
+    @pytest.mark.parametrize("builder, param, rows, cols", [
+        ("M_Mi", 1, 2, 4), ("M_Mi", 2, 4, 2), ("B_L", 1, 2, 4),
+    ])
+    def test_a_shape_search_leaves_every_cell_it_forked_on_unread(
+        self, builder, param, rows, cols
+    ):
+        # At each branch end the frame holds a symbol exactly on the cells
+        # the open forks read, with their symbols; once the search returns,
+        # every inner cell is unread again.
+        machine = g.make_machine(builder, param)
+        tables, width = _tables(machine, *machine.budget), cols + 2
+        frame = _layout(machine, g.Picture.from_rows(["0" * cols] * rows))
+        for row in range(1, rows + 1):
+            frame[row * width + 1 : row * width + cols + 1] = [None] * cols
+        unread = list(frame)
+        read = []
+
+        def report(goal, base, forks):
+            held = {pos: cell for pos, cell in enumerate(frame) if cell != unread[pos]}
+            assert held == {pos: machine.alphabet[value] for pos, value, *_ in forks}
+            read.append(len(held))
+
+        viable = tables.viable(frame, width)
+        tables.explore(frame, width, viable=viable, weights=[0] * len(frame), report=report)
+        assert frame == unread
+        assert len(read) > 2 and max(read) > 1
+
+    @pytest.mark.parametrize("builder, param, rows, cols", [
+        ("M_Mi", 2, 4, 3), ("B_L", 1, 2, 5), ("P_N2", None, 4, 2),
+    ])
+    def test_deciding_a_shape_twice_gives_the_same_runs(
+        self, builder, param, rows, cols, monkeypatch
+    ):
+        # A fresh machine, so that the first call builds its tables and bits
+        # and the second reads them: both take the same branches, and decide
+        # the same runs, as per-picture decisions do.
+        machine = dataclasses.replace(g.make_machine(builder, param))
+        budgets = [machine.budget, g.Budget(0, 0)]
+        decided = []
+        searched = [
+            count_searches(
+                monkeypatch, lambda: decided.append(_decide_shape(machine, rows, cols, budgets))
+            )
+            for _ in range(2)
+        ]
+        assert decided[0] == decided[1] and searched[0] == searched[1] > 0
+        pictures = list(g.enumerate_pictures(machine.alphabet, rows, cols))
+        for budget, runs in zip(budgets, decided[0][1]):
+            assert run_verdicts(runs, len(pictures)) == [
+                g.accepts(machine, p, budget) for p in pictures
+            ]
+
+    def test_a_symbol_with_no_move_is_searched_only_behind_another_configuration(
+        self, monkeypatch
+    ):
+        # s reads (1,1) and moves right as t; on a 1 it also moves down as u,
+        # onto the lower ring, from where u accepts.  t accepts on a 0 at
+        # (1,2) and has no move on a 1.  After a 0 at (1,1), t is the last
+        # configuration queued when it forks on (1,2), so a 1 there ends a
+        # branch that accepts nothing: it takes no branch and is not
+        # reported.  After a 1, u is queued behind t, so a 1 at (1,2) is
+        # searched, and u accepts it.
+        machine = g.Automaton(
+            "no_move", ("0", "1"), ("s", "t", "u", "acc"), "s", "acc", "nondet",
+            g.THREE_WAY, g.Budget(0, g.INF),
+            {
+                ("s", "0"): (("t", R),),
+                ("s", "1"): (("t", R), ("u", D)),
+                ("t", "0"): (("acc", R),),
+                ("u", "#"): (("acc", R),),
+            },
+        )
+        branches = []
+        explore = _Tables.explore
+
+        def recording(self, frame, width, queue=None, viable=None, weights=None, report=None):
+            def reporting(goal, base, forks):
+                branches.append((goal is not None, [(pos, value) for pos, value, *_ in forks]))
+                return report(goal, base, forks)
+
+            return explore(self, frame, width, queue, viable, weights, report and reporting)
+
+        monkeypatch.setattr(_Tables, "explore", recording)
+        _, (runs,) = _decide_shape(machine, 1, 2, [machine.budget])
+        # Frame index 5 is (1,1), and 6 is (1,2); every branch accepts.
+        assert branches == [
+            (True, [(5, 0), (6, 0)]), (True, [(5, 1), (6, 0)]), (True, [(5, 1), (6, 1)]),
+        ]
+        assert runs == [(1, True), (2, False), (4, True)]
+        monkeypatch.undo()
+        for rows, cols_max in ((1, 4), (2, 3)):
+            assert_sweep_matches_decisions(machine, rows, cols_max, [machine.budget])
+
     def test_the_run_list_stays_small_when_every_branch_accepts(self):
         # Reads row 1 rightwards, then row 2 leftwards, and accepts: at 2 x 8
         # each of its 65,536 branches accepts one picture, out of index order.
@@ -979,8 +1072,8 @@ class TestSharedSearches:
         for rows, cols_max in ((2, 3), (3, 2)):
             assert_sweep_matches_decisions(machine, rows, cols_max, [machine.budget])
         # Ring cells are never unread, so the walk down the left ring and
-        # back reads no cell: a 2 x c shape takes one explore call per value
-        # of (1,1), each deciding every picture that starts with it.
+        # back reads no cell: a 2 x c shape's search takes one branch per
+        # value of (1,1), each deciding every picture that starts with it.
         searched = count_searches(
             monkeypatch, lambda: g.oracle_equivalence(machine, "L1", 2, 2)
         )
@@ -1086,24 +1179,28 @@ class TestHierarchyReport:
         # call builds no tables and repeats only the searches.
         for build in (g.build_M_Mi, g.build_S_rec):
             build.cache_clear()  # so that the first call builds its machines
-        names = ("__init__", "explore", "viable", "across")
-        reports = []
-        cold, warm = (
-            count_calls(monkeypatch, lambda: reports.append(g.hierarchy_report(2, 4)), *names)
+        names = ("__init__", "viable", "across")
+        reports, calls = [], []
+        searched = [
+            count_searches(monkeypatch, lambda: calls.append(count_calls(
+                monkeypatch, lambda: reports.append(g.hierarchy_report(2, 4)), *names
+            )))
             for _ in range(2)
-        )
+        ]
+        cold, warm = calls
         assert reports[0] == reports[1]
         assert cold["__init__"] == 8 and cold["viable"] > 0 and cold["across"] > 0
-        assert cold["explore"] - cold["across"] == warm["explore"] == 315
-        assert warm == {"__init__": 0, "explore": 315, "viable": 0, "across": 0}
+        assert searched == [315, 315]
+        assert warm == {"__init__": 0, "viable": 0, "across": 0}
         assert g.make_machine("M_Mi", 2) is g.build_M_Mi(2)
 
     def test_starved_budgets_take_no_search_at_2_by_4(self, monkeypatch):
-        # Searching every budget in full takes 746 explore calls, 369 of
-        # them under the starved budgets.  No shape under those has a viable
+        # Searching every budget in full takes 746 branches, 369 of them
+        # under the starved budgets.  No shape under those has a viable
         # start, and the full budgets skip the configurations that no
-        # filling lets accept: 329 calls.  The S_rec sweeps never move left
-        # and are counted by columns with no search: 315 calls, all M_Mi's.
+        # filling lets accept: 329 branches.  The S_rec sweeps never move
+        # left and are counted by columns with no search: 315 branches, all
+        # M_Mi's.
         assert count_searches(monkeypatch, lambda: g.hierarchy_report(2, 4)) == 315
 
     def test_no_starved_chain_budget_is_searched(self, monkeypatch):

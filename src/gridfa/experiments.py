@@ -236,7 +236,9 @@ def budget_sweep(
     (``_decide_shape``, which joins each accepted run to its neighbours as
     it finds it, so it holds the maximal runs, not one per accepting
     branch), and a run's members are counted from the language's row-pair
-    table (``_member_rank``).  In a run whose count disagrees with its
+    table (``_member_rank``).  The machine's tables keep each shape's
+    runs per budget, up to ``_KEPT_RUNS`` of them, so a repeated sweep
+    searches only the shapes with more.  In a run whose count disagrees with its
     verdict, each disagreeing picture is found by bisecting that count
     over the run, so a report costs O(mismatches * log run) counts, not
     one per picture.

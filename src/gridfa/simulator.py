@@ -40,7 +40,9 @@ call, undoing each branch before the next, so the pictures that agree on
 the cells a branch read share it, and reports each branch's end to its
 caller.  It forks only where some filling of the unread cells may still
 accept (``_Tables.viable``), so a budget whose start is not such a
-configuration rejects the whole shape with no search.  A machine that
+configuration rejects the whole shape with no search.  The tables of a
+budget keep each shape's runs (up to ``_KEPT_RUNS``), so a later call
+for the same shape and budget makes no search.  A machine that
 takes no L move crosses the columns left to right, and ``_Tables.across``
 steps it over one column at a time, for sweeps that count whole widths by
 columns.  Each column step is one ``explore`` call too, from the set that
@@ -64,7 +66,8 @@ many callers read only the outcome.
 All functions are pure in (machine, picture, budget override) and safe to
 call concurrently: the tables they cache on a machine, and what those
 keep per budget, shape and row count, are filled idempotently (two
-threads that fill one entry store equal values).
+threads that fill one entry store equal values).  A caller must not
+change the run lists ``_decide_shape`` returns: the tables keep them.
 """
 
 from __future__ import annotations
@@ -338,13 +341,14 @@ class _Tables(dict):
     use, since a search over a small picture reaches few.
 
     Besides the rows it keeps what depends only on the machine, the
-    budget and a shape or a row count, each built on first use: the
-    ``viable`` bits of each shape's all-unread frame (``shapes``, read by
-    ``_decide_shape``) and the column steps of each row count
-    (``columns``, filled by ``experiments._column_counts``).  It keeps
-    nothing that depends on a picture's cells, so one instance serves
-    every picture searched under its budget.  The picture comes in per
-    call as its laid-out frame and its width in frame columns.
+    budget and a shape or a row count, each built on first use: the runs
+    that decide each shape's pictures (``shapes``, filled by
+    ``_decide_shape`` for a shape of at most ``_KEPT_RUNS`` runs) and the
+    column steps of each row count (``columns``, filled by
+    ``experiments._column_counts``).  It keeps nothing that depends on one
+    picture's cells, so one instance serves every picture searched under
+    its budget.  The picture comes in per call as its laid-out frame and
+    its width in frame columns.
     """
 
     def __init__(self, a: Automaton, up: int | float, left: int | float) -> None:
@@ -364,7 +368,7 @@ class _Tables(dict):
         self.mask = (1 << self.shift) - 1
         self.accepting = (len(states) - 1) * self.per_state
         self.start = self.low(self.ids[a.initial], up, left)
-        self.shapes: dict[tuple[int, int], dict[int, int]] = {}
+        self.shapes: dict[tuple[int, int], list[tuple[int, bool]]] = {}
         self.columns: dict[int, dict[frozenset[int] | None, tuple[bool, list]]] = {}
 
     def __missing__(self, low: int) -> dict[str, tuple[tuple[int, int], ...]]:
@@ -554,14 +558,6 @@ class _Tables(dict):
                     if bits == viable[low]:
                         break
                     viable[low], grew = bits, True
-        return viable
-
-    def unread(self, frame: list[str | None], rows: int, cols: int) -> dict[int, int]:
-        """``viable`` of ``frame``, the all-unread frame of the ``rows x
-        cols`` shape, computed once per shape."""
-        viable = self.shapes.get((rows, cols))
-        if viable is None:
-            viable = self.shapes[rows, cols] = self.viable(frame, cols + 2)
         return viable
 
     def bitsets(self, lines: list[dict[str, int]], tall: bool) -> tuple[bool, bool] | None:
@@ -846,6 +842,13 @@ def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) ->
     return outcome is not RunOutcome.ACCEPT
 
 
+#: The tables keep a shape's runs only if there are at most this many, so
+#: that what they keep stays small: after the L1 check of ``B_L(1)`` at
+#: 2 x 9 they hold about 0.6 MB, where keeping every shape's runs held
+#: 6.4 MB.  A shape with more runs is searched again on every call.
+_KEPT_RUNS = 4096
+
+
 def _decide_shape(
     a: Automaton, rows: int, cols: int, budgets: Sequence[Budget]
 ) -> tuple[list[str], list[list[tuple[int, bool]]]]:
@@ -855,15 +858,19 @@ def _decide_shape(
     starting where the one before it ends, the first at 0, and no two
     neighbours alike.  The machine must be valid.
 
-    Each distinct budget takes one fork-tree search (``_Tables.explore``)
-    over a frame whose cells start unread, which forks only where some
-    filling lets the forking configuration accept (``viable``, kept per
-    shape): a start that no filling lets accept rejects, and an accepting
-    start accepts, the whole shape with no search.  A budget listed twice
-    is searched once, and both places hold the same list of runs.  Each
-    branch that ends accepting decides the pictures that agree on the
-    cells it read: for each value of the unread cells before its last read
-    one, an aligned run of indices from the branch's first picture (cells
+    Each distinct budget's tables keep the shape's runs (``shapes``)
+    when there are at most ``_KEPT_RUNS`` of them, and a later call
+    returns that list with no search.  Otherwise the budget takes one
+    fork-tree search (``_Tables.explore``) over a frame whose cells start
+    unread, which forks only where some filling lets the forking
+    configuration accept (``viable``, computed for that search): a start
+    that no filling lets accept rejects, and an accepting start accepts,
+    the whole shape with no search.  A budget listed twice is searched
+    once, and both places hold the same list of runs, which the caller
+    must not change.  Each branch that ends accepting decides the
+    pictures that agree on the cells it read: for each value of the unread
+    cells before its last read one, an aligned run of indices from the
+    branch's first picture (cells
     count in row-major order, the last fastest; ``weights`` holds the run
     one value of each cell spans).  ``join``, the search's report, joins
     each such run as it is found to a run found before it that ends where
@@ -876,23 +883,26 @@ def _decide_shape(
     if not total:
         return shape_rows, [[] for _ in budgets]
     symbols, width = a.alphabet, cols + 2
-    frame = [_UL, *[_U] * cols, _UR, *[_L, *[None] * cols, _R] * rows, _DL, *[_D] * cols, _DR]
-    # Per frame position, the run of pictures one value of its cell spans.
-    weights = [
-        len(symbols) ** (rows * cols - (pos // width - 1) * cols - pos % width)
-        if cell is None else 0
-        for pos, cell in enumerate(frame)
-    ]
-    searched: dict[tuple[int | float, int | float], list[tuple[int, bool]]] = {}
-    for up, left in dict.fromkeys(budgets):
+    searched = dict.fromkeys(budgets)  # each distinct budget's runs
+    for up, left in searched:
         tables = _tables(a, up, left)
+        column = searched[up, left] = tables.shapes.get((rows, cols))
+        if column is not None:
+            continue
+        frame = [_UL, *[_U] * cols, _UR, *[_L, *[None] * cols, _R] * rows, _DL, *[_D] * cols, _DR]
+        # Per frame position, the run of pictures one value of its cell spans.
+        weights = [
+            len(symbols) ** (rows * cols - (pos // width - 1) * cols - pos % width)
+            if cell is None else 0
+            for pos, cell in enumerate(frame)
+        ]
         # The maximal runs of the pictures accepted so far: each one's end
         # by its begin, and its begin by its end.
         ends: dict[int, int] = {}
         begins: dict[int, int] = {}
         if tables.start >= tables.accepting:
             ends[0] = total  # the start accepts, whatever the cells hold
-        elif (viable := tables.unread(frame, rows, cols))[tables.start] >> width + 1 & 1:
+        elif (viable := tables.viable(frame, width))[tables.start] >> width + 1 & 1:
             def join(goal: int | None, base: int, forks: list[list[int]]) -> None:
                 if goal is not None:  # a branch that rejects decides no run
                     # Every branch read (1,1) first, where the start stands.
@@ -909,7 +919,7 @@ def _decide_shape(
                         ends[begin], begins[end] = end, begin
 
             tables.explore(frame, width, viable=viable, weights=weights, report=join)
-        column: list[tuple[int, bool]] = []
+        column = searched[up, left] = []
         n = 0
         for begin, end in sorted(ends.items()):
             if begin > n:
@@ -918,7 +928,8 @@ def _decide_shape(
             n = end
         if n < total:
             column.append((total, False))
-        searched[up, left] = column
+        if len(column) <= _KEPT_RUNS:
+            tables.shapes[rows, cols] = column
     return shape_rows, [searched[budget] for budget in budgets]
 
 

@@ -13,7 +13,9 @@ import gridfa as g
 import reference
 from gridfa.experiments import _column_counts
 from gridfa.languages import _member_rank, natural_rows
-from gridfa.simulator import _decide_shape, _layout, _resolve_budget, _Tables, _tables
+from gridfa.simulator import (
+    _KEPT_RUNS, _decide_shape, _layout, _resolve_budget, _Tables, _tables,
+)
 from conftest import all_pictures, count_calls, count_searches, random_machines, starve_the_chain
 
 U, D, L, R = g.Direction.U, g.Direction.D, g.Direction.L, g.Direction.R
@@ -752,8 +754,8 @@ def test_every_accepting_run_stays_on_viable_configurations(data):
 @settings(max_examples=60, deadline=None)
 def test_warm_shape_decisions_match_a_fresh_machine(data):
     # Two passes over the shapes, in drawn orders, on one machine: the
-    # second reads the per-shape viable bits the first kept.  Both match
-    # the runs of a fresh copy, which keeps nothing.
+    # second reads the per-shape runs the first kept.  Both match the runs
+    # of a fresh copy, which keeps nothing.
     machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
     budgets = [
         _resolve_budget(machine, b) for b in data.draw(budget_lists(machine.budget))
@@ -766,6 +768,67 @@ def test_warm_shape_decisions_match_a_fresh_machine(data):
     for _ in range(2):
         for rows, cols in data.draw(st.permutations(shapes)):
             assert _decide_shape(machine, rows, cols, budgets) == expected[rows, cols]
+
+
+#: Each builder's machine, the parametric ones at 1 and 2, and its language.
+BUILDER_LANGUAGES = [
+    ("A_L1", None, "L1"), ("B_L", 1, "L1"), ("B_L", 2, "L2"), ("C_L1_2W", None, "L1"),
+    ("D_K", 1, "K1"), ("D_K", 2, "K2"), ("FLAWED_L1_3W0", None, "L1"), ("M_M1", None, "M1"),
+    ("M_Mi", 1, "M1"), ("M_Mi", 2, "M2"), ("P_N2", None, "N2"), ("S_rec", 1, "S4"),
+    ("S_rec", 2, "S6"),
+]
+
+
+def assert_kept_runs_match_a_fresh_search(machine, shapes, budgets, monkeypatch):
+    """Decide each shape under the resolved ``budgets`` on a fresh copy of
+    ``machine``, and check that the copy's tables keep each budget's runs,
+    unless there are more than ``_KEPT_RUNS``, as another fresh copy
+    searches them for that budget alone, and that a second call returns
+    the same runs with no search unless some budget's were not kept."""
+    kept = dataclasses.replace(machine)
+    for rows, cols in shapes:
+        _, decided = _decide_shape(kept, rows, cols, budgets)
+        for budget, runs in zip(budgets, decided):
+            _, (searched,) = _decide_shape(dataclasses.replace(machine), rows, cols, [budget])
+            assert runs == searched
+            held = _tables(kept, *budget).shapes.get((rows, cols))
+            assert held == (runs if len(runs) <= _KEPT_RUNS else None)
+        again = []
+        warm = count_searches(
+            monkeypatch, lambda: again.append(_decide_shape(kept, rows, cols, budgets))
+        )
+        assert again[0][1] == decided
+        assert (warm == 0) == all(len(runs) <= _KEPT_RUNS for runs in decided)
+
+
+@pytest.mark.parametrize("builder, param, lang_id", BUILDER_LANGUAGES)
+def test_every_builder_keeps_the_runs_a_fresh_search_finds(builder, param, lang_id, monkeypatch):
+    # At the language's row count and 1-4 columns, under the declared
+    # budget, one unit less of up budget (none less where it is 0) and
+    # none at all.  B_L(2) and P_N2 have more than ``_KEPT_RUNS`` runs at
+    # 4 x 4 under the declared budget (4,556 and 14,000).
+    machine = g.make_machine(builder, param)
+    up, left = machine.budget
+    budgets = [machine.budget, g.Budget(max(up - 1, 0), left), g.Budget(0, 0)]
+    rows = natural_rows(lang_id)
+    shapes = [(rows, cols) for cols in range(1, 5)]
+    assert_kept_runs_match_a_fresh_search(machine, shapes, budgets, monkeypatch)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_machines_keep_the_runs_a_fresh_search_finds(data):
+    # Shapes of at most 12 cells have at most ``_KEPT_RUNS`` runs, so every
+    # one is kept, under the declared, the empty and drawn budgets.
+    machine = data.draw(st.sampled_from(["det", "nondet"]).flatmap(random_machines))
+    budgets = [
+        _resolve_budget(machine, b)
+        for b in [machine.budget, g.Budget(0, 0), *data.draw(budget_lists(machine.budget))]
+    ]
+    rows = data.draw(st.integers(1, 3))
+    cols = data.draw(st.integers(1, 4))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_kept_runs_match_a_fresh_search(machine, [(rows, cols)], budgets, monkeypatch)
 
 
 def farthest(machine, p):
@@ -812,7 +875,7 @@ class TestSharedSearches:
         # Fresh machines, so no other test's tables are in play.  Their start
         # reaches no accepting low part over any cells, so no shape's start
         # is viable: every shape is one rejecting run, with one frame
-        # analysis and no search.  A second pass reads the bits each shape
+        # analysis and no search.  A second pass reads the run each shape
         # kept and does neither.
         decided = []
 
@@ -923,9 +986,10 @@ class TestSharedSearches:
     def test_deciding_a_shape_twice_gives_the_same_runs(
         self, builder, param, rows, cols, monkeypatch
     ):
-        # A fresh machine, so that the first call builds its tables and bits
-        # and the second reads them: both take the same branches, and decide
-        # the same runs, as per-picture decisions do.
+        # A fresh machine, so that the first call builds its tables and
+        # searches each shape, and the second reads the runs they kept and
+        # makes no search: both decide the same runs, as per-picture
+        # decisions do.
         machine = dataclasses.replace(g.make_machine(builder, param))
         budgets = [machine.budget, g.Budget(0, 0)]
         decided = []
@@ -935,7 +999,7 @@ class TestSharedSearches:
             )
             for _ in range(2)
         ]
-        assert decided[0] == decided[1] and searched[0] == searched[1] > 0
+        assert decided[0] == decided[1] and searched[0] > 0 and searched[1] == 0
         pictures = list(g.enumerate_pictures(machine.alphabet, rows, cols))
         for budget, runs in zip(budgets, decided[0][1]):
             assert run_verdicts(runs, len(pictures)) == [
@@ -983,6 +1047,29 @@ class TestSharedSearches:
         for rows, cols_max in ((1, 4), (2, 3)):
             assert_sweep_matches_decisions(machine, rows, cols_max, [machine.budget])
 
+    def test_a_shape_with_more_runs_than_are_kept_is_searched_again(self, monkeypatch):
+        # Reads row 1 rightwards and, back from the right ring, accepts iff
+        # the last cell holds a 1.  The last cell counts fastest in
+        # enumeration order, so the verdicts alternate: a 1 x c shape has
+        # one run per picture.  At 1 x 12 that is ``_KEPT_RUNS`` runs, which
+        # the tables keep; at 1 x 13 twice as many, searched on every call.
+        machine = g.Automaton(
+            "last_cell", ("0", "1"), ("s", "t", "acc"), "s", "acc", "det",
+            g.FOUR_WAY, g.Budget(g.INF, g.INF),
+            {("s", "0"): (("s", R),), ("s", "1"): (("s", R),), ("s", "#"): (("t", L),),
+             ("t", "1"): (("acc", R),)},
+        )
+        for cols, kept in ((12, True), (13, False)):
+            decided, searched = [], []
+            for _ in range(2):
+                searched.append(count_searches(monkeypatch, lambda: decided.append(
+                    _decide_shape(machine, 1, cols, [machine.budget])[1][0]
+                )))
+            assert decided[0] == decided[1] == [(n + 1, n % 2 == 1) for n in range(2**cols)]
+            assert (len(decided[0]) <= _KEPT_RUNS) == kept
+            assert searched == [2**cols, 0 if kept else 2**cols]
+            assert ((1, cols) in _tables(machine, *machine.budget).shapes) == kept
+
     def test_the_run_list_stays_small_when_every_branch_accepts(self):
         # Reads row 1 rightwards, then row 2 leftwards, and accepts: at 2 x 8
         # each of its 65,536 branches accepts one picture, out of index order.
@@ -1014,15 +1101,17 @@ class TestSharedSearches:
         # row, so the shape takes no search, and at 2 x (2..5) count1_0 on
         # the last cell of row 1, with no 1 read, is skipped: the search
         # that reaches it ends there, where its two branches took two.
-        # 110 - 2 - 4 = 104.
-        machine = g.build_M_Mi(1)
-        for budget, searches in ((machine.budget, 104), (g.Budget(0, g.INF), None)):
+        # 110 - 2 - 4 = 104.  Each list is swept on a fresh machine, so that
+        # its tables keep no runs yet, and then again on the same machine,
+        # which reads the runs they kept and makes no search.
+        for budget, searches in ((g.build_M_Mi(1).budget, 104), (g.Budget(0, g.INF), None)):
             reports, counts = [], []
             for budgets in ([budget], [budget, budget], [budget, g.Budget(1, 0), budget]):
-                counts.append(count_searches(
-                    monkeypatch,
-                    lambda: reports.append(g.budget_sweep(machine, "M1", 2, 5, budgets)),
-                ))
+                machine = dataclasses.replace(g.build_M_Mi(1))
+                sweep = lambda: reports.append(g.budget_sweep(machine, "M1", 2, 5, budgets))
+                counts.append(count_searches(monkeypatch, sweep))
+                assert count_searches(monkeypatch, sweep) == 0
+                assert reports.pop() == reports[-1]
             once, twice, around = reports
             assert counts[0] == counts[1] == (searches or counts[0])
             assert twice.per_budget == once.per_budget * 2
@@ -1031,7 +1120,8 @@ class TestSharedSearches:
 
     def test_language_sample_shares_searches(self, monkeypatch):
         # (1..4)x(1..4) is 74,954 pictures; M_M2 halts early on most of them.
-        machine = g.build_M_Mi(2)
+        # A fresh copy, whose tables keep no shape's runs yet.
+        machine = dataclasses.replace(g.build_M_Mi(2))
         sample = []
         searched = count_searches(
             monkeypatch, lambda: sample.extend(g.language_sample(machine, 4, 4))
@@ -1074,8 +1164,11 @@ class TestSharedSearches:
         # Ring cells are never unread, so the walk down the left ring and
         # back reads no cell: a 2 x c shape's search takes one branch per
         # value of (1,1), each deciding every picture that starts with it.
+        # A fresh copy, whose tables keep none of the runs the sweeps above
+        # searched.
+        fresh = dataclasses.replace(machine)
         searched = count_searches(
-            monkeypatch, lambda: g.oracle_equivalence(machine, "L1", 2, 2)
+            monkeypatch, lambda: g.oracle_equivalence(fresh, "L1", 2, 2)
         )
         assert searched == 2 * 3 == 6
 
@@ -1104,6 +1197,13 @@ class TestSharedSearches:
         assert farthest(machine, p) == (3, 1) and g.accepts(machine, p)
         for rows, cols_max in ((2, 3), (3, 2), (4, 1)):
             assert_sweep_matches_decisions(machine, rows, cols_max, [machine.budget])
+
+
+def clear_builders():
+    """Clear the caches of the builders ``hierarchy_report`` calls, so that
+    its next call builds machines whose tables keep no shape's runs."""
+    for build in (g.build_M_Mi, g.build_S_rec):
+        build.cache_clear()
 
 
 class TestHierarchyReport:
@@ -1171,27 +1271,28 @@ class TestHierarchyReport:
     def test_searches_far_fewer_pictures_than_it_decides(self, monkeypatch):
         # The chains' recognizers are deterministic and most pictures stop
         # them after a few cells: about 71,000 decisions, under 1,000 searches.
+        clear_builders()  # so that the call is cold
         assert count_searches(monkeypatch, lambda: g.hierarchy_report(2, 4)) < 1000
 
     def test_a_warm_call_matches_a_cold_one(self, monkeypatch):
         # The builders share one machine per parameter, and the tables cached
-        # on it keep every analysis that no picture's cells enter: a second
-        # call builds no tables and repeats only the searches.
-        for build in (g.build_M_Mi, g.build_S_rec):
-            build.cache_clear()  # so that the first call builds its machines
+        # on it keep what no picture's cells enter, each shape's runs among
+        # them: a second call builds no tables and makes no search.  Once the
+        # builders' caches are cleared, a third call is cold again.
         names = ("__init__", "viable", "across")
-        reports, calls = [], []
-        searched = [
-            count_searches(monkeypatch, lambda: calls.append(count_calls(
+        reports, calls, searched = [], [], []
+        for clear in (True, False, True):
+            if clear:
+                clear_builders()
+            searched.append(count_searches(monkeypatch, lambda: calls.append(count_calls(
                 monkeypatch, lambda: reports.append(g.hierarchy_report(2, 4)), *names
-            )))
-            for _ in range(2)
-        ]
-        cold, warm = calls
-        assert reports[0] == reports[1]
+            ))))
+        cold, warm, again = calls
+        assert reports[0] == reports[1] == reports[2]
         assert cold["__init__"] == 8 and cold["viable"] > 0 and cold["across"] > 0
-        assert searched == [315, 315]
+        assert searched == [315, 0, 315]
         assert warm == {"__init__": 0, "viable": 0, "across": 0}
+        assert again == cold
         assert g.make_machine("M_Mi", 2) is g.build_M_Mi(2)
 
     def test_starved_budgets_take_no_search_at_2_by_4(self, monkeypatch):
@@ -1201,6 +1302,7 @@ class TestHierarchyReport:
         # filling lets accept: 329 branches.  The S_rec sweeps never move
         # left and are counted by columns with no search: 315 branches, all
         # M_Mi's.
+        clear_builders()  # so that no earlier call's tables keep a shape's runs
         assert count_searches(monkeypatch, lambda: g.hierarchy_report(2, 4)) == 315
 
     def test_no_starved_chain_budget_is_searched(self, monkeypatch):
@@ -1209,6 +1311,7 @@ class TestHierarchyReport:
         # show it at the start: only the full budgets' tables are searched.
         # S_rec never moves left, so its sweeps count by columns and search
         # neither budget.
+        clear_builders()  # so that no earlier call's tables keep a shape's runs
         built, searched = [], []
         for name in ("build_M_Mi", "build_S_rec"):
             build = getattr(g.experiments, name)

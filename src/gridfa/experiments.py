@@ -2,8 +2,9 @@
 the crossing-point splice counterexample.
 
 Everything here composes the simulator with the oracles (for a machine
-that never moves left, with the languages' column automata) and reports
-results both as aligned text tables and as ``key=value`` record lines.
+that never moves left, with the languages' compiled column automata) and
+reports results both as aligned text tables and as ``key=value`` record
+lines.
 All outputs are reproducible bit for bit: enumeration order is fixed and
 traces are canonical.
 """
@@ -11,13 +12,12 @@ traces are canonical.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .grid import Picture, _picture_at, _shape_rows
 from .languages import (
-    _column_form, _member_rank, in_L, make_w, natural_rows, parse_language_id, splice_words,
+    _compiled, _member_rank, in_L, make_w, natural_rows, parse_language_id, splice_words,
 )
 from .machine import Automaton, Budget, Direction, classify, ensure_valid, fmt_budget
 from .simulator import Trace, _decide_shape, _resolve_budget, _tables, accepting_trace, accepts
@@ -146,21 +146,27 @@ def _column_counts(
     configurations that enter a column and that column's cells decide
     those that enter the next (``_Tables.across``): its verdicts form a
     subset construction over columns (Rabin & Scott, 1959).  Run as a
-    product with the language's column automaton (``_column_form``),
-    counting the pictures that reach each pair of states, it gives every
-    width's counts in one pass.  Each entering set is closed once per
-    column filling and once on the right ring column, whatever the width,
-    and the closures are kept on the tables per row count, for the next
-    sweep of the machine against any language."""
-    moves_left = any(d == Direction.L for moves in a.transitions.values() for _, d in moves)
-    form = _column_form(lang_id, rows)
+    product with the language's column automaton (``_Language.moves`` of
+    its compiled form), counting on a plain dict the pictures that reach
+    each pair of states, it gives every width's counts in one pass.  Each
+    entering set is closed once per column filling and once on the right
+    ring column, whatever the width, and the closures are kept on the
+    tables per row count, for the next sweep of the machine against any
+    language; the language's steps are kept on its form, for the next
+    sweep of any machine over the alphabet.  A call joins the two once
+    per pair of states it reaches, into that pair's list of successors,
+    and whether the machine has an L transition is read once and kept on
+    it.  So a warm call makes no closure and no language step, only the
+    sums."""
+    moves_left = a.__dict__.get("_moves_left")
+    if moves_left is None:  # read once: the machine is immutable
+        moves_left = any(d == Direction.L for moves in a.transitions.values() for _, d in moves)
+        object.__setattr__(a, "_moves_left", moves_left)
+    form = _compiled(lang_id, a.alphabet, rows)
     if form is None or moves_left and any(b.left for b in budgets):
         return None
-    if len(a.alphabet) ** rows > _COLUMNS_MAX:
+    if (fillings := len(a.alphabet) ** rows) > _COLUMNS_MAX:
         return None
-    columns = _shape_rows(a.alphabet, 1, rows)  # each filling of a column, top to bottom
-    start, step, member = form
-    language: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     by_budget: dict[Budget, list[tuple[int, int, int]]] = {}
     for budget in dict.fromkeys(budgets):
         tables = _tables(a, *budget)
@@ -168,32 +174,38 @@ def _column_counts(
         # the set entering the next column after each filling.  None stands
         # for an accepted picture, whatever columns follow.  They depend on
         # no language, so the tables keep them per row count.
-        after = tables.columns.setdefault(rows, {None: (True, [None] * len(columns))})
+        after = tables.columns.setdefault(rows, {None: (True, [None] * fillings)})
+        # Per product state (entering set, language state), for this call:
+        # whether the ring column accepts, whether a member ends there, and
+        # the product state after each filling.
+        follow: dict[tuple, tuple[bool, bool, list[tuple]]] = {}
 
-        def follow(entering: frozenset[int]) -> tuple[bool, list]:
+        def successors(key: tuple) -> tuple[bool, bool, list[tuple]]:
+            entering, state = key
             if entering not in after:
                 after[entering] = (
                     tables.across(entering, rows, None) is None,
-                    [tables.across(entering, rows, column) for column in columns],
+                    [tables.across(entering, rows, c) for c in _shape_rows(a.alphabet, 1, rows)],
                 )
-            return after[entering]
+            accepts, crossed = after[entering]
+            member, stepped = form.moves(state)
+            found = follow[key] = (accepts, member, list(zip(crossed, stepped)))
+            return found
 
-        paths = Counter({(frozenset([1 << tables.shift | tables.start]), start): 1})
+        paths = {(frozenset([1 << tables.shift | tables.start]), form.start): 1}
         widths = by_budget[budget] = []
-        for width in range(1, cols_max + 1):
-            ahead: Counter = Counter()
-            for (entering, state), n in paths.items():
-                if state not in language:
-                    language[state] = [step(state, column) for column in columns]
-                for pair in zip(follow(entering)[1], language[state]):
-                    ahead[pair] += n
+        for _ in range(cols_max):
+            ahead: dict[tuple, int] = {}
+            for key, n in paths.items():
+                for pair in (follow.get(key) or successors(key))[2]:
+                    ahead[pair] = ahead.get(pair, 0) + n
             paths, total, accepted, members = ahead, 0, 0, 0
-            for (entering, state), n in paths.items():
-                hit = member(state, width)
-                total += n * hit
-                if follow(entering)[0]:
+            for key, n in paths.items():
+                accepts, member, _ = follow.get(key) or successors(key)
+                total += n * member
+                if accepts:
                     accepted += n
-                    members += n * hit
+                    members += n * member
             widths.append((total, accepted, members))
     return list(zip(*(by_budget[budget] for budget in budgets)))
 
@@ -214,8 +226,8 @@ def budget_sweep(
     machine with L free as if L were budgeted at 0, which starves it of
     every L move (its class, read off the declaration, is unchanged).
     ``cols_max`` below 1 raises ValueError before anything else is
-    checked, and then ``rows`` above 4096, before any table or column
-    form is built: the language's column form holds a count per row
+    checked, and then ``rows`` above 4096, before any table or language
+    form is built: a language's column automaton holds a count per row
     pair, and a shape has ``|alphabet| ** (rows * cols)`` pictures.
     Mismatches are recorded against the last budget in the list,
     told by its position: a budget listed twice shares its runs.
@@ -226,7 +238,9 @@ def budget_sweep(
     (``_column_counts``; 16, so 2 rows over up to four symbols or 4 rows
     over two): every width's counts come without making or searching a
     picture, so the checks of ``A_L1``, ``C_L1_2W`` and ``D_K(3)`` at
-    2 x 40 take 1-2 ms.  Counts
+    2 x 40 take 1-2 ms, and a warm check at 2 x 7 30-45 us: the machine's
+    column closures and the language's column steps are kept, so it only
+    sums.  Counts
     say how many pictures disagree but not which, so a width where the
     last budget's counts disagree is decided picture by picture as below,
     and its mismatches are listed in enumeration order.  Every other
@@ -238,14 +252,17 @@ def budget_sweep(
     branch), and a run's members are counted from the language's row-pair
     table (``_member_rank``).  The machine's tables keep each shape's
     runs per budget, up to ``_KEPT_RUNS`` of them, so a repeated sweep
-    searches only the shapes with more.  In a run whose count disagrees with its
+    searches only the shapes with more, and the language's compiled form
+    keeps each width's table of up to ``_KEPT_PAIRS`` (4,096) row pairs,
+    so it builds only the wider ones again (2 x 7 and up over two
+    symbols).  In a run whose count disagrees with its
     verdict, each disagreeing picture is found by bisecting that count
     over the run, so a report costs O(mismatches * log run) counts, not
     one per picture.
     """
     if cols_max < 1:
         raise ValueError(f"need cols_max >= 1, got {cols_max}")
-    if rows > 4096:  # the column forms and the shapes are sized by the row count
+    if rows > 4096:  # the language forms and the shapes are sized by the row count
         raise ValueError(f"need rows <= 4096, got {rows}")
     ensure_valid(a)
     if not budgets:
@@ -265,7 +282,7 @@ def budget_sweep(
                     count[1] += members
                 continue
         shape_rows, verdicts = _decide_shape(a, rows, cols, resolved)
-        rank = _member_rank(lang_id, shape_rows, rows)
+        rank = _member_rank(lang_id, a.alphabet, rows, cols)
         member_total += rank(len(shape_rows) ** rows)
         for position, (count, runs) in enumerate(zip(counts, verdicts)):
             start = before = 0  # ``before`` is rank(start)

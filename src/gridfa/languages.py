@@ -17,9 +17,13 @@ columns number ``(u & l).bit_count()``:
 * ``K_i``  -- 2 rows with >= 2i stacked columns; ``K_1`` coincides with ``L_1``.
 * ``S_i``  -- the single 2 x i all-ones word: ``w == i and u == l == (1 << w) - 1``.
 
-The oracles, the member counts of ``_member_rank`` and the column
-automata of ``_column_form`` are built from it; the member counts read
-each row of a shape as a mask once.
+The oracles are built from it, and so is each language's compiled form
+(``_compiled``), one per language, alphabet and row count, built once and
+kept: its automaton over columns, whose steps are made on first use and
+kept, and the member counts of ``_member_rank``, which read each row of a
+shape as a mask once and keep a width's table where it has at most
+``_KEPT_PAIRS`` (4,096) row pairs.  At most 64 forms are kept, each with
+at most 44 KB of tables.
 
 Oracles return False (never raise) on pictures of the wrong shape: a
 language is a set of pictures and a non-member is simply a non-member.
@@ -29,11 +33,11 @@ from __future__ import annotations
 
 import re
 from array import array
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .grid import Picture, ShapeError
+from .grid import Picture, ShapeError, _shape_rows
 
 ALPHABET_01: tuple[str, ...] = ("0", "1")
 
@@ -86,34 +90,59 @@ def _pair_form(kind: str, index: int) -> tuple[int, int, Callable[[int, int, int
 _Counts = tuple[int, ...]  # a column automaton's state: one count per row pair
 
 
-def _column_form(
-    lang_id: str, rows: int
-) -> tuple[_Counts, Callable[[_Counts, str], _Counts], Callable[[_Counts, int], bool]] | None:
-    """The language as an automaton over columns, read left to right:
-    ``(start, step(state, column), member(state, width))``, where a column
-    is the text of its cells, top to bottom.  A state holds one count per
-    row pair, of its stacked columns up to ``_pair_form``'s ``need``; M's
-    goes one past, where a third stacked column or a lone 1 ends
-    membership.  S's count reaches ``need`` at width ``need`` only if every
-    column is stacked.  None off the natural row count, where the language
-    has no member."""
-    kind, index = parse_language_id(lang_id)
-    want, need, _ = _pair_form(kind, index)
-    if rows != want:
-        return None
-    if kind == "M":
-        pair = lambda c, u, l: need + 1 if u != l else min(c + u, need + 1)
-    else:
-        pair = lambda c, u, l: min(c + (u & l), need)
+class _Language:
+    """A witness language compiled for one alphabet at its natural row
+    count, as ``_compiled`` keeps it: an automaton over columns, read left
+    to right, and the member tables of ``_member_rank``.
 
-    def step(state: _Counts, column: str) -> _Counts:
-        ones = [symbol == "1" for symbol in column]
-        return tuple(map(pair, state, ones[::2], ones[1::2]))
+    ``start`` is the automaton's state on no column.  A state holds one
+    count per row pair, of its stacked columns up to ``_pair_form``'s
+    ``need``; M's goes one past, where a third stacked column or a lone 1
+    ends membership, and so does S's, where a column that is not stacked
+    or a column past the ``need``-th does: S's count is then the width,
+    and its member flag needs no width.  ``moves`` gives a state's member
+    flag and its next state per column filling (a column being the text of
+    its cells, top to bottom), each made on first use and kept in
+    ``steps``.  ``tables`` keeps the row-pair prefix counts of a width
+    (``below``, built by ``_member_rank``) where they are small enough."""
 
-    def member(state: _Counts, width: int) -> bool:
-        return all(c == need for c in state) and (kind != "S" or width == need)
+    def __init__(self, lang_id: str, alphabet: tuple[str, ...]) -> None:
+        kind, index = parse_language_id(lang_id)
+        self.rows, need, self.rule = _pair_form(kind, index)
+        if kind == "M":
+            self.pair = lambda c, u, l: need + 1 if u != l else min(c + u, need + 1)
+        elif kind == "S":
+            self.pair = lambda c, u, l: c + 1 if u & l and c < need else need + 1
+        else:
+            self.pair = lambda c, u, l: min(c + (u & l), need)
+        self.alphabet, self.need, self.start = alphabet, need, (0,) * (self.rows // 2)
+        self.steps: dict[_Counts, tuple[bool, list[_Counts]]] = {}
+        self.tables: dict[int, array] = {}
 
-    return (0,) * (rows // 2), step, member
+    def moves(self, state: _Counts) -> tuple[bool, list[_Counts]]:
+        """Whether ``state`` ends a member, and its next state after each
+        column filling, in ``_shape_rows(alphabet, 1, rows)`` order."""
+        found = self.steps.get(state)
+        if found is None:
+            columns = _shape_rows(self.alphabet, 1, self.rows)
+            ones = [[symbol == "1" for symbol in column] for column in columns]
+            found = self.steps[state] = (
+                all(c == self.need for c in state),
+                [tuple(map(self.pair, state, flags[::2], flags[1::2])) for flags in ones],
+            )
+        return found
+
+
+@lru_cache(maxsize=64)
+def _compiled(lang_id: str, alphabet: tuple[str, ...], rows: int) -> _Language | None:
+    """``lang_id`` compiled for ``alphabet`` at ``rows``, built once and
+    kept for 64 such keys; None off the natural row count, where the
+    language has no member.  A form keeps a step row per state a sweep
+    reaches (a sweep steps columns of at most 16 fillings) and at most
+    5,460 row pairs of member tables (``_KEPT_PAIRS``; widths 1..6 over
+    two symbols), 44 KB as int64, so the forms hold at most about 2.8 MB
+    of tables."""
+    return _Language(lang_id, alphabet) if rows == natural_rows(lang_id) else None
 
 
 @cache  # built once per language, so ``in_L`` and the rest pay one lookup
@@ -156,22 +185,36 @@ def in_S(i: int, p: Picture) -> bool:
     return _membership("S", i)(p)
 
 
-def _member_rank(lang_id: str, shape_rows: Sequence[str], rows: int) -> Callable[[int], int]:
+#: A compiled language keeps a width's member table only where it has at
+#: most this many row pairs, counted as if the alphabet had two symbols or
+#: more: widths 1..6 over up to two symbols, 1..3 over three or four.
+#: Wider tables are built per call: at 2 x 13 over two symbols one holds
+#: 2^26 pairs.
+_KEPT_PAIRS = 4096
+
+
+def _member_rank(
+    lang_id: str, alphabet: Sequence[str], rows: int, cols: int
+) -> Callable[[int], int]:
     """``rank(x)``: the members of ``lang_id`` among the first ``x``
-    pictures of the ``rows``-row shape whose rows ``grid._shape_rows`` gave.
-    An index has the row pairs as digits, top pair first.  A member below
-    ``x`` shares some passing leading pairs with it, then has a passing pair
-    below ``x``'s next one (``below`` counts them), then any passing pairs.
-    ``below`` reads each of the shape's rows as a 1-mask once and sums the
-    rule over every (upper, lower) pair of masks, in index order, into an
-    int64 array: 8 bytes per row pair, where a list of ints took ~36."""
-    want, _, rule = _pair_form(*parse_language_id(lang_id))
-    if rows != want:
+    pictures of the ``rows x cols`` shape over ``alphabet``, in
+    ``enumerate_pictures`` order.  An index has the row pairs as digits,
+    top pair first.  A member below ``x`` shares some passing leading
+    pairs with it, then has a passing pair below ``x``'s next one
+    (``below`` counts them), then any passing pairs.  ``below`` reads each
+    of the shape's rows (``grid._shape_rows``) as a 1-mask once and sums
+    the rule over every (upper, lower) pair of masks, in index order, into
+    an int64 array: 8 bytes per row pair, where a list of ints took ~36.
+    The compiled language keeps it up to ``_KEPT_PAIRS`` pairs."""
+    form = _compiled(lang_id, tuple(alphabet), rows)
+    if form is None:
         return lambda x: 0
-    masks = list(map(_mask, shape_rows))
-    width = len(shape_rows[0]) if shape_rows else 0  # an empty alphabet has no rows
-    passes = (rule(upper, lower, width) for upper in masks for lower in masks)
-    below = array("q", accumulate(passes, initial=0))
+    below = form.tables.get(cols)
+    if below is None:
+        masks, rule = list(map(_mask, _shape_rows(alphabet, 1, cols))), form.rule
+        below = array("q", accumulate((rule(u, l, cols) for u in masks for l in masks), initial=0))
+        if max(len(alphabet), 2) ** (2 * cols) <= _KEPT_PAIRS:
+            form.tables[cols] = below
     size, passing, pairs = len(below) - 1, below[-1], rows // 2
     if pairs == 1:  # the index is the pair's value
         return below.__getitem__

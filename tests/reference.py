@@ -8,9 +8,11 @@ the code under test beyond the public value types.  Tests compare
 verdicts, canonical traces, deterministic outcomes and single steps
 against it.
 
-``table_row`` is the one white-box piece: the row of a compiled table,
-built by a plain loop over each move, against which the rows
-``gridfa.simulator._Tables`` builds are checked.
+``table_row`` is a white-box piece: the row of a compiled table, built
+by a plain loop over each move, against which the rows
+``gridfa.simulator._Tables`` builds are checked.  ``column_step`` is the
+other: a witness language's column step, by a plain loop over its row
+pairs.
 
 The oracles are one hand-written scan per witness language, with no
 shared pair form, against which ``gridfa.languages`` (its oracles and
@@ -237,6 +239,32 @@ def table_row(tables, low: int) -> dict:
     for key, leaving in _RING.items():
         row[key] = tuple(move for move in boundary if move[1] not in leaving)
     return row
+
+
+def column_step(lang_id: str, state: tuple[int, ...], column: str) -> tuple[int, ...]:
+    """The state after ``column`` (its cells' text, top to bottom) of a
+    witness language's automaton over columns, row pair by row pair: the
+    other white-box piece, against which the steps that
+    ``gridfa.languages._Language`` keeps are checked.  A pair's count is
+    of its stacked columns, capped at the number its language counts to;
+    M's and S's go one past that, and stay there, once membership ends: a
+    lone 1 or a third stacked column for M, and for S a column that is not
+    stacked or one past its width."""
+    kind, index = lang_id[0], int(lang_id[1:])
+    need = {"L": 2, "M": 2, "N": 1, "K": 2 * index, "S": index}[kind]
+    counts = []
+    for pair, count in enumerate(state):
+        upper, lower = column[2 * pair] == "1", column[2 * pair + 1] == "1"
+        if kind == "M" and upper != lower:
+            count = need + 1
+        elif kind == "M" and upper:
+            count = min(count + 1, need + 1)
+        elif kind == "S":
+            count = count + 1 if upper and lower and count < need else need + 1
+        elif kind != "M" and upper and lower:
+            count = min(count + 1, need)
+        counts.append(count)
+    return tuple(counts)
 
 
 def _stacked(upper, lower) -> int:

@@ -510,7 +510,7 @@ def shape_counts(machine, lang_id, rows, cols, budgets):
     pictures and members accepted, from ``_decide_shape``'s runs and the
     language's row-pair table."""
     shape_rows, verdicts = _decide_shape(machine, rows, cols, budgets)
-    rank = _member_rank(lang_id, shape_rows, rows)
+    rank = _member_rank(lang_id, machine.alphabet, rows, cols)
     per_budget = []
     for runs in verdicts:
         accepted = members = start = 0

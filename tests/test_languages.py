@@ -1,3 +1,8 @@
+import dataclasses
+import gc
+import random
+import sys
+import threading
 import tracemalloc
 from itertools import accumulate
 
@@ -8,7 +13,7 @@ from hypothesis import strategies as st
 import gridfa as g
 import reference
 from gridfa.grid import _shape_rows
-from gridfa.languages import _member_rank, natural_rows
+from gridfa.languages import _compiled, _member_rank, natural_rows
 
 from conftest import all_pictures
 
@@ -123,10 +128,9 @@ class TestInK:
         # 65,536 row pairs: about 0.5 MB as an int64 array, over 2 MB as a
         # list of ints.  The 2 x 8 pictures with at least 4 stacked columns
         # number 4^8 - sum_{s<4} C(8,s) 3^(8-s) = 7,459.
-        shape_rows = _shape_rows("01", 2, 8)
         tracemalloc.start()
         try:
-            rank = _member_rank("K2", shape_rows, 2)
+            rank = _member_rank("K2", ("0", "1"), 2, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,7 +199,7 @@ def test_exact_pair_rows_may_differ_outside_their_ones():
     assert g.in_M(1, g.Picture.from_rows(["1a1", "1b1"]))
     # Over {1, a, b} at 2 x 3, each of the 3 column pairs takes an a or b
     # in its third column, in each row: 3 * 2 * 2 members.
-    assert _member_rank("M1", _shape_rows("1ab", 2, 3), 2)(27**2) == 12
+    assert _member_rank("M1", ("1", "a", "b"), 2, 3)(27**2) == 12
 
 
 class TestInS:
@@ -208,7 +212,7 @@ class TestInS:
 
     def test_member_counts_hold_one_word_at_width_i(self):
         for cols in range(1, 5):
-            rank = _member_rank("S2", _shape_rows("1a", 2, cols), 2)
+            rank = _member_rank("S2", ("1", "a"), 2, cols)
             assert rank(4**cols) == (cols == 2)
 
     def test_s_implies_k_halved(self):
@@ -342,10 +346,131 @@ def _check_pair_forms(alphabet: str, rows: int, cols: int) -> None:
         for (expected, oracle), found in zip(oracles, members):
             found.append(expected(p))
             assert rows * cols > 10 or oracle(p) == found[-1], p
-    shape_rows = _shape_rows(alphabet, rows, cols)
     indices = range(len(alphabet) ** (rows * cols) + 1)
     for lang, found in zip(langs, members):
-        rank = _member_rank(lang, shape_rows, rows)
+        rank = _member_rank(lang, tuple(alphabet), rows, cols)
         assert list(map(rank, indices)) == [0, *accumulate(found)], lang
     for lang in set(LANGUAGE_IDS) - set(langs):
-        assert _member_rank(lang, shape_rows, rows)(indices[-1]) == 0
+        assert _member_rank(lang, tuple(alphabet), rows, cols)(indices[-1]) == 0
+
+
+#: The witness languages a compiled form is checked for, and its alphabets:
+#: "1" first, last, or beside symbols that are not digits.
+COMPILED_IDS = ["L1", "L2", "M1", "M2", "N1", "N2", "K1", "K2", "S2", "S3"]
+COMPILED_ALPHABETS = [("0", "1"), ("0", "1", "2"), ("1", "a", "b")]
+
+
+@pytest.mark.parametrize("lang", COMPILED_IDS)
+def test_compiled_member_tables_match_fresh_builds(lang):
+    """The member table a compiled form keeps for each width up to 3, read
+    again, against a fresh build from the reference oracle at every index:
+    the running count of passing row pairs.  Over every alphabet in one
+    process, so a form or table read for another alphabet or width shows.
+    The rank is checked at every index of the shapes of at most 3^8
+    pictures, against the running member count."""
+    rows = natural_rows(lang)
+    passes = reference.oracle(lang if rows == 2 else lang[0] + "1")
+    for alphabet in COMPILED_ALPHABETS:
+        for cols in range(1, 4):
+            _member_rank(lang, alphabet, rows, cols)
+            rank = _member_rank(lang, alphabet, rows, cols)
+            fresh = [0, *accumulate(map(passes, g.enumerate_pictures(alphabet, 2, cols)))]
+            assert list(_compiled(lang, alphabet, rows).tables[cols]) == fresh, (alphabet, cols)
+            if len(alphabet) ** (rows * cols) <= 3**8:
+                found = map(reference.oracle(lang), g.enumerate_pictures(alphabet, rows, cols))
+                counts = [0, *accumulate(found)]
+                assert list(map(rank, range(len(counts)))) == counts, (alphabet, cols)
+
+
+@pytest.mark.parametrize("lang", COMPILED_IDS)
+def test_compiled_column_steps_match_the_reference_step(lang):
+    """Every state the compiled automaton reaches from its start, over
+    every alphabet: its kept next states are the reference column step's,
+    filling by filling, and its member flag says whether all of its counts
+    reached the language's.  Walking each picture of up to 3 columns (2
+    at 4 rows over three symbols) column by column ends on a state whose
+    flag is the reference oracle's verdict."""
+    rows, oracle = natural_rows(lang), reference.oracle(lang)
+    need = {"L": 2, "M": 2, "N": 1, "K": 2 * int(lang[1:]), "S": int(lang[1:])}[lang[0]]
+    for alphabet in COMPILED_ALPHABETS:
+        form = _compiled(lang, alphabet, rows)
+        columns = _shape_rows(alphabet, 1, rows)
+        seen, todo = {form.start}, [form.start]
+        while todo:
+            state = todo.pop()
+            member, stepped = form.moves(state)
+            assert member == all(c == need for c in state)
+            assert stepped == [reference.column_step(lang, state, c) for c in columns]
+            todo += set(stepped) - seen
+            seen.update(stepped)
+        assert form.steps.keys() >= seen
+        for cols in range(1, 3 if rows * len(alphabet) > 8 else 4):
+            for p in g.enumerate_pictures(alphabet, rows, cols):
+                state = form.start
+                for col in range(cols):
+                    column = "".join(row[col] for row in p.cells)
+                    state = form.moves(state)[1][columns.index(column)]
+                assert form.moves(state)[0] == oracle(p), p
+
+
+def test_member_tables_are_kept_up_to_4096_row_pairs():
+    # 2 x 6 over two symbols has 4^6 = 4,096 row pairs: kept.  2 x 7 has
+    # 16,384: built on each call, and never kept.
+    for cols in (6, 7, 7):
+        _member_rank("K2", ("0", "1"), 2, cols)
+    tables = _compiled("K2", ("0", "1"), 2).tables
+    assert len(tables[6]) == 4**6 + 1
+    assert 7 not in tables
+    assert all(len(table) <= 4097 for table in tables.values())
+
+
+def test_threads_that_share_language_forms_see_what_a_serial_run_sees():
+    # A compiled form fills its steps and member tables on first use, in
+    # whichever thread gets there first.  Four threads share fresh forms
+    # and fresh machine copies, each running every check in its own order
+    # with threads switching often: counted by columns (A_L1, D_K2), and
+    # searched, reading member tables (M_M1, and B_L1 starved of its U).
+    checks = [
+        ("A_L1", None, "L1", 2, 6, None), ("A_L1", None, "K2", 2, 5, None),
+        ("D_K", 2, "K2", 2, 6, None), ("M_M1", None, "M1", 2, 5, None),
+        ("B_L", 1, "L1", 2, 4, g.Budget(0, g.INF)),
+    ]
+
+    def calls():
+        machines = {}
+        for builder, param, *_ in checks:
+            machines[builder] = dataclasses.replace(g.make_machine(builder, param))
+        return [
+            (n, lambda m=machines[b], l=lang, r=rows, c=cols, bud=budget: g.budget_sweep(
+                m, l, r, c, [bud or m.budget]
+            ).format_records())
+            for n, (b, _, lang, rows, cols, budget) in enumerate(checks)
+        ]
+
+    _compiled.cache_clear()
+    expected = {n: call() for n, call in calls()}
+    _compiled.cache_clear()
+    shared, seen = calls(), []
+    barrier = threading.Barrier(4, timeout=30)
+
+    def work(seed):
+        order = random.Random(seed).sample(shared, len(shared))
+        barrier.wait()
+        seen.append({n: call() for n, call in order})
+
+    # The collector is off meanwhile, as in the machines' thread test.
+    interval, collecting = sys.getswitchinterval(), gc.isenabled()
+    sys.setswitchinterval(1e-5)
+    gc.disable()
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+        if collecting:
+            gc.enable()
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [expected] * 4

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .grid import Picture, _picture_at, _shape_rows
+from .grid import Picture, PictureFormatError, _picture_at, _shape_rows
 from .languages import (
     _compiled, _member_rank, in_L, make_w, natural_rows, parse_language_id, splice_words,
 )
@@ -146,8 +146,8 @@ def _column_counts(
     configurations that enter a column and that column's cells decide
     those that enter the next (``_Tables.across``): its verdicts form a
     subset construction over columns (Rabin & Scott, 1959).  Run as a
-    product with the language's column automaton (``_Language.moves`` of
-    its compiled form), counting on a plain dict the pictures that reach
+    product with the language's column automaton (its compiled form,
+    ``_Language``), counting on a plain dict the pictures that reach
     each pair of states, it gives every width's counts in one pass.  Each
     entering set is closed once per column filling and once on the right
     ring column, whatever the width, and the closures are kept on the
@@ -188,7 +188,7 @@ def _column_counts(
                     [tables.across(entering, rows, c) for c in _shape_rows(a.alphabet, 1, rows)],
                 )
             accepts, crossed = after[entering]
-            member, stepped = form.moves(state)
+            member, stepped = form[state]
             found = follow[key] = (accepts, member, list(zip(crossed, stepped)))
             return found
 
@@ -229,6 +229,8 @@ def budget_sweep(
     checked, and then ``rows`` above 4096, before any table or language
     form is built: a language's column automaton holds a count per row
     pair, and a shape has ``|alphabet| ** (rows * cols)`` pictures.
+    ``rows`` below 1 raises PictureFormatError once the budgets and the
+    language id are checked, before any table is built.
     Mismatches are recorded against the last budget in the list,
     told by its position: a budget listed twice shares its runs.
 
@@ -258,7 +260,8 @@ def budget_sweep(
     symbols).  In a run whose count disagrees with its
     verdict, each disagreeing picture is found by bisecting that count
     over the run, so a report costs O(mismatches * log run) counts, not
-    one per picture.
+    one per picture.  The first such run of a width makes the shape's
+    rows, to decode its mismatches, and the width's later runs reuse them.
     """
     if cols_max < 1:
         raise ValueError(f"need cols_max >= 1, got {cols_max}")
@@ -269,6 +272,8 @@ def budget_sweep(
         raise ValueError("budget_sweep needs at least one budget")
     parse_language_id(lang_id)
     resolved = [_resolve_budget(a, budget) for budget in budgets]
+    if rows < 1:
+        raise PictureFormatError("enumeration needs rows >= 1 and cols >= 1")
     counts = [[0, 0] for _ in resolved]  # accepted, accepted members
     member_total, mismatches = 0, list[Mismatch]()
     counted = _column_counts(a, lang_id, rows, cols_max, resolved)
@@ -281,9 +286,9 @@ def budget_sweep(
                     count[0] += accepted
                     count[1] += members
                 continue
-        shape_rows, verdicts = _decide_shape(a, rows, cols, resolved)
+        verdicts, shape_rows = _decide_shape(a, rows, cols, resolved), None
         rank = _member_rank(lang_id, a.alphabet, rows, cols)
-        member_total += rank(len(shape_rows) ** rows)
+        member_total += rank(len(a.alphabet) ** (rows * cols))
         for position, (count, runs) in enumerate(zip(counts, verdicts)):
             start = before = 0  # ``before`` is rank(start)
             for end, verdict in runs:
@@ -299,6 +304,7 @@ def budget_sweep(
                     wrong = (lambda n: n - rank(n)) if verdict else rank
                     below = start - before if verdict else before  # wrong(start)
                     ends, at = range(start + 1, end + 1), 0
+                    shape_rows = shape_rows or _shape_rows(a.alphabet, rows, cols)
                     for k in range(below + 1, below + misses + 1):
                         at = bisect_left(ends, k, at, key=wrong)
                         picture = _picture_at(shape_rows, rows, start + at)
@@ -503,12 +509,11 @@ def hierarchy_report(i_max: int, cols_max: int) -> HierarchyReport:
     (two-way side), each checked for oracle equivalence at full budget and
     starved at one unit less.  A starvation cell is ``confirmed`` when the
     language is non-empty in range, every member is accepted at the full
-    budget, and none is accepted one unit below it.
+    budget, and none is accepted one unit below it.  ``cols_max`` below 1
+    raises the ValueError of ``budget_sweep``.
     """
     if i_max < 1:
         raise ValueError(f"need i_max >= 1, got {i_max}")
-    if cols_max < 1:
-        raise ValueError(f"need cols_max >= 1, got {cols_max}")
     rows: list[HierarchyRow] = []
     for i in range(1, i_max + 1):
         for machine, lang_id in (

@@ -2,13 +2,14 @@
 over the alphabet {0, 1}.
 
 Every language is built from the "stacked 1s" notion: a column whose two
-cells in a designated row pair both hold 1.  Each is defined once
-(``_pair_form``), as a row count, the number of stacked columns it
-counts to, and a rule that every disjoint row pair (rows 1-2, 3-4, ...)
-must pass.  The rule reads the pair's upper and lower rows as 1-masks
-``u`` and ``l`` (an int with bit k set where column k holds "1"; every
-other symbol reads as 0) and the width ``w``, so the pair's stacked
-columns number ``(u & l).bit_count()``:
+cells in a designated row pair both hold 1.  Each is defined once, in
+one branch of ``_pair_form``, as a row count, the number of stacked
+columns it counts to, and a rule that every disjoint row pair (rows 1-2,
+3-4, ...) must pass, stated twice over: as a test of the whole pair, and
+as a count stepped one column at a time.  The test reads the pair's
+upper and lower rows as 1-masks ``u`` and ``l`` (an int with bit k set
+where column k holds "1"; every other symbol reads as 0) and the width
+``w``, so the pair's stacked columns number ``(u & l).bit_count()``:
 
 * ``L_i``  -- exactly 2i rows; each pair has >= 2 stacked columns.
 * ``M_i``  -- exactly 2i rows; each pair has exactly two stacked columns
@@ -17,13 +18,14 @@ columns number ``(u & l).bit_count()``:
 * ``K_i``  -- 2 rows with >= 2i stacked columns; ``K_1`` coincides with ``L_1``.
 * ``S_i``  -- the single 2 x i all-ones word: ``w == i and u == l == (1 << w) - 1``.
 
-The oracles are built from it, and so is each language's compiled form
-(``_compiled``), one per language, alphabet and row count, built once and
-kept: its automaton over columns, whose steps are made on first use and
-kept, and the member counts of ``_member_rank``, which read each row of a
-shape as a mask once and keep a width's table where it has at most
-``_KEPT_PAIRS`` (4,096) row pairs.  At most 64 forms are kept, each with
-at most 44 KB of tables.
+The oracles are built from the test.  Each language's compiled form
+(``_compiled``, one per language, alphabet and row count, built once and
+kept) is built from both: its automaton over columns is a dict of the
+count states it has reached, each with its steps, made on first use and
+kept (``_Language``), and the member counts of ``_member_rank`` read
+each row of a shape as a mask once and keep a width's table where it has
+at most ``_KEPT_PAIRS`` (4,096) row pairs.  At most 64 forms are kept,
+each with at most 44 KB of tables.
 
 Oracles return False (never raise) on pictures of the wrong shape: a
 language is a set of pictures and a non-member is simply a non-member.
@@ -67,69 +69,70 @@ def stacked_count(p: Picture, top_row: int) -> int:
     return (_mask(p.cells[top_row - 1]) & _mask(p.cells[top_row])).bit_count()
 
 
-def _pair_form(kind: str, index: int) -> tuple[int, int, Callable[[int, int, int], bool]]:
+def _pair_form(kind: str, index: int) -> tuple[int, int, Callable[..., bool], Callable[..., int]]:
     """The language of ``kind`` and ``index`` as its row count, the number
-    ``need`` of stacked columns its rule counts to, and the rule
-    ``rule(u, l, w)`` each disjoint row pair must pass: ``u`` and ``l`` are
-    the upper and lower row's 1-masks, ``w`` the width.
+    ``need`` of stacked columns its rule counts to, the rule
+    ``rule(u, l, w)`` each disjoint row pair must pass (``u`` and ``l`` the
+    upper and lower row's 1-masks, ``w`` the width), and the same rule as
+    a count over columns read left to right: ``pair(c, u, l)`` is a pair's
+    count after a column whose upper and lower cells read ``u`` and ``l``
+    (1 for "1", else 0), from the count ``c`` on the columns before it,
+    and a row pair passes exactly when its count, from 0, ends on
+    ``need``.
 
     M's rows carry the same two 1s; rows that agree on their 1s may still
-    differ elsewhere, in symbols other than 1.  Only S reads the width:
-    a row whose every column holds 1 has the mask ``(1 << w) - 1``."""
+    differ elsewhere, in symbols other than 1.  Its count goes one past
+    ``need``, where a third stacked column or a lone 1 ends membership.
+    Only S's rule reads the width: a row whose every column holds 1 has
+    the mask ``(1 << w) - 1``.  S's count goes one past ``need`` at a
+    column that is not stacked or lies past the ``need``-th, so a count
+    that ends on ``need`` has counted the width, and ``pair`` needs no
+    width."""
     if index < 1:
         raise ValueError(f"language index must be >= 1, got {index}")
     rows = 2 if kind in "KS" else 2 * index
     need = {"L": 2, "M": 2, "N": 1, "K": 2 * index, "S": index}[kind]
     if kind == "M":
-        return rows, need, lambda u, l, w: u == l and u.bit_count() == need
-    if kind == "S":
-        return rows, need, lambda u, l, w: w == need and u == l == (1 << w) - 1
-    return rows, need, lambda u, l, w: (u & l).bit_count() >= need
+        rule = lambda u, l, w: u == l and u.bit_count() == need
+        pair = lambda c, u, l: need + 1 if u != l else min(c + u, need + 1)
+    elif kind == "S":
+        rule = lambda u, l, w: w == need and u == l == (1 << w) - 1
+        pair = lambda c, u, l: c + 1 if u & l and c < need else need + 1
+    else:
+        rule = lambda u, l, w: (u & l).bit_count() >= need
+        pair = lambda c, u, l: min(c + (u & l), need)
+    return rows, need, rule, pair
 
 
 _Counts = tuple[int, ...]  # a column automaton's state: one count per row pair
 
 
-class _Language:
+class _Language(dict):
     """A witness language compiled for one alphabet at its natural row
     count, as ``_compiled`` keeps it: an automaton over columns, read left
     to right, and the member tables of ``_member_rank``.
 
-    ``start`` is the automaton's state on no column.  A state holds one
-    count per row pair, of its stacked columns up to ``_pair_form``'s
-    ``need``; M's goes one past, where a third stacked column or a lone 1
-    ends membership, and so does S's, where a column that is not stacked
-    or a column past the ``need``-th does: S's count is then the width,
-    and its member flag needs no width.  ``moves`` gives a state's member
-    flag and its next state per column filling (a column being the text of
-    its cells, top to bottom), each made on first use and kept in
-    ``steps``.  ``tables`` keeps the row-pair prefix counts of a width
-    (``below``, built by ``_member_rank``) where they are small enough."""
+    ``start`` is the automaton's state on no column: one count per row
+    pair, each stepped by ``_pair_form``'s ``pair``.  The form is a dict
+    of the states it has reached: ``form[state]`` is whether ``state``
+    ends a member and its next state per column filling (a column being
+    the text of its cells, top to bottom, in ``_shape_rows(alphabet, 1,
+    rows)`` order), made by ``__missing__`` on first use and kept.
+    ``tables`` keeps the row-pair prefix counts of a width (``below``,
+    built by ``_member_rank``) where they are small enough."""
 
     def __init__(self, lang_id: str, alphabet: tuple[str, ...]) -> None:
-        kind, index = parse_language_id(lang_id)
-        self.rows, need, self.rule = _pair_form(kind, index)
-        if kind == "M":
-            self.pair = lambda c, u, l: need + 1 if u != l else min(c + u, need + 1)
-        elif kind == "S":
-            self.pair = lambda c, u, l: c + 1 if u & l and c < need else need + 1
-        else:
-            self.pair = lambda c, u, l: min(c + (u & l), need)
-        self.alphabet, self.need, self.start = alphabet, need, (0,) * (self.rows // 2)
-        self.steps: dict[_Counts, tuple[bool, list[_Counts]]] = {}
+        self.rows, self.need, self.rule, self.pair = _pair_form(*parse_language_id(lang_id))
+        self.alphabet, self.start = alphabet, (0,) * (self.rows // 2)
         self.tables: dict[int, array] = {}
 
-    def moves(self, state: _Counts) -> tuple[bool, list[_Counts]]:
-        """Whether ``state`` ends a member, and its next state after each
-        column filling, in ``_shape_rows(alphabet, 1, rows)`` order."""
-        found = self.steps.get(state)
-        if found is None:
-            columns = _shape_rows(self.alphabet, 1, self.rows)
-            ones = [[symbol == "1" for symbol in column] for column in columns]
-            found = self.steps[state] = (
-                all(c == self.need for c in state),
-                [tuple(map(self.pair, state, flags[::2], flags[1::2])) for flags in ones],
-            )
+    def __missing__(self, state: _Counts) -> tuple[bool, list[_Counts]]:
+        columns = _shape_rows(self.alphabet, 1, self.rows)
+        ones = [[symbol == "1" for symbol in column] for column in columns]
+        found = self[state] = (
+            all(c == self.need for c in state),
+            [tuple(map(self.pair, state, flags[::2], flags[1::2])) for flags in ones],
+        )
         return found
 
 
@@ -147,7 +150,7 @@ def _compiled(lang_id: str, alphabet: tuple[str, ...], rows: int) -> _Language |
 
 @cache  # built once per language, so ``in_L`` and the rest pay one lookup
 def _membership(kind: str, index: int) -> Callable[[Picture], bool]:
-    rows, _, rule = _pair_form(kind, index)
+    rows, _, rule, _ = _pair_form(kind, index)
     return lambda p: len(p.cells) == rows and all(
         rule(_mask(upper), _mask(lower), len(upper))
         for upper, lower in zip(p.cells[::2], p.cells[1::2])

@@ -181,6 +181,7 @@ class Automaton:
     transitions: TransitionTable = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.__dict__.update(alphabet=tuple(self.alphabet), states=tuple(self.states))
         object.__setattr__(self, "transitions", _ReadOnlyTable(self.transitions))
 
     def transitions_from(self, state: str, symbol: str) -> tuple[Transition, ...]:
@@ -245,10 +246,12 @@ def validate(a: Automaton) -> list[str]:
         for target, direction in targets:
             if target not in declared:
                 found.append(f"target state {target!r} not declared")
-            if direction not in allowed:
-                found.append(f"direction {direction.value} is forbidden by the policy")
+            if not isinstance(direction, Direction):
+                found.append(f"direction {direction!r} is not a Direction")
+            elif direction not in allowed:
+                found.append(f"direction {direction!r} is forbidden by the policy")
             if (target, direction) in seen:
-                found.append(f"duplicate edge to ({target!r}, {direction.value})")
+                found.append(f"duplicate edge to ({target!r}, {direction!r})")
             seen.add((target, direction))
         if found:
             where = f"transition ({state!r}, {symbol!r})"
@@ -407,7 +410,7 @@ def union_machine(a: Automaton, b: Automaton) -> Automaton:
     return _derived(
         name,
         a.alphabet,
-        tuple(states),
+        states,
         init,
         acc,
         "nondet",

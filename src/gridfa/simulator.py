@@ -33,9 +33,11 @@ bitsets accept it.
 
 The search also runs for a whole shape at once: ``_decide_shape`` decides
 every picture of one shape under a list of budgets, for the sweeps and
-``language_sample``, in one ``explore`` call per distinct budget.  That
-search starts with every cell of the frame unread and forks, once per
-symbol, where it first reads one.  It walks the fork tree within the
+``language_sample``, in one ``explore`` call per distinct budget, and
+returns only runs of enumeration indices: it makes no picture, and a
+caller decodes those it reads from the shape's rows.  That search
+starts with every cell of the frame unread and forks, once per symbol,
+where it first reads one.  It walks the fork tree within the
 call, undoing each branch before the next, so the pictures that agree on
 the cells a branch read share it, and reports each branch's end to its
 caller.  It forks only where some filling of the unread cells may still
@@ -851,12 +853,15 @@ _KEPT_RUNS = 4096
 
 def _decide_shape(
     a: Automaton, rows: int, cols: int, budgets: Sequence[Budget]
-) -> tuple[list[str], list[list[tuple[int, bool]]]]:
-    """The rows of the ``rows x cols`` shape (``_shape_rows``) and, per
-    budget (resolved, in list order), the verdicts of one ``accepts`` call
-    per picture as runs ``(end, verdict)`` of enumeration indices, each
-    starting where the one before it ends, the first at 0, and no two
-    neighbours alike.  The machine must be valid.
+) -> list[list[tuple[int, bool]]]:
+    """Per budget (resolved, in list order), the verdicts of one
+    ``accepts`` call per picture of the ``rows x cols`` shape as runs
+    ``(end, verdict)`` of enumeration indices, each starting where the one
+    before it ends, the first at 0, the last at the shape's
+    ``len(a.alphabet) ** (rows * cols)`` pictures, and no two neighbours
+    alike.  The machine must be valid and the shape at least 1 x 1; no
+    picture is made, so a caller that reads one decodes it from the
+    shape's rows (``_shape_rows``, ``_picture_at``).
 
     Each distinct budget's tables keep the shape's runs (``shapes``)
     when there are at most ``_KEPT_RUNS`` of them, and a later call
@@ -878,10 +883,9 @@ def _decide_shape(
     runs of the pictures accepted so far, not one run per accepting
     branch.  Those, sorted, give the verdicts.
     """
-    shape_rows = _shape_rows(a.alphabet, rows, cols)
-    total = len(shape_rows) ** rows
+    total = len(a.alphabet) ** (rows * cols)
     if not total:
-        return shape_rows, [[] for _ in budgets]
+        return [[] for _ in budgets]
     symbols, width = a.alphabet, cols + 2
     searched = dict.fromkeys(budgets)  # each distinct budget's runs
     for up, left in searched:
@@ -930,18 +934,19 @@ def _decide_shape(
             column.append((total, False))
         if len(column) <= _KEPT_RUNS:
             tables.shapes[rows, cols] = column
-    return shape_rows, [searched[budget] for budget in budgets]
+    return [searched[budget] for budget in budgets]
 
 
 def language_sample(a: Automaton, rows_max: int, cols_max: int) -> list[Picture]:
     """All accepted pictures with rows <= rows_max and cols <= cols_max,
-    in enumeration order (rows, then cols, then cell order)."""
+    in enumeration order (rows, then cols, then cell order).  Each shape's
+    rows are made once, and only its accepted runs are decoded."""
     ensure_valid(a)
     sample: list[Picture] = []
     for rows in range(1, rows_max + 1):
         for cols in range(1, cols_max + 1):
-            shape_rows, (runs,) = _decide_shape(a, rows, cols, [a.budget])
-            start = 0
+            (runs,) = _decide_shape(a, rows, cols, [a.budget])
+            shape_rows, start = _shape_rows(a.alphabet, rows, cols), 0
             for end, verdict in runs:
                 if verdict:
                     sample += (_picture_at(shape_rows, rows, n) for n in range(start, end))

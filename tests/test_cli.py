@@ -279,6 +279,13 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: need rows <= 4096, got 199999999999999999998\n"
 
+    @pytest.mark.parametrize("rows", ["0", "-1"])
+    def test_rows_below_one(self, rows, capsys):
+        assert main(["check", "A_L1", "L1", "--rows", rows]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: enumeration needs rows >= 1 and cols >= 1\n"
+
 
 class TestSweep:
     def test_starvation_sweep(self, capsys):

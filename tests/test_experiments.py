@@ -333,6 +333,33 @@ class TestSweeps:
 
         assert count_calls(monkeypatch, sweep, "__init__") == {"__init__": 0}
 
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_rows_below_one_is_error(self, rows, monkeypatch):
+        # Refused after the budgets and the language id are checked, and
+        # before any width: no table is built.  A fresh copy caches none.
+        machine = dataclasses.replace(g.build_B_L(1))
+
+        def sweep():
+            with pytest.raises(g.BudgetOverrideError):
+                g.budget_sweep(machine, "L1", rows, 2, [g.Budget(2, 0)])
+            with pytest.raises(ValueError, match=r"^unknown language id 'Q9'$"):
+                g.budget_sweep(machine, "Q9", rows, 2, [machine.budget])
+            with pytest.raises(
+                g.PictureFormatError, match=r"^enumeration needs rows >= 1 and cols >= 1$"
+            ):
+                g.budget_sweep(machine, "L1", rows, 2, [g.Budget(0, 0), machine.budget])
+
+        assert count_calls(monkeypatch, sweep, "__init__") == {"__init__": 0}
+
+    @pytest.mark.parametrize("budget", [(1.5, 0), ("inf", 0), (-1, 0)])
+    def test_a_bad_budget_value_is_a_machine_error(self, budget):
+        # A pair is read as (up, left), and each value is checked as a
+        # declared budget is: not a BudgetOverrideError, which is for what
+        # is no pair or exceeds the declared budget.
+        with pytest.raises(g.MachineError, match=r"^up budget must be a nonnegative") as err:
+            g.budget_sweep(g.build_A_L1(), "L1", 2, 2, [budget])
+        assert not isinstance(err.value, g.BudgetOverrideError)
+
     def test_budget_errors_in_list_order(self):
         budgets = [g.Budget(2, g.INF), g.Budget(3, g.INF)]
         with pytest.raises(g.BudgetOverrideError, match=r"^override \(2,inf\) exceeds"):
@@ -383,7 +410,7 @@ class TestSweeps:
         monkeypatch.setattr(g.experiments, "_member_rank", counting)
         report = g.budget_sweep(machine, lang_id, rows, cols_max, [budget])
         runs = sum(
-            len(_decide_shape(machine, rows, cols, [budget])[1][0])
+            len(_decide_shape(machine, rows, cols, [budget])[0])
             for cols in range(1, cols_max + 1)
         )
         assert len(calls) <= len(report.mismatches) * (rows * cols_max + 1) + runs + cols_max
@@ -509,7 +536,7 @@ def shape_counts(machine, lang_id, rows, cols, budgets):
     """Per budget, the member total of the ``rows x cols`` shape and the
     pictures and members accepted, from ``_decide_shape``'s runs and the
     language's row-pair table."""
-    shape_rows, verdicts = _decide_shape(machine, rows, cols, budgets)
+    verdicts = _decide_shape(machine, rows, cols, budgets)
     rank = _member_rank(lang_id, machine.alphabet, rows, cols)
     per_budget = []
     for runs in verdicts:
@@ -519,7 +546,7 @@ def shape_counts(machine, lang_id, rows, cols, budgets):
                 accepted += end - start
                 members += rank(end) - rank(start)
             start = end
-        per_budget.append((rank(len(shape_rows) ** rows), accepted, members))
+        per_budget.append((rank(len(machine.alphabet) ** (rows * cols)), accepted, members))
     return tuple(per_budget)
 
 
@@ -717,7 +744,7 @@ def test_decide_shape_matches_per_picture_decisions(data):
     rows = data.draw(st.integers(1, 3))
     cols = data.draw(st.integers(1, 5 if rows < 3 else 4))
     pictures = list(g.enumerate_pictures(machine.alphabet, rows, cols))
-    _, decided = _decide_shape(machine, rows, cols, budgets)
+    decided = _decide_shape(machine, rows, cols, budgets)
     for budget, runs in zip(budgets, decided, strict=True):
         assert run_verdicts(runs, len(pictures)) == [
             g.accepts(machine, p, budget) for p in pictures
@@ -787,9 +814,9 @@ def assert_kept_runs_match_a_fresh_search(machine, shapes, budgets, monkeypatch)
     the same runs with no search unless some budget's were not kept."""
     kept = dataclasses.replace(machine)
     for rows, cols in shapes:
-        _, decided = _decide_shape(kept, rows, cols, budgets)
+        decided = _decide_shape(kept, rows, cols, budgets)
         for budget, runs in zip(budgets, decided):
-            _, (searched,) = _decide_shape(dataclasses.replace(machine), rows, cols, [budget])
+            (searched,) = _decide_shape(dataclasses.replace(machine), rows, cols, [budget])
             assert runs == searched
             held = _tables(kept, *budget).shapes.get((rows, cols))
             assert held == (runs if len(runs) <= _KEPT_RUNS else None)
@@ -797,7 +824,7 @@ def assert_kept_runs_match_a_fresh_search(machine, shapes, budgets, monkeypatch)
         warm = count_searches(
             monkeypatch, lambda: again.append(_decide_shape(kept, rows, cols, budgets))
         )
-        assert again[0][1] == decided
+        assert again[0] == decided
         assert (warm == 0) == all(len(runs) <= _KEPT_RUNS for runs in decided)
 
 
@@ -882,7 +909,7 @@ class TestSharedSearches:
         def decide():
             for rows in range(1, 5):
                 for cols in range(1, 5):
-                    decided.append(_decide_shape(machine, rows, cols, [budget])[1])
+                    decided.append(_decide_shape(machine, rows, cols, [budget]))
 
         for analyses in (16, 0):
             decided.clear()
@@ -904,7 +931,7 @@ class TestSharedSearches:
             monkeypatch, lambda: decided.append(_decide_shape(machine, 2, 3, budgets))
         )
         assert searched == 0
-        assert decided[0][1] == [[(64, True)], [(64, True)]]
+        assert decided[0] == [[(64, True)], [(64, True)]]
         assert_sweep_matches_decisions(machine, 2, 3, budgets)
 
     def test_a_run_searched_mid_way_ends_at_its_aligned_boundary(self):
@@ -933,7 +960,7 @@ class TestSharedSearches:
         machine = g.make_machine(builder, param)
         budgets = [machine.budget, g.Budget(0, 0), machine.budget]
         pictures = list(g.enumerate_pictures(machine.alphabet, 2, 4))
-        _, decided = _decide_shape(machine, 2, 4, budgets)
+        decided = _decide_shape(machine, 2, 4, budgets)
         for budget, runs in zip(budgets, decided):
             verdicts = run_verdicts(runs, len(pictures))
             assert verdicts == [g.accepts(machine, p, budget) for p in pictures]
@@ -949,7 +976,7 @@ class TestSharedSearches:
         )
         for rows, cols in ((1, 2), (2, 3)):
             pictures = list(g.enumerate_pictures(machine.alphabet, rows, cols))
-            _, (runs,) = _decide_shape(machine, rows, cols, [machine.budget])
+            (runs,) = _decide_shape(machine, rows, cols, [machine.budget])
             verdicts = run_verdicts(runs, len(pictures))
             assert verdicts == [p.cells[0][1] == "1" for p in pictures]
 
@@ -1001,7 +1028,7 @@ class TestSharedSearches:
         ]
         assert decided[0] == decided[1] and searched[0] > 0 and searched[1] == 0
         pictures = list(g.enumerate_pictures(machine.alphabet, rows, cols))
-        for budget, runs in zip(budgets, decided[0][1]):
+        for budget, runs in zip(budgets, decided[0]):
             assert run_verdicts(runs, len(pictures)) == [
                 g.accepts(machine, p, budget) for p in pictures
             ]
@@ -1037,7 +1064,7 @@ class TestSharedSearches:
             return explore(self, frame, width, queue, viable, weights, report and reporting)
 
         monkeypatch.setattr(_Tables, "explore", recording)
-        _, (runs,) = _decide_shape(machine, 1, 2, [machine.budget])
+        (runs,) = _decide_shape(machine, 1, 2, [machine.budget])
         # Frame index 5 is (1,1), and 6 is (1,2); every branch accepts.
         assert branches == [
             (True, [(5, 0), (6, 0)]), (True, [(5, 1), (6, 0)]), (True, [(5, 1), (6, 1)]),
@@ -1063,7 +1090,7 @@ class TestSharedSearches:
             decided, searched = [], []
             for _ in range(2):
                 searched.append(count_searches(monkeypatch, lambda: decided.append(
-                    _decide_shape(machine, 1, cols, [machine.budget])[1][0]
+                    _decide_shape(machine, 1, cols, [machine.budget])[0]
                 )))
             assert decided[0] == decided[1] == [(n + 1, n % 2 == 1) for n in range(2**cols)]
             assert (len(decided[0]) <= _KEPT_RUNS) == kept
@@ -1086,7 +1113,7 @@ class TestSharedSearches:
         )
         tracemalloc.start()
         try:
-            _, (runs,) = _decide_shape(machine, 2, 8, [machine.budget])
+            (runs,) = _decide_shape(machine, 2, 8, [machine.budget])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1294,6 +1321,19 @@ class TestHierarchyReport:
         assert warm == {"__init__": 0, "viable": 0, "across": 0}
         assert again == cold
         assert g.make_machine("M_Mi", 2) is g.build_M_Mi(2)
+
+    def test_a_warm_call_makes_no_shape_rows(self, monkeypatch):
+        # A warm call reads each shape's kept runs and the languages' kept
+        # steps and tables, and no sweep of it lists a mismatch, so it
+        # decodes no picture and makes no shape's rows.
+        g.hierarchy_report(2, 4)
+        made = []
+        row_stream = g.grid._row_stream
+        monkeypatch.setattr(
+            g.grid, "_row_stream", lambda *args: made.append(args) or row_stream(*args)
+        )
+        g.hierarchy_report(2, 4)
+        assert made == []
 
     def test_starved_budgets_take_no_search_at_2_by_4(self, monkeypatch):
         # Searching every budget in full takes 746 branches, 369 of them

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import gridfa as g
 import reference
 from gridfa.grid import _shape_rows
-from gridfa.languages import _compiled, _member_rank, natural_rows
+from gridfa.languages import (
+    _compiled, _mask, _member_rank, _pair_form, natural_rows, parse_language_id,
+)
 
 from conftest import all_pictures
 
@@ -354,6 +356,25 @@ def _check_pair_forms(alphabet: str, rows: int, cols: int) -> None:
         assert _member_rank(lang, tuple(alphabet), rows, cols)(indices[-1]) == 0
 
 
+@pytest.mark.parametrize("lang", ["L1", "L2", "M1", "M2", "N1", "N2", "K1", "K2", "S2", "S3"])
+def test_a_pair_count_ends_on_need_exactly_where_the_rule_holds(lang):
+    """``_pair_form`` states each language's rule twice: as a test of a
+    row pair's masks, and as a count folded over its columns from 0.  They
+    agree on every row pair of widths 1..6 over two symbols and 1..4 over
+    three."""
+    _, need, rule, pair = _pair_form(*parse_language_id(lang))
+    for alphabet, cols_max in (("01", 6), ("012", 4)):
+        for cols in range(1, cols_max + 1):
+            rows = _shape_rows(alphabet, 1, cols)
+            masks = list(map(_mask, rows))
+            for upper, u in zip(rows, masks):
+                for lower, l in zip(rows, masks):
+                    count = 0
+                    for a, b in zip(upper, lower):
+                        count = pair(count, a == "1", b == "1")
+                    assert (count == need) == rule(u, l, cols), (upper, lower)
+
+
 #: The witness languages a compiled form is checked for, and its alphabets:
 #: "1" first, last, or beside symbols that are not digits.
 COMPILED_IDS = ["L1", "L2", "M1", "M2", "N1", "N2", "K1", "K2", "S2", "S3"]
@@ -398,19 +419,19 @@ def test_compiled_column_steps_match_the_reference_step(lang):
         seen, todo = {form.start}, [form.start]
         while todo:
             state = todo.pop()
-            member, stepped = form.moves(state)
+            member, stepped = form[state]
             assert member == all(c == need for c in state)
             assert stepped == [reference.column_step(lang, state, c) for c in columns]
             todo += set(stepped) - seen
             seen.update(stepped)
-        assert form.steps.keys() >= seen
+        assert form.keys() >= seen
         for cols in range(1, 3 if rows * len(alphabet) > 8 else 4):
             for p in g.enumerate_pictures(alphabet, rows, cols):
                 state = form.start
                 for col in range(cols):
                     column = "".join(row[col] for row in p.cells)
-                    state = form.moves(state)[1][columns.index(column)]
-                assert form.moves(state)[0] == oracle(p), p
+                    state = form[state][1][columns.index(column)]
+                assert form[state][0] == oracle(p), p
 
 
 def test_member_tables_are_kept_up_to_4096_row_pairs():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfa as g
-from gridfa.machine import DELTAS, fmt_budget, parse_budget
+from gridfa.machine import DELTAS, ensure_valid, fmt_budget, parse_budget
 
 import reference
 from conftest import all_pictures, random_machines
@@ -237,6 +237,33 @@ class TestMachinesAreValues:
                 assert "_pending" in trace.__dict__  # nothing has read the steps
                 twin = duplicate(trace)
                 assert twin == expected and trace == expected
+
+    def test_a_machine_built_from_lists_equals_one_built_from_tuples(self):
+        # Its alphabet and states are kept as tuples, so it runs, serializes
+        # and sweeps as the tuple-built machine does, and no list held
+        # outside can change it under its validity record.
+        a = g.build_A_L1()
+        alphabet, states = list(a.alphabet), list(a.states)
+        listed = dataclasses.replace(a, alphabet=alphabet, states=states)
+        states.append("ghost")
+        alphabet.append("2")
+        assert listed == a and g.validate(listed) == []
+        pictures = list(all_pictures(2, 3))
+        assert [g.accepts(listed, p) for p in pictures] == [g.accepts(a, p) for p in pictures]
+        assert g.serialize_machine(listed) == g.serialize_machine(a)
+        sweep = g.budget_sweep(listed, "L1", 2, 3, [g.Budget(0, 0), a.budget])
+        assert sweep == g.budget_sweep(a, "L1", 2, 3, [g.Budget(0, 0), a.budget])
+
+    @pytest.mark.parametrize("direction", ["X", 3, "R"])
+    def test_a_direction_that_is_not_a_direction_member_is_one_problem(self, direction):
+        # The plain string "R" equals Direction.R, and the policy allows R,
+        # but a machine file could not carry it.  None of them raises.
+        a = mk({("q0", "1"): [("qa", direction)]})
+        assert g.validate(a) == [
+            f"transition ('q0', '1'): direction {direction!r} is not a Direction"
+        ]
+        with pytest.raises(g.MachineInvalidError, match="is not a Direction"):
+            ensure_valid(a)
 
 
 class TestPolicy:

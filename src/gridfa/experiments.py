@@ -154,19 +154,17 @@ def _column_counts(
     tables per row count, for the next sweep of the machine against any
     language; the language's steps are kept on its form, for the next
     sweep of any machine over the alphabet.  A call joins the two once
-    per pair of states it reaches, into that pair's list of successors,
-    and whether the machine has an L transition is read once and kept on
-    it.  So a warm call makes no closure and no language step, only the
-    sums."""
-    moves_left = a.__dict__.get("_moves_left")
-    if moves_left is None:  # read once: the machine is immutable
-        moves_left = any(d == Direction.L for moves in a.transitions.values() for _, d in moves)
-        object.__setattr__(a, "_moves_left", moves_left)
+    per pair of states it reaches, into that pair's list of successors.
+    It scans the machine for an L transition only if some budget leaves L
+    moves (those of ``S_rec`` and ``D_K`` leave none), and keeps nothing on
+    the machine besides its tables.  So a warm call makes no closure and
+    no language step, only the sums."""
     form = _compiled(lang_id, a.alphabet, rows)
-    if form is None or moves_left and any(b.left for b in budgets):
+    if form is None or (fillings := len(a.alphabet) ** rows) > _COLUMNS_MAX:
         return None
-    if (fillings := len(a.alphabet) ** rows) > _COLUMNS_MAX:
-        return None
+    if any(b.left for b in budgets):  # only then can an L transition be taken
+        if any(d == Direction.L for moves in a.transitions.values() for _, d in moves):
+            return None
     by_budget: dict[Budget, list[tuple[int, int, int]]] = {}
     for budget in dict.fromkeys(budgets):
         tables = _tables(a, *budget)
@@ -189,8 +187,7 @@ def _column_counts(
                 )
             accepts, crossed = after[entering]
             member, stepped = form[state]
-            found = follow[key] = (accepts, member, list(zip(crossed, stepped)))
-            return found
+            return follow.setdefault(key, (accepts, member, list(zip(crossed, stepped))))
 
         paths = {(frozenset([1 << tables.shift | tables.start]), form.start): 1}
         widths = by_budget[budget] = []

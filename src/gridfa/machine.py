@@ -242,9 +242,9 @@ def validate(a: Automaton) -> list[str]:
             found.append("accepting state must have no outgoing transitions")
         if a.mode == "det" and len(targets) > 1:
             found.append(f"{len(targets)} targets in deterministic mode")
-        seen = set()
+        seen = []  # compared, not hashed: an edge may hold a list
         for target, direction in targets:
-            if target not in declared:
+            if target not in a.states:
                 found.append(f"target state {target!r} not declared")
             if not isinstance(direction, Direction):
                 found.append(f"direction {direction!r} is not a Direction")
@@ -252,7 +252,7 @@ def validate(a: Automaton) -> list[str]:
                 found.append(f"direction {direction!r} is forbidden by the policy")
             if (target, direction) in seen:
                 found.append(f"duplicate edge to ({target!r}, {direction!r})")
-            seen.add((target, direction))
+            seen.append((target, direction))
         if found:
             where = f"transition ({state!r}, {symbol!r})"
             problems += [f"{where}: {problem}" for problem in found]

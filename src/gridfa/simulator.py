@@ -24,7 +24,8 @@ decision three ways:
   declaration order, so repeated calls return bit-identical traces, and
 * deterministic runs, whose run graph is a path, so the search ends on
   the accepting state, a stuck configuration or a repeated one.  A run
-  that does not accept halts iff it reaches a cell with no move.
+  that does not accept halts iff it reaches a cell with no move, and
+  ``_decide`` tells that on both engines.
 
 Every trace is one walk back along a search's discovery map (``_walk``).
 A picture the bitsets decided is searched for its trace with the bitsets
@@ -59,8 +60,8 @@ searches themselves, and it is cached on the machine, so a sweep sets it
 up once per budget for all its pictures.  The picture is laid out once per
 search as one flat frame, and each configuration is one int packing the
 frame index of the head with the state and the budget layers.  One move
-is no search: ``step``, and ``run_deterministic`` telling a halt from a
-loop, read it off one table row.  Only what a caller reads is decoded:
+is no search: ``step``, and ``_decide`` telling a halt from a loop after
+a search, read it off one table row.  Only what a caller reads is decoded:
 the trace of ``run_deterministic`` holds its search, or on a wide picture
 nothing, until the first read of its steps or final configuration, since
 many callers read only the outcome.
@@ -334,7 +335,8 @@ class _Tables(dict):
     up_layers + up) * left_layers + left``.  Layer counts come from the
     resolved budget: a finite budget ``b`` (0 included) has ``b + 1``
     layers counting what is left of it, an infinite one a single layer
-    that never decrements.  A configuration accepts iff ``low >=
+    that never decrements.  ``low`` encodes that layout and ``fields``
+    decodes it; nothing else does.  A configuration accepts iff ``low >=
     accepting``; ``start`` is the low part of the initial configuration.
 
     The dict maps a low part to its row: every cell key (each symbol and
@@ -365,7 +367,6 @@ class _Tables(dict):
         self.left_inf = left == INF
         self.left_layers = 1 if self.left_inf else left + 1
         self.per_state = (1 if self.up_inf else up + 1) * self.left_layers
-        self.offsets = {state: index * self.per_state for state, index in self.ids.items()}
         self.shift = (len(states) * self.per_state - 1).bit_length()
         self.mask = (1 << self.shift) - 1
         self.accepting = (len(states) - 1) * self.per_state
@@ -374,29 +375,30 @@ class _Tables(dict):
         self.columns: dict[int, dict[frozenset[int] | None, tuple[bool, list]]] = {}
 
     def __missing__(self, low: int) -> dict[str, tuple[tuple[int, int], ...]]:
-        """Build the row of ``low``: a U (resp. L) move needs up (resp.
-        left) budget and steps down one layer of a finite one; a ring key
-        gets the ``#`` moves minus those that leave the frame."""
-        left_layers = self.left_layers
-        state, rest = divmod(low, self.per_state)
-        up, left = divmod(rest, left_layers)
+        """Build the row of ``low``, whose state and budget left ``fields``
+        reads: a U (resp. L) move needs up (resp. left) budget and steps
+        down one layer of a finite one; a ring key gets the ``#`` moves
+        minus those that leave the frame.  A move's low delta is its
+        target's low part with no budget left (``ids[target] * per_state``)
+        less that of ``low``'s state, plus its cost."""
+        name, up, left = self.fields(low)
         # Per direction code (U, D, L, R as in ``_CODES``), the low delta of
         # a move besides its change of state, or None where the budget left
         # cannot pay for it.
         cost = (
-            0 if self.up_inf else -left_layers if up else None,
+            0 if self.up_inf else -self.left_layers if up else None,
             0,
             0 if self.left_inf else -1 if left else None,
             0,
         )
-        name, get, index = self.states[state], self.transitions.get, _CODES.index
-        offsets, offset, row = self.offsets, low - rest, {}
+        get, index, ids, per_state = self.transitions.get, _CODES.index, self.ids, self.per_state
+        offset, row = low - low % per_state, {}
         for symbol in self.symbols:
             moves = []
             for target, direction in get((name, symbol), ()):
                 code = index(direction)
                 if cost[code] is not None:
-                    moves.append((offsets[target] - offset + cost[code], code))
+                    moves.append((ids[target] * per_state - offset + cost[code], code))
             row[symbol] = tuple(moves)
         boundary = row.pop(BOUNDARY)
         if not boundary:
@@ -694,11 +696,9 @@ class _Tables(dict):
 
 def _tables(a: Automaton, up: int | float, left: int | float) -> _Tables:
     """The tables of the valid machine ``a`` under the resolved budget,
-    built once and cached on the machine, so that they die with it."""
-    by_budget = a.__dict__.get("_tables")
-    if by_budget is None:
-        by_budget = {}
-        object.__setattr__(a, "_tables", by_budget)
+    built once and cached on the machine, so that they die with it.  They
+    and ``validate``'s record are all that a machine carries."""
+    by_budget = a.__dict__.get("_tables") or a.__dict__.setdefault("_tables", {})
     tables = by_budget.get((up, left))
     if tables is None:
         tables = by_budget[up, left] = _Tables(a, up, left)
@@ -712,7 +712,7 @@ _BITSET_MIN = 64
 
 def _decide(
     a: Automaton, p: Picture, budget: Budget | None, search: bool = False
-) -> tuple[bool, bool | None, tuple | None]:
+) -> tuple[bool, bool, tuple | None]:
     """Whether ``a`` accepts ``p``: the one decision that ``accepts``,
     ``run_deterministic`` and ``accepting_trace`` read.  Checks the
     machine, the picture's symbols and the budget, in that order.  A
@@ -720,9 +720,12 @@ def _decide(
     (``_Tables.bitsets``), unless ``search`` is set or they give up, and
     that gives ``(accepted, halts, None)``: ``halts`` tells whether some
     reached configuration has no move.  Any other is searched
-    (``_Tables.explore``), and that gives ``(accepted, None, found)``:
-    ``found`` is the tables, the frame and its width, and what ``explore``
-    returns, which ``_walk`` reads."""
+    (``_Tables.explore``), and that gives ``(accepted, halts, found)``:
+    ``halts`` tells whether the last configuration discovered has no move
+    (False if the search accepts), and ``found`` is the tables, the frame
+    and its width, and what ``explore`` returns, which ``_walk`` reads.
+    For a deterministic machine, whose run is a path, both engines' ``halts``
+    say whether a run that does not accept halts rather than loops."""
     ensure_valid(a)
     wide = not search and (len(p.cells) >= _BITSET_MIN or len(p.cells[0]) >= _BITSET_MIN)
     # The picture as the engine reads it, its lines or its frame, which checks
@@ -735,7 +738,9 @@ def _decide(
             return (*decided, None)
         frame = _layout(a, p)
     parents, goal = tables.explore(frame, width)
-    return goal is not None, None, (tables, frame, width, parents, goal)
+    last = next(reversed(parents)) if goal is None else goal
+    halts = goal is None and not tables[last & tables.mask][frame[last >> tables.shift]]
+    return goal is not None, halts, (tables, frame, width, parents, goal)
 
 
 def _walk(
@@ -789,20 +794,14 @@ def run_deterministic(
     records the path up to the outcome (for a loop, up to and including
     the first re-entry).  It is decoded on the first read of its steps or
     final configuration, so a caller that reads only the outcome pays for
-    no decoding.  A searched run halts iff the row of the last
-    configuration it discovers has no move there.  On a wide picture the
-    outcome is read off the bitsets: the run is a path, so it halts iff
-    some configuration it reaches has no move, and the trace searches on
-    its first read.
+    no decoding.  Whether a run that does not accept halts is read off
+    ``_decide``, on either engine; on a wide picture, decided on bitsets,
+    the trace searches on its first read.
     """
     ensure_valid(a)
     if a.mode != "det":
         raise ModeError(f"machine {a.name!r} is nondeterministic")
     accepted, halts, found = _decide(a, p, budget)
-    if found is not None and not accepted:
-        tables, frame, _, parents, _ = found
-        last = next(reversed(parents))
-        halts = not tables[last & tables.mask][frame[last >> tables.shift]]
     outcome = (
         RunOutcome.ACCEPT if accepted else RunOutcome.REJECT_HALT if halts else RunOutcome.LOOP
     )

@@ -191,6 +191,7 @@ def test_bitsets_decide_as_the_search_does(data):
     assume(decided is not None)  # the bitsets gave up; ``explore`` decides
     assert decided[0] == _decide(machine, p, budget, True)[0]
     if machine.mode == "det":
+        assert decided == _decide(machine, p, budget, True)[:2]  # one record from both engines
         outcome = g.run_deterministic(machine, p, budget)[0]  # searched: p is small
         accepted, halts = decided
         assert (outcome is g.RunOutcome.ACCEPT) == accepted

@@ -265,6 +265,20 @@ class TestMachinesAreValues:
         with pytest.raises(g.MachineInvalidError, match="is not a Direction"):
             ensure_valid(a)
 
+    @pytest.mark.parametrize(
+        "edge, problem",
+        [
+            ((["qa"], R), "target state ['qa'] not declared"),
+            (("qa", ["R"]), "direction ['R'] is not a Direction"),
+        ],
+    )
+    def test_an_edge_holding_a_list_is_one_problem(self, edge, problem):
+        # A list cannot be hashed: validate lists it rather than raising TypeError.
+        a = mk({("q0", "1"): [edge]}, states=["q0", "qa"])
+        assert g.validate(a) == [f"transition ('q0', '1'): {problem}"]
+        with pytest.raises(g.MachineInvalidError, match="transition"):
+            g.accepts(a, g.Picture.from_rows(["1"]))
+
 
 class TestPolicy:
     def test_partition_enforced(self):

@@ -67,13 +67,11 @@ class _Sketch:
         self.mode = mode
         self.policy = policy
         self.budget = budget
-        self.states: list[str] = []
+        self.states: dict[str, None] = {}  # in order of first mention
         self.table: dict[tuple[str, str], list[Transition]] = {}
 
     def state(self, *names: str) -> None:
-        for name in names:
-            if name not in self.states:
-                self.states.append(name)
+        self.states.update(dict.fromkeys(names))
 
     def edge(self, source: str, symbols: str, target: str, direction: Direction) -> None:
         """One edge per symbol; '01' fans out over both word symbols."""

@@ -155,19 +155,19 @@ def _column_counts(
     language; the language's steps are kept on its form, for the next
     sweep of any machine over the alphabet.  A call joins the two once
     per pair of states it reaches, into that pair's list of successors.
-    It scans the machine for an L transition only if some budget leaves L
-    moves (those of ``S_rec`` and ``D_K`` leave none), and keeps nothing on
-    the machine besides its tables.  So a warm call makes no closure and
-    no language step, only the sums."""
+    It asks whether the machine has an L transition only under a budget
+    that leaves L moves (those of ``S_rec`` and ``D_K`` leave none), and
+    the tables read that once (``moves_left``).  It keeps nothing on the
+    machine besides its tables.  So a warm call makes no closure, no
+    language step and no scan of the transitions, only the sums."""
     form = _compiled(lang_id, a.alphabet, rows)
     if form is None or (fillings := len(a.alphabet) ** rows) > _COLUMNS_MAX:
         return None
-    if any(b.left for b in budgets):  # only then can an L transition be taken
-        if any(d == Direction.L for moves in a.transitions.values() for _, d in moves):
-            return None
     by_budget: dict[Budget, list[tuple[int, int, int]]] = {}
     for budget in dict.fromkeys(budgets):
         tables = _tables(a, *budget)
+        if budget.left and tables.moves_left:  # only then can an L transition be taken
+            return None
         # Per entering set: whether the ring column after it accepts, and
         # the set entering the next column after each filling.  None stands
         # for an accepted picture, whatever columns follow.  They depend on
@@ -223,8 +223,9 @@ def budget_sweep(
     machine with L free as if L were budgeted at 0, which starves it of
     every L move (its class, read off the declaration, is unchanged).
     ``cols_max`` below 1 raises ValueError before anything else is
-    checked, and then ``rows`` above 4096, before any table or language
-    form is built: a language's column automaton holds a count per row
+    checked, and then ``cols_max`` above 4096 and ``rows`` above 4096,
+    before any table or language form is built: a sweep steps through
+    every width, a language's column automaton holds a count per row
     pair, and a shape has ``|alphabet| ** (rows * cols)`` pictures.
     ``rows`` below 1 raises PictureFormatError once the budgets and the
     language id are checked, before any table is built.
@@ -239,29 +240,33 @@ def budget_sweep(
     picture, so the checks of ``A_L1``, ``C_L1_2W`` and ``D_K(3)`` at
     2 x 40 take 1-2 ms, and a warm check at 2 x 7 30-45 us: the machine's
     column closures and the language's column steps are kept, so it only
-    sums.  Counts
-    say how many pictures disagree but not which, so a width where the
-    last budget's counts disagree is decided picture by picture as below,
-    and its mismatches are listed in enumeration order.  Every other
-    machine and shape takes that path for every width.
+    sums.  Counts say how many pictures disagree but not which, so a
+    width where the last budget's counts disagree is decided picture by
+    picture as below, and its mismatches are listed in enumeration order.
+    Every other machine and shape takes that path for every width.
 
-    The simulator decides each shape as runs of enumeration indices
-    (``_decide_shape``, which joins each accepted run to its neighbours as
-    it finds it, so it holds the maximal runs, not one per accepting
-    branch), and a run's members are counted from the language's row-pair
-    table (``_member_rank``).  The machine's tables keep each shape's
-    runs per budget, up to ``_KEPT_RUNS`` of them, so a repeated sweep
-    searches only the shapes with more, and the language's compiled form
-    keeps each width's table of up to ``_KEPT_PAIRS`` (4,096) row pairs,
-    so it builds only the wider ones again (2 x 7 and up over two
-    symbols).  In a run whose count disagrees with its
-    verdict, each disagreeing picture is found by bisecting that count
-    over the run, so a report costs O(mismatches * log run) counts, not
-    one per picture.  The first such run of a width makes the shape's
-    rows, to decode its mismatches, and the width's later runs reuse them.
+    The simulator decides each shape as the runs of enumeration indices
+    each budget accepts (``_decide_shape``, which joins each accepted run
+    to its neighbours as it finds it, so it holds the maximal runs, not
+    one per accepting branch); every index between two runs is rejected.
+    The sweep walks each rejected gap and then the accepted run after it,
+    and counts the members of each from the language's row-pair table
+    (``_member_rank``): one ``rank`` call per run boundary, and one per
+    width.  The machine's tables keep each shape's accepted runs per
+    budget, up to ``_KEPT_RUNS`` of them, so a repeated sweep searches
+    only the shapes with more, and the language's compiled form keeps
+    each width's table of up to ``_KEPT_PAIRS`` (4,096) row pairs, so it
+    builds only the wider ones again (2 x 7 and up over two symbols).  In
+    a gap or a run whose member count disagrees with its verdict, each
+    disagreeing picture is found by bisecting that count over it (``miss``),
+    so a report costs O(mismatches * log run) counts, not one per picture.
+    The first such gap or run of a width makes the shape's rows, to decode
+    its mismatches, and the width's later ones reuse them.
     """
     if cols_max < 1:
         raise ValueError(f"need cols_max >= 1, got {cols_max}")
+    if cols_max > 4096:  # a sweep steps through every width up to it
+        raise ValueError(f"need cols_max <= 4096, got {cols_max}")
     if rows > 4096:  # the language forms and the shapes are sized by the row count
         raise ValueError(f"need rows <= 4096, got {rows}")
     ensure_valid(a)
@@ -273,6 +278,23 @@ def budget_sweep(
         raise PictureFormatError("enumeration needs rows >= 1 and cols >= 1")
     counts = [[0, 0] for _ in resolved]  # accepted, accepted members
     member_total, mismatches = 0, list[Mismatch]()
+
+    def miss(start: int, end: int, verdict: bool, below: int, above: int) -> None:
+        # Lists the pictures of [start, end) that the oracle places against
+        # ``verdict``.  wrong(n): the pictures below index n that it places
+        # so, ``below`` of them below ``start`` and ``above`` below ``end``.
+        # Each k in (below, above] is a miss, at n - 1 for the least n with
+        # wrong(n) = k.  The width's first call makes the shape's rows, and
+        # its later calls reuse them.
+        nonlocal shape_rows
+        wrong = (lambda n: n - rank(n)) if verdict else rank
+        ends, at = range(start + 1, end + 1), 0
+        shape_rows = shape_rows or _shape_rows(a.alphabet, rows, cols)
+        for k in range(below + 1, above + 1):
+            at = bisect_left(ends, k, at, key=wrong)
+            picture = _picture_at(shape_rows, rows, start + at)
+            mismatches.append(Mismatch(picture, verdict, not verdict))
+
     counted = _column_counts(a, lang_id, rows, cols_max, resolved)
     for cols in range(1, cols_max + 1):
         if counted:
@@ -285,28 +307,23 @@ def budget_sweep(
                 continue
         verdicts, shape_rows = _decide_shape(a, rows, cols, resolved), None
         rank = _member_rank(lang_id, a.alphabet, rows, cols)
-        member_total += rank(len(a.alphabet) ** (rows * cols))
-        for position, (count, runs) in enumerate(zip(counts, verdicts)):
+        total = len(a.alphabet) ** (rows * cols)
+        member_total += (members := rank(total))
+        for count, runs in zip(counts, verdicts):
             start = before = 0  # ``before`` is rank(start)
-            for end, verdict in runs:
-                members = rank(end) - before
-                if verdict:
-                    count[0] += end - start
-                    count[1] += members
-                misses = end - start - members if verdict else members
-                if misses and position == len(verdicts) - 1:
-                    # wrong(n): the pictures below index n that the oracle
-                    # places against the verdict.  The k-th miss of the run is
-                    # n - 1 for the least n with wrong(n) = wrong(start) + k.
-                    wrong = (lambda n: n - rank(n)) if verdict else rank
-                    below = start - before if verdict else before  # wrong(start)
-                    ends, at = range(start + 1, end + 1), 0
-                    shape_rows = shape_rows or _shape_rows(a.alphabet, rows, cols)
-                    for k in range(below + 1, below + misses + 1):
-                        at = bisect_left(ends, k, at, key=wrong)
-                        picture = _picture_at(shape_rows, rows, start + at)
-                        mismatches.append(Mismatch(picture, verdict, not verdict))
-                start, before = end, before + members
+            # Each rejected gap [start, begin), then the accepted run [begin,
+            # end) after it; the empty run at ``total`` ends the last gap.
+            for begin, end in (*runs, (total, total)):
+                low = before if begin == start else members if begin == total else rank(begin)
+                high = low if end == begin else members if end == total else rank(end)
+                count[0] += end - begin
+                count[1] += high - low
+                if count is counts[-1]:  # only the last budget's mismatches are listed
+                    if low > before:
+                        miss(start, begin, False, before, low)
+                    if end - high > begin - low:
+                        miss(begin, end, True, begin - low, end - high)
+                start, before = end, high
     per_budget = tuple(BudgetCount(budget, *count) for budget, count in zip(resolved, counts))
     return SweepReport(
         a.name, lang_id, rows, cols_max, per_budget, member_total, tuple(mismatches)

@@ -200,13 +200,16 @@ def validate(a: Automaton) -> list[str]:
     that ``classify`` reads the budget the simulator enforces).
     """
     problems: list[str] = []
-    declared = set(a.states)
-    symbols = set(a.alphabet) | {"#"}
+    # Only str names and symbols are hashed, so that one of another type (a
+    # list, say) is listed as a problem below instead of raising here.
+    named = [state for state in a.states if isinstance(state, str)]
+    letters = [symbol for symbol in a.alphabet if isinstance(symbol, str)]
+    declared, symbols = set(named), {*letters, "#"}
     if a.mode not in ("det", "nondet"):
         problems.append(f"unknown mode {a.mode!r}")
     if "#" in a.alphabet:
         problems.append("alphabet contains the reserved boundary marker '#'")
-    if len(set(a.alphabet)) != len(a.alphabet):
+    if len(set(letters)) != len(letters):
         problems.append("alphabet declares a symbol twice")
     for symbol in a.alphabet:
         if not isinstance(symbol, str) or len(symbol) != 1:
@@ -217,11 +220,11 @@ def validate(a: Automaton) -> list[str]:
     if " ".join(map(str, names)).split() != names:
         bad = [name for name in names if not isinstance(name, str) or name.split() != [name]]
         problems.append(f"machine or state names empty or holding whitespace: {bad!r}")
-    if len(declared) != len(a.states):
+    if len(declared) != len(named):
         problems.append("state list declares a state twice")
-    if a.initial not in declared:
+    if a.initial not in a.states:  # compared, not hashed, as targets are below
         problems.append(f"initial state {a.initial!r} not declared")
-    if a.accepting not in declared:
+    if a.accepting not in a.states:
         problems.append(f"accepting state {a.accepting!r} not declared")
     try:
         Budget.check(a.budget.up, "up")

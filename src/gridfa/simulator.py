@@ -35,19 +35,19 @@ bitsets accept it.
 The search also runs for a whole shape at once: ``_decide_shape`` decides
 every picture of one shape under a list of budgets, for the sweeps and
 ``language_sample``, in one ``explore`` call per distinct budget, and
-returns only runs of enumeration indices: it makes no picture, and a
-caller decodes those it reads from the shape's rows.  That search
-starts with every cell of the frame unread and forks, once per symbol,
-where it first reads one.  It walks the fork tree within the
-call, undoing each branch before the next, so the pictures that agree on
-the cells a branch read share it, and reports each branch's end to its
+returns only the runs of enumeration indices each budget accepts: it
+makes no picture, and a caller decodes those it reads from the shape's
+rows.  That search starts with every cell of the frame unread and forks,
+once per symbol, where it first reads one.  It walks the fork tree within
+the call, undoing each branch before the next, so the pictures that agree
+on the cells a branch read share it, and reports each branch's end to its
 caller.  It forks only where some filling of the unread cells may still
 accept (``_Tables.viable``), so a budget whose start is not such a
 configuration rejects the whole shape with no search.  The tables of a
-budget keep each shape's runs (up to ``_KEPT_RUNS``), so a later call
-for the same shape and budget makes no search.  A machine that
-takes no L move crosses the columns left to right, and ``_Tables.across``
-steps it over one column at a time, for sweeps that count whole widths by
+budget keep each shape's accepted runs (up to ``_KEPT_RUNS``), so a later
+call for the same shape and budget makes no search.  A machine that takes
+no L move crosses the columns left to right, and ``_Tables.across`` steps
+it over one column at a time, for sweeps that count whole widths by
 columns.  Each column step is one ``explore`` call too, from the set that
 enters the column, so ``explore`` is the one search of configurations:
 traces, small pictures, whole shapes and column steps all run on it, and
@@ -69,15 +69,14 @@ many callers read only the outcome.
 All functions are pure in (machine, picture, budget override) and safe to
 call concurrently: the tables they cache on a machine, and what those
 keep per budget, shape and row count, are filled idempotently (two
-threads that fill one entry store equal values).  A caller must not
-change the run lists ``_decide_shape`` returns: the tables keep them.
+threads that fill one entry store equal values).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
@@ -346,13 +345,14 @@ class _Tables(dict):
 
     Besides the rows it keeps what depends only on the machine, the
     budget and a shape or a row count, each built on first use: the runs
-    that decide each shape's pictures (``shapes``, filled by
-    ``_decide_shape`` for a shape of at most ``_KEPT_RUNS`` runs) and the
+    of each shape's pictures it accepts (``shapes``, filled by
+    ``_decide_shape`` for a shape of at most ``_KEPT_RUNS`` runs), the
     column steps of each row count (``columns``, filled by
-    ``experiments._column_counts``).  It keeps nothing that depends on one
-    picture's cells, so one instance serves every picture searched under
-    its budget.  The picture comes in per call as its laid-out frame and
-    its width in frame columns.
+    ``experiments._column_counts``) and whether the machine has an L move
+    (``moves_left``).  It keeps nothing that depends on one picture's
+    cells, so one instance serves every picture searched under its
+    budget.  The picture comes in per call as its laid-out frame and its
+    width in frame columns.
     """
 
     def __init__(self, a: Automaton, up: int | float, left: int | float) -> None:
@@ -371,7 +371,7 @@ class _Tables(dict):
         self.mask = (1 << self.shift) - 1
         self.accepting = (len(states) - 1) * self.per_state
         self.start = self.low(self.ids[a.initial], up, left)
-        self.shapes: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+        self.shapes: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self.columns: dict[int, dict[frozenset[int] | None, tuple[bool, list]]] = {}
 
     def __missing__(self, low: int) -> dict[str, tuple[tuple[int, int], ...]]:
@@ -422,6 +422,11 @@ class _Tables(dict):
         state, rest = divmod(low, self.per_state)
         up, left = divmod(rest, self.left_layers)
         return self.states[state], INF if self.up_inf else up, INF if self.left_inf else left
+
+    @cached_property
+    def moves_left(self) -> bool:
+        """Whether some transition moves L, read once per machine and budget."""
+        return any(d == Direction.L for moves in self.transitions.values() for _, d in moves)
 
     def explore(
         self, frame: list[str | None], width: int, queue: list[int] | None = None,
@@ -843,54 +848,53 @@ def decide_complement(a: Automaton, p: Picture, budget: Budget | None = None) ->
     return outcome is not RunOutcome.ACCEPT
 
 
-#: The tables keep a shape's runs only if there are at most this many, so
-#: that what they keep stays small: after the L1 check of ``B_L(1)`` at
-#: 2 x 9 they hold about 0.6 MB, where keeping every shape's runs held
-#: 6.4 MB.  A shape with more runs is searched again on every call.
+#: The tables keep a shape's accepted runs only if there are at most this
+#: many, so that what they keep stays small: after the L1 check of
+#: ``B_L(1)`` at 2 x 9 they hold about 0.4 MB, where keeping every shape's
+#: runs held 4.3 MB (Python allocations under tracemalloc).  A shape with
+#: more runs is searched again on every call.
 _KEPT_RUNS = 4096
 
 
 def _decide_shape(
     a: Automaton, rows: int, cols: int, budgets: Sequence[Budget]
-) -> list[list[tuple[int, bool]]]:
-    """Per budget (resolved, in list order), the verdicts of one
-    ``accepts`` call per picture of the ``rows x cols`` shape as runs
-    ``(end, verdict)`` of enumeration indices, each starting where the one
-    before it ends, the first at 0, the last at the shape's
-    ``len(a.alphabet) ** (rows * cols)`` pictures, and no two neighbours
-    alike.  The machine must be valid and the shape at least 1 x 1; no
-    picture is made, so a caller that reads one decodes it from the
-    shape's rows (``_shape_rows``, ``_picture_at``).
+) -> list[tuple[tuple[int, int], ...]]:
+    """Per budget (resolved, in list order), the pictures of the ``rows x
+    cols`` shape that ``accepts`` accepts, as runs ``(begin, end)`` of the
+    enumeration indices ``begin <= n < end``: sorted and maximal (no two
+    touch), within the shape's ``len(a.alphabet) ** (rows * cols)``
+    pictures, every index outside them rejected.  The machine must be
+    valid and the shape at least 1 x 1; no picture is made, so a caller
+    that reads one decodes it from the shape's rows (``_shape_rows``,
+    ``_picture_at``).
 
     Each distinct budget's tables keep the shape's runs (``shapes``)
     when there are at most ``_KEPT_RUNS`` of them, and a later call
-    returns that list with no search.  Otherwise the budget takes one
+    returns them with no search.  Otherwise the budget takes one
     fork-tree search (``_Tables.explore``) over a frame whose cells start
     unread, which forks only where some filling lets the forking
     configuration accept (``viable``, computed for that search): a start
     that no filling lets accept rejects, and an accepting start accepts,
     the whole shape with no search.  A budget listed twice is searched
-    once, and both places hold the same list of runs, which the caller
-    must not change.  Each branch that ends accepting decides the
-    pictures that agree on the cells it read: for each value of the unread
-    cells before its last read one, an aligned run of indices from the
-    branch's first picture (cells
-    count in row-major order, the last fastest; ``weights`` holds the run
-    one value of each cell spans).  ``join``, the search's report, joins
-    each such run as it is found to a run found before it that ends where
-    it begins or begins where it ends, so the search holds the maximal
-    runs of the pictures accepted so far, not one run per accepting
-    branch.  Those, sorted, give the verdicts.
+    once.  Each branch that ends accepting decides the pictures that agree
+    on the cells it read: for each value of the unread cells before its
+    last read one, an aligned run of indices from the branch's first
+    picture (cells count in row-major order, the last fastest; ``weights``
+    holds the run one value of each cell spans).  ``join``, the search's
+    report, joins each such run as it is found to a run found before it
+    that ends where it begins or begins where it ends, so the search holds
+    the maximal runs of the pictures accepted so far, not one run per
+    accepting branch.  Those, sorted, are the budget's runs.
     """
     total = len(a.alphabet) ** (rows * cols)
     if not total:
-        return [[] for _ in budgets]
+        return [() for _ in budgets]
     symbols, width = a.alphabet, cols + 2
     searched = dict.fromkeys(budgets)  # each distinct budget's runs
     for up, left in searched:
         tables = _tables(a, up, left)
-        column = searched[up, left] = tables.shapes.get((rows, cols))
-        if column is not None:
+        runs = searched[up, left] = tables.shapes.get((rows, cols))
+        if runs is not None:
             continue
         frame = [_UL, *[_U] * cols, _UR, *[_L, *[None] * cols, _R] * rows, _DL, *[_D] * cols, _DR]
         # Per frame position, the run of pictures one value of its cell spans.
@@ -922,17 +926,9 @@ def _decide_shape(
                         ends[begin], begins[end] = end, begin
 
             tables.explore(frame, width, viable=viable, weights=weights, report=join)
-        column = searched[up, left] = []
-        n = 0
-        for begin, end in sorted(ends.items()):
-            if begin > n:
-                column.append((begin, False))
-            column.append((end, True))
-            n = end
-        if n < total:
-            column.append((total, False))
-        if len(column) <= _KEPT_RUNS:
-            tables.shapes[rows, cols] = column
+        runs = searched[up, left] = tuple(sorted(ends.items()))
+        if len(runs) <= _KEPT_RUNS:
+            tables.shapes[rows, cols] = runs
     return [searched[budget] for budget in budgets]
 
 
@@ -945,11 +941,9 @@ def language_sample(a: Automaton, rows_max: int, cols_max: int) -> list[Picture]
     for rows in range(1, rows_max + 1):
         for cols in range(1, cols_max + 1):
             (runs,) = _decide_shape(a, rows, cols, [a.budget])
-            shape_rows, start = _shape_rows(a.alphabet, rows, cols), 0
-            for end, verdict in runs:
-                if verdict:
-                    sample += (_picture_at(shape_rows, rows, n) for n in range(start, end))
-                start = end
+            shape_rows = _shape_rows(a.alphabet, rows, cols)
+            for begin, end in runs:
+                sample += (_picture_at(shape_rows, rows, n) for n in range(begin, end))
     return sample
 
 

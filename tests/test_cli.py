@@ -279,6 +279,16 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: need rows <= 4096, got 199999999999999999998\n"
 
+    @pytest.mark.parametrize("cols_max", ["10000", "99999999999999999999"])
+    def test_more_than_4096_columns(self, cols_max, capsys):
+        # Refused before any width is swept: 99999999999999999999 ran with
+        # no bound, and 10000 ran into the interpreter's limit on the digits
+        # of an int converted to text.
+        assert main(["check", "A_L1", "L1", "--cols-max", cols_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need cols_max <= 4096, got {cols_max}\n"
+
     @pytest.mark.parametrize("rows", ["0", "-1"])
     def test_rows_below_one(self, rows, capsys):
         assert main(["check", "A_L1", "L1", "--rows", rows]) == 2

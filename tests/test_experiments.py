@@ -13,6 +13,7 @@ import gridfa as g
 import reference
 from gridfa.experiments import _column_counts
 from gridfa.languages import _member_rank, natural_rows
+from gridfa.machine import _ReadOnlyTable
 from gridfa.simulator import (
     _KEPT_RUNS, _decide_shape, _layout, _resolve_budget, _Tables, _tables,
 )
@@ -333,6 +334,17 @@ class TestSweeps:
 
         assert count_calls(monkeypatch, sweep, "__init__") == {"__init__": 0}
 
+    @pytest.mark.parametrize("cols_max", [4097, 10**20])
+    def test_more_than_4096_columns_is_error(self, cols_max, monkeypatch):
+        # Refused before any table is built, as more than 4096 rows are.
+        machine = dataclasses.replace(g.build_A_L1())
+
+        def sweep():
+            with pytest.raises(ValueError, match=rf"^need cols_max <= 4096, got {cols_max}$"):
+                g.budget_sweep(machine, "L1", 2, cols_max, [machine.budget])
+
+        assert count_calls(monkeypatch, sweep, "__init__") == {"__init__": 0}
+
     @pytest.mark.parametrize("rows", [0, -1])
     def test_rows_below_one_is_error(self, rows, monkeypatch):
         # Refused after the budgets and the language id are checked, and
@@ -396,10 +408,11 @@ class TestSweeps:
     def test_mismatches_cost_rank_calls_per_mismatch(
         self, machine, lang_id, rows, cols_max, budget, monkeypatch
     ):
-        # Each mismatch is found by bisecting ``rank`` over its run, which
-        # holds at most 2**(rows * cols_max) pictures; beyond that a sweep
-        # calls it once per run and once per shape.  Walking every picture
-        # of the runs that disagree took 2,236,938 calls on M_2.
+        # Each mismatch is found by bisecting ``rank`` over its accepted run
+        # or rejected gap, which holds at most 2**(rows * cols_max) pictures;
+        # beyond that a sweep calls it once per run boundary (other than the
+        # shape's first and last index) and once per shape.  Walking every
+        # picture of the runs that disagree took 2,236,938 calls on M_2.
         calls = []
         member_rank = g.experiments._member_rank
 
@@ -409,11 +422,12 @@ class TestSweeps:
 
         monkeypatch.setattr(g.experiments, "_member_rank", counting)
         report = g.budget_sweep(machine, lang_id, rows, cols_max, [budget])
-        runs = sum(
-            len(_decide_shape(machine, rows, cols, [budget])[0])
+        boundaries = sum(
+            len({n for run in _decide_shape(machine, rows, cols, [budget])[0] for n in run}
+                - {0, 2 ** (rows * cols)})
             for cols in range(1, cols_max + 1)
         )
-        assert len(calls) <= len(report.mismatches) * (rows * cols_max + 1) + runs + cols_max
+        assert len(calls) <= len(report.mismatches) * (rows * cols_max + 1) + boundaries + cols_max
         oracle = reference.oracle(lang_id)
         pictures = [m.picture for m in report.mismatches]
         assert len(pictures) == len(set(pictures)) > 100
@@ -534,20 +548,19 @@ def test_builder_sweeps_match_per_picture_decisions(builder, param, lang_id, row
 
 def shape_counts(machine, lang_id, rows, cols, budgets):
     """Per budget, the member total of the ``rows x cols`` shape and the
-    pictures and members accepted, from ``_decide_shape``'s runs and the
-    language's row-pair table."""
+    pictures and members accepted, from ``_decide_shape``'s accepted runs
+    and the language's row-pair table."""
     verdicts = _decide_shape(machine, rows, cols, budgets)
     rank = _member_rank(lang_id, machine.alphabet, rows, cols)
-    per_budget = []
-    for runs in verdicts:
-        accepted = members = start = 0
-        for end, verdict in runs:
-            if verdict:
-                accepted += end - start
-                members += rank(end) - rank(start)
-            start = end
-        per_budget.append((rank(len(machine.alphabet) ** (rows * cols)), accepted, members))
-    return tuple(per_budget)
+    total = rank(len(machine.alphabet) ** (rows * cols))
+    return tuple(
+        (
+            total,
+            sum(end - begin for begin, end in runs),
+            sum(rank(end) - rank(begin) for begin, end in runs),
+        )
+        for runs in verdicts
+    )
 
 
 def assert_column_counts_match_shapes(machine, lang_id, rows, cols_max, budgets):
@@ -677,6 +690,18 @@ class TestColumnCounts:
         uncached = g.parse_machine(g.serialize_machine(a))
         assert reports[0] == g.budget_sweep(uncached, "K2", 2, 7, [a.budget])
 
+    def test_a_warm_check_makes_no_scan_of_the_transitions(self, monkeypatch):
+        # A_L1's budget leaves L moves, so the sweep asks whether the machine
+        # has an L transition: the tables read that once, and a warm check
+        # reads no transition.
+        machine = dataclasses.replace(g.build_A_L1())
+        report = g.oracle_equivalence(machine, "L1", 2, 7)
+        scans = []
+        values = _ReadOnlyTable.values
+        monkeypatch.setattr(_ReadOnlyTable, "values", lambda self: scans.append(1) or values(self))
+        assert g.oracle_equivalence(machine, "L1", 2, 7) == report
+        assert scans == []
+
     def test_column_steps_accept_in_the_ring_column_and_die_on_a_filling(self):
         machine = column_edges()
         budgets = [g.Budget(0, 0), g.Budget(1, 0), g.Budget(2, 0)]
@@ -721,12 +746,18 @@ class TestColumnCounts:
 
 
 def run_verdicts(runs, total):
-    """The verdicts of ``_decide_shape`` runs, one per picture, after
-    checking that the runs cover the ``total`` pictures and alternate."""
-    ends = [end for end, _ in runs]
-    assert ends == sorted(set(ends)) and ends[-1] == total
-    assert all(before[1] != after[1] for before, after in zip(runs, runs[1:]))
-    return [v for (end, v), start in zip(runs, [0, *ends]) for _ in range(start, end)]
+    """The verdicts of ``_decide_shape``'s accepted runs, one per picture
+    of a shape of ``total`` pictures, after checking that the runs are a
+    tuple of ``(begin, end)`` pairs, sorted, disjoint, non-empty and
+    maximal (no run ends where the next begins), within [0, total)."""
+    assert isinstance(runs, tuple) and all(len(run) == 2 for run in runs)
+    bounds = [n for run in runs for n in run]  # strictly increasing
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    assert all(0 <= n <= total for n in bounds)
+    verdicts = [False] * total
+    for begin, end in runs:
+        verdicts[begin:end] = [True] * (end - begin)
+    return verdicts
 
 
 @given(st.data())
@@ -808,15 +839,17 @@ BUILDER_LANGUAGES = [
 
 def assert_kept_runs_match_a_fresh_search(machine, shapes, budgets, monkeypatch):
     """Decide each shape under the resolved ``budgets`` on a fresh copy of
-    ``machine``, and check that the copy's tables keep each budget's runs,
-    unless there are more than ``_KEPT_RUNS``, as another fresh copy
-    searches them for that budget alone, and that a second call returns
-    the same runs with no search unless some budget's were not kept."""
+    ``machine``, and check that the copy's tables keep each budget's
+    accepted runs (sorted and maximal), unless there are more than
+    ``_KEPT_RUNS``, as another fresh copy searches them for that budget
+    alone, and that a second call returns the same runs with no search
+    unless some budget's were not kept."""
     kept = dataclasses.replace(machine)
     for rows, cols in shapes:
         decided = _decide_shape(kept, rows, cols, budgets)
         for budget, runs in zip(budgets, decided):
             (searched,) = _decide_shape(dataclasses.replace(machine), rows, cols, [budget])
+            run_verdicts(runs, len(machine.alphabet) ** (rows * cols))
             assert runs == searched
             held = _tables(kept, *budget).shapes.get((rows, cols))
             assert held == (runs if len(runs) <= _KEPT_RUNS else None)
@@ -832,8 +865,9 @@ def assert_kept_runs_match_a_fresh_search(machine, shapes, budgets, monkeypatch)
 def test_every_builder_keeps_the_runs_a_fresh_search_finds(builder, param, lang_id, monkeypatch):
     # At the language's row count and 1-4 columns, under the declared
     # budget, one unit less of up budget (none less where it is 0) and
-    # none at all.  B_L(2) and P_N2 have more than ``_KEPT_RUNS`` runs at
-    # 4 x 4 under the declared budget (4,556 and 14,000).
+    # none at all.  P_N2 alone has more than ``_KEPT_RUNS`` accepted runs,
+    # at 4 x 4 under the declared and the one-less budget (7,000 each);
+    # B_L(2) has 2,278 there, and the tables keep them.
     machine = g.make_machine(builder, param)
     up, left = machine.budget
     budgets = [machine.budget, g.Budget(max(up - 1, 0), left), g.Budget(0, 0)]
@@ -915,9 +949,7 @@ class TestSharedSearches:
             decided.clear()
             calls = count_calls(monkeypatch, decide, "viable", "explore")
             assert calls == {"viable": analyses, "explore": 0}
-            assert decided == [
-                [[(2 ** (rows * cols), False)]] for rows in range(1, 5) for cols in range(1, 5)
-            ]
+            assert decided == [[()] for rows in range(1, 5) for cols in range(1, 5)]
 
     def test_an_accepting_start_decides_the_shape_with_no_search(self, monkeypatch):
         # The initial state accepts: every picture is accepted on cell (1,1).
@@ -931,7 +963,7 @@ class TestSharedSearches:
             monkeypatch, lambda: decided.append(_decide_shape(machine, 2, 3, budgets))
         )
         assert searched == 0
-        assert decided[0] == [[(64, True)], [(64, True)]]
+        assert decided[0] == [((0, 64),), ((0, 64),)]
         assert_sweep_matches_decisions(machine, 2, 3, budgets)
 
     def test_a_run_searched_mid_way_ends_at_its_aligned_boundary(self):
@@ -1069,7 +1101,7 @@ class TestSharedSearches:
         assert branches == [
             (True, [(5, 0), (6, 0)]), (True, [(5, 1), (6, 0)]), (True, [(5, 1), (6, 1)]),
         ]
-        assert runs == [(1, True), (2, False), (4, True)]
+        assert runs == ((0, 1), (2, 4))
         monkeypatch.undo()
         for rows, cols_max in ((1, 4), (2, 3)):
             assert_sweep_matches_decisions(machine, rows, cols_max, [machine.budget])
@@ -1078,24 +1110,36 @@ class TestSharedSearches:
         # Reads row 1 rightwards and, back from the right ring, accepts iff
         # the last cell holds a 1.  The last cell counts fastest in
         # enumeration order, so the verdicts alternate: a 1 x c shape has
-        # one run per picture.  At 1 x 12 that is ``_KEPT_RUNS`` runs, which
-        # the tables keep; at 1 x 13 twice as many, searched on every call.
+        # one accepted run per odd index.  At 1 x 13 that is ``_KEPT_RUNS``
+        # runs, which the tables keep; at 1 x 14 twice as many, searched on
+        # every call.
         machine = g.Automaton(
             "last_cell", ("0", "1"), ("s", "t", "acc"), "s", "acc", "det",
             g.FOUR_WAY, g.Budget(g.INF, g.INF),
             {("s", "0"): (("s", R),), ("s", "1"): (("s", R),), ("s", "#"): (("t", L),),
              ("t", "1"): (("acc", R),)},
         )
-        for cols, kept in ((12, True), (13, False)):
+        for cols, kept in ((13, True), (14, False)):
             decided, searched = [], []
             for _ in range(2):
                 searched.append(count_searches(monkeypatch, lambda: decided.append(
                     _decide_shape(machine, 1, cols, [machine.budget])[0]
                 )))
-            assert decided[0] == decided[1] == [(n + 1, n % 2 == 1) for n in range(2**cols)]
+            assert decided[0] == decided[1] == tuple((n, n + 1) for n in range(1, 2**cols, 2))
             assert (len(decided[0]) <= _KEPT_RUNS) == kept
             assert searched == [2**cols, 0 if kept else 2**cols]
             assert ((1, cols) in _tables(machine, *machine.budget).shapes) == kept
+
+    def test_a_warm_check_of_b_l2_at_4_by_4_makes_no_search(self, monkeypatch):
+        # Its 4 x 4 shape has 2,278 accepted runs, fewer than ``_KEPT_RUNS``,
+        # so the tables keep them.  A fresh copy, so that the first call
+        # searches.
+        machine = dataclasses.replace(g.build_B_L(2))
+        reports = []
+        check = lambda: reports.append(g.oracle_equivalence(machine, "L2", 4, 4))
+        assert count_calls(monkeypatch, check, "explore")["explore"] > 0
+        assert count_calls(monkeypatch, check, "explore") == {"explore": 0}
+        assert reports[0] == reports[1] and reports[0].ok
 
     def test_the_run_list_stays_small_when_every_branch_accepts(self):
         # Reads row 1 rightwards, then row 2 leftwards, and accepts: at 2 x 8
@@ -1117,7 +1161,7 @@ class TestSharedSearches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert runs == [(65536, True)]
+        assert runs == ((0, 65536),)
         assert peak < 2**20
 
     def test_a_repeated_budget_takes_the_earlier_budgets_runs(self, monkeypatch):

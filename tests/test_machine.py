@@ -119,6 +119,20 @@ class TestValidate:
         with pytest.raises(g.MachineInvalidError):
             g.classify(a)
 
+    @pytest.mark.parametrize("field, value, bad", [
+        ("states", ("q0", "qa", ["qb"]), "['qb']"),
+        ("initial", ["q0"], "['q0']"),
+        ("alphabet", ("0", ["1"]), "['1']"),
+    ])
+    def test_a_list_where_a_name_or_symbol_belongs_is_a_problem(self, field, value, bad):
+        # A list cannot be hashed: it is listed as a problem, not raised as
+        # a bare TypeError.
+        a = dataclasses.replace(mk({("q0", "1"): [("qa", D)]}), **{field: value})
+        problems = g.validate(a)
+        assert problems and any(bad in problem for problem in problems)
+        with pytest.raises(g.MachineInvalidError):
+            g.accepts(a, g.Picture.from_rows(["1"]))
+
 
 #: A clean machine, changed one field at a time below.
 BASE = mk({("q0", "1"): [("qa", D)]})
